@@ -1,0 +1,6 @@
+"""Makes the package under test importable for ``python3 -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
