@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import FormatError, GeometryError
 from .pipeline import CaseResult, PipelineConfig, StageModels, run_case
 from .volume import Mask3D, Spacing, Volume3D
 
@@ -170,8 +170,10 @@ def evaluate_split(
 ) -> EvalReport:
     """Run the full pipeline on labelled cases and score both stages.
 
-    Per-case failures are recorded and excluded from the summaries instead
-    of aborting the batch. Output rows are ordered by case id.
+    Per-case failures (bad input: ``FormatError``, ``GeometryError`` or
+    ``ValueError``) are recorded and excluded from the summaries instead of
+    aborting the batch; any other exception is a fault and propagates.
+    Output rows are ordered by case id.
     """
     scores: list[CaseScore] = []
     failures: list[tuple[str, str]] = []
@@ -192,7 +194,7 @@ def evaluate_split(
                 )
             )
             results[case_id] = res
-        except Exception as exc:  # per-case isolation is the contract here
+        except (FormatError, GeometryError, ValueError) as exc:
             warnings.warn(f"case {case_id} failed: {exc}")
             failures.append((case_id, str(exc)))
     if scores:

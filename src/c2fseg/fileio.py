@@ -42,11 +42,18 @@ def write_volume(vol: AnyVolume, path) -> None:
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
+def _spacing(values, field: str) -> Spacing:
+    try:
+        return Spacing(*values)
+    except ValueError as exc:
+        raise FormatError(f"invalid {field} {tuple(values)}: {exc}") from None
+
+
 def read_volume(path) -> AnyVolume:
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != RVOL_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}, expected {RVOL_MAGIC!r}")
-    if len(raw) < 29:
+    if len(raw) < 33:
         raise FormatError(f"header truncated: file is {len(raw)} bytes")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != RVOL_VERSION:
@@ -68,7 +75,7 @@ def read_volume(path) -> AnyVolume:
     actual_crc = zlib.crc32(raw[:body_end]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
-    sp = Spacing(*spacing)
+    sp = _spacing(spacing, "spacing")
     if dtype_code == _DTYPE_MASK:
         data = np.frombuffer(raw, dtype="<u1", count=n, offset=33).reshape(dims)
         if ((data != 0) & (data != 1)).any():
@@ -164,10 +171,10 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
 
     if depth_axis == "slowest":
         data = arr
-        spacing = Spacing(hdr["pixdim"][3], hdr["pixdim"][2], hdr["pixdim"][1])
+        spacing = _spacing(hdr["pixdim"][3:0:-1], "pixdim")
     else:
         data = arr.transpose(2, 1, 0)
-        spacing = Spacing(hdr["pixdim"][1], hdr["pixdim"][2], hdr["pixdim"][3])
+        spacing = _spacing(hdr["pixdim"][1:4], "pixdim")
 
     if scaled:
         data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)

@@ -10,6 +10,9 @@ Sampling conventions, fixed so round-trip tests are stable:
   to the source extent (voxel 0 centres of source and target coincide)
 - linear interpolation uses the ``v0 + f * (v1 - v0)`` form, so constant
   inputs come back exactly
+- resampling is separable: one axis at a time in the order W, H, D, in
+  float64 with a single final cast to float32, which is bit-identical to
+  blending the 4 (2D) or 8 (3D) surrounding corners in that order
 - nearest-neighbour picks ``floor(coord + 0.5)``
 - output dims under a spacing resample are round-half-up, minimum 1
 - crop windows start at ``center - dim // 2``; for odd window dims the
@@ -97,53 +100,31 @@ def _nearest_axis(n_src: int, n_out: int, step_ratio: float):
     return idx
 
 
-def _lerp(v0, v1, f):
-    return v0 + f * (v1 - v0)
+def _resample_axes(data: np.ndarray, out_dims, ratios, linear: bool) -> np.ndarray:
+    """Resample every axis of ``data`` to ``out_dims``, one axis at a time.
 
-
-def _resample_array_3d(data: np.ndarray, out_dims, ratios, linear: bool) -> np.ndarray:
-    if linear:
-        z0, z1, fz = _linear_axis(data.shape[0], out_dims[0], ratios[0])
-        y0, y1, fy = _linear_axis(data.shape[1], out_dims[1], ratios[1])
-        x0, x1, fx = _linear_axis(data.shape[2], out_dims[2], ratios[2])
-        fz = fz[:, None, None]
-        fy = fy[None, :, None]
-        fx = fx[None, None, :]
-        work = data.astype(np.float64, copy=False)
-
-        def take(zi, yi, xi):
-            return work[zi[:, None, None], yi[None, :, None], xi[None, None, :]]
-
-        c00 = _lerp(take(z0, y0, x0), take(z0, y0, x1), fx)
-        c01 = _lerp(take(z0, y1, x0), take(z0, y1, x1), fx)
-        c10 = _lerp(take(z1, y0, x0), take(z1, y0, x1), fx)
-        c11 = _lerp(take(z1, y1, x0), take(z1, y1, x1), fx)
-        c0 = _lerp(c00, c01, fy)
-        c1 = _lerp(c10, c11, fy)
-        return _lerp(c0, c1, fz).astype(np.float32)
-    zi = _nearest_axis(data.shape[0], out_dims[0], ratios[0])
-    yi = _nearest_axis(data.shape[1], out_dims[1], ratios[1])
-    xi = _nearest_axis(data.shape[2], out_dims[2], ratios[2])
-    return data[zi[:, None, None], yi[None, :, None], xi[None, None, :]]
-
-
-def _resample_array_2d(data: np.ndarray, out_dims, ratios, linear: bool) -> np.ndarray:
-    if linear:
-        r0, r1, fr = _linear_axis(data.shape[0], out_dims[0], ratios[0])
-        c0, c1, fc = _linear_axis(data.shape[1], out_dims[1], ratios[1])
-        fr = fr[:, None]
-        fc = fc[None, :]
-        work = data.astype(np.float64, copy=False)
-
-        def take(ri, ci):
-            return work[ri[:, None], ci[None, :]]
-
-        top = _lerp(take(r0, c0), take(r0, c1), fc)
-        bot = _lerp(take(r1, c0), take(r1, c1), fc)
-        return _lerp(top, bot, fr).astype(np.float32)
-    ri = _nearest_axis(data.shape[0], out_dims[0], ratios[0])
-    ci = _nearest_axis(data.shape[1], out_dims[1], ratios[1])
-    return data[ri[:, None], ci[None, :]]
+    Axes run last first (W, then H, then D), the order in which the
+    2^n-corner blend lerps, so the result is bit-identical to that blend.
+    Linear passes gather the two neighbours, promote to float64 and lerp in
+    place with the same operations as ``v0 + f * (v1 - v0)``; the result is
+    cast to float32 once. An axis with ratio 1 is still lerped (``f = 0``):
+    the blend lerps it too, which turns a ``-0.0`` next to a positive value
+    into ``+0.0``, so skipping it would change the sign of some zeros.
+    """
+    work = data
+    for ax in reversed(range(data.ndim)):
+        if not linear:
+            work = np.take(work, _nearest_axis(data.shape[ax], out_dims[ax], ratios[ax]), axis=ax)
+            continue
+        i0, i1, f = _linear_axis(data.shape[ax], out_dims[ax], ratios[ax])
+        v0 = np.take(work, i0, axis=ax)
+        d = np.take(work, i1, axis=ax).astype(np.float64, copy=False)
+        d -= v0
+        d *= f.reshape((-1,) + (1,) * (data.ndim - 1 - ax))
+        d += v0
+        del v0  # freed before the next pass gathers
+        work = d
+    return work.astype(np.float32) if linear else work
 
 
 def _round_half_up(x: float) -> int:
@@ -187,7 +168,7 @@ def resample_volume(
         return type(vol)(vol.data, target)
 
     ratios = tuple(t / s for s, t in zip(src, dst))
-    out = _resample_array_3d(vol.data, out_dims, ratios, linear=(mode == "trilinear"))
+    out = _resample_axes(vol.data, out_dims, ratios, linear=(mode == "trilinear"))
     if is_mask:
         return Mask3D(out, target)
     return Volume3D(out, target)
@@ -211,7 +192,7 @@ def resize_slice(
     if (tr, tc) == s.dims:
         return Slice2D(s.data, s.pixel_spacing, s.plane, s.index), rec
     ratios = (s.dims[0] / tr, s.dims[1] / tc)
-    out = _resample_array_2d(s.data, (tr, tc), ratios, linear=(mode == "bilinear"))
+    out = _resample_axes(s.data, (tr, tc), ratios, linear=(mode == "bilinear"))
     return Slice2D(out, new_spacing, s.plane, s.index), rec
 
 
@@ -228,7 +209,7 @@ def unresize(p: AnySlice, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> A
         rec.target_dims[0] / rec.original_dims[0],
         rec.target_dims[1] / rec.original_dims[1],
     )
-    out = _resample_array_2d(p.data, rec.original_dims, ratios, linear=(mode == "bilinear"))
+    out = _resample_axes(p.data, rec.original_dims, ratios, linear=(mode == "bilinear"))
     if cls is ProbMap2D:
         out = np.clip(out, 0.0, 1.0)
     return cls(out, rec.original_pixel_spacing, p.plane, p.index)

@@ -45,6 +45,57 @@ def trilinear_oracle(data: np.ndarray, out_dims, step_ratios) -> np.ndarray:
     return out
 
 
+def _corner_axis(n_src: int, n_out: int, step_ratio: float, linear: bool):
+    x = np.clip(np.arange(n_out, dtype=np.float64) * step_ratio, 0.0, float(n_src - 1))
+    if not linear:
+        return np.clip(np.floor(x + 0.5).astype(np.intp), 0, n_src - 1)
+    i0 = np.minimum(np.floor(x).astype(np.intp), n_src - 1)
+    return i0, np.minimum(i0 + 1, n_src - 1), x - i0
+
+
+def corner_blend_oracle(data: np.ndarray, out_dims, step_ratios, linear: bool) -> np.ndarray:
+    """The 2^n-corner formulation of 2D/3D resampling (bilinear/trilinear or nearest).
+
+    Gathers every corner of every output sample from a float64 copy of the
+    source and lerps ``v0 + f * (v1 - v0)`` along W, then H, then D; linear
+    results are cast to float32. The package must match it byte for byte.
+    """
+    nd = data.ndim
+    if nd not in (2, 3):
+        raise ValueError(f"corner_blend_oracle takes 2D or 3D data, got {nd}D")
+
+    def grid(axis_index, ax):
+        shape = [1] * nd
+        shape[ax] = -1
+        return axis_index.reshape(shape)
+
+    axes = [_corner_axis(data.shape[ax], out_dims[ax], step_ratios[ax], linear) for ax in range(nd)]
+    if not linear:
+        return data[tuple(grid(idx, ax) for ax, idx in enumerate(axes))]
+
+    work = data.astype(np.float64)
+
+    def lerp(v0, v1, f):
+        return v0 + f * (v1 - v0)
+
+    def take(*corner):
+        return work[tuple(grid(axes[ax][c], ax) for ax, c in enumerate(corner))]
+
+    if nd == 2:
+        fr, fc = grid(axes[0][2], 0), grid(axes[1][2], 1)
+        top = lerp(take(0, 0), take(0, 1), fc)
+        bot = lerp(take(1, 0), take(1, 1), fc)
+        return lerp(top, bot, fr).astype(np.float32)
+    fz, fy, fx = (grid(axes[ax][2], ax) for ax in range(3))
+    c00 = lerp(take(0, 0, 0), take(0, 0, 1), fx)
+    c01 = lerp(take(0, 1, 0), take(0, 1, 1), fx)
+    c10 = lerp(take(1, 0, 0), take(1, 0, 1), fx)
+    c11 = lerp(take(1, 1, 0), take(1, 1, 1), fx)
+    c0 = lerp(c00, c01, fy)
+    c1 = lerp(c10, c11, fy)
+    return lerp(c0, c1, fz).astype(np.float32)
+
+
 def pad_then_crop_oracle(data: np.ndarray, center, patch_dims) -> np.ndarray:
     """Crop via explicit zero-padding: pad generously, then plain-slice."""
     pr, pc = patch_dims

@@ -205,3 +205,13 @@ class TestEvaluateSplit:
             report = evaluate_split(cases, self.oracle_models(), self.cfg())
         assert [s.case_id for s in report.scores] == ["good"]
         assert report.failures and report.failures[0][0] == "bad"
+
+    def test_programming_error_propagates(self):
+        class Broken:
+            def predict(self, s):
+                raise RuntimeError("bug in the model")
+
+        m = ThresholdModel(0.5)
+        cases = [("c0", *generate_phantom(PhantomSpec(seed=0, **PHANTOM_KW)))]
+        with pytest.raises(RuntimeError, match="bug in the model"):
+            evaluate_split(cases, StageModels(coarse=Broken(), abnormal=m, fine=m), self.cfg())

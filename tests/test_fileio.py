@@ -1,5 +1,6 @@
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -62,9 +63,22 @@ class TestRvolRejection:
         with pytest.raises(FormatError, match="length"):
             read_volume(volume_file)
 
-    def test_mask_with_nonbinary_byte(self, rng, tmp_path):
-        import zlib
+    @pytest.mark.parametrize("length", [29, 30, 31, 32])
+    def test_truncated_header(self, volume_file, length):
+        volume_file.write_bytes(volume_file.read_bytes()[:length])
+        with pytest.raises(FormatError, match="header truncated"):
+            read_volume(volume_file)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_bad_spacing(self, volume_file, bad):
+        raw = bytearray(volume_file.read_bytes())
+        struct.pack_into("<f", raw, 24, bad)  # spacing.h
+        body = bytes(raw[:-4])
+        volume_file.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(FormatError, match="invalid spacing"):
+            read_volume(volume_file)
+
+    def test_mask_with_nonbinary_byte(self, rng, tmp_path):
         m = Mask3D(random_mask_data(rng, (2, 2, 2)), Spacing(1, 1, 1))
         path = tmp_path / "m.rvol"
         write_volume(m, path)
@@ -200,6 +214,14 @@ class TestReadNifti:
         path.write_bytes(raw[:-4])
         with pytest.raises(FormatError, match="truncated"):
             read_nifti(path)
+
+    @pytest.mark.parametrize("depth_axis", ["slowest", "fastest"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_bad_pixdim_rejected(self, tmp_path, bad, depth_axis):
+        path = tmp_path / "p.nii"
+        path.write_bytes(build_nifti(pixdim=(0.7816, bad, 3.0)))
+        with pytest.raises(FormatError, match="invalid pixdim"):
+            read_nifti(path, depth_axis=depth_axis)
 
     def test_not_nifti_rejected(self, tmp_path):
         path = tmp_path / "x.nii"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from c2fseg import (
     CropRecord,
@@ -18,7 +21,7 @@ from c2fseg import (
     unresize,
 )
 from conftest import random_mask_data, random_volume_data
-from oracles import pad_then_crop_oracle, trilinear_oracle
+from oracles import corner_blend_oracle, pad_then_crop_oracle, trilinear_oracle
 
 
 def make_slice(data, plane="axial", index=0, ps=(1.0, 1.0)):
@@ -157,6 +160,95 @@ class TestUnresize:
         small, rec = resize_slice(s, (128, 128))
         p = ProbMap2D(np.clip(small.data, 0, 1), small.pixel_spacing, "axial", 0)
         assert unresize(p, rec).dims == (512, 512)
+
+
+# Finite float32 values, with signed zeros and the extremes drawn often.
+_F32 = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -3.4e38, 3.4e38, 1e-45]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+# Few distinct values, so equal source and target spacings (ratio-1 axes) are common.
+_MM = st.sampled_from([0.5, 0.7816, 0.8, 1.0, 2.5, 3.0])
+
+
+def _dims(n, hi=6):
+    return st.tuples(*[st.integers(1, hi)] * n)
+
+
+class TestSeparableMatchesCornerBlend:
+    """The separable resampler is byte-identical to the 2^n-corner blend."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), is_mask=st.booleans(), nearest=st.booleans())
+    def test_resample_volume(self, data, is_mask, nearest):
+        dims = data.draw(_dims(3))
+        spacing, target = (Spacing(*data.draw(st.tuples(_MM, _MM, _MM))) for _ in range(2))
+        if is_mask:
+            vol = Mask3D(data.draw(hnp.arrays(np.uint8, dims, elements=st.integers(0, 1))), spacing)
+        else:
+            vol = Volume3D(data.draw(hnp.arrays(np.float32, dims, elements=_F32, fill=st.nothing())), spacing)
+        forced = data.draw(st.none() | _dims(3, hi=8))
+        linear = not (is_mask or nearest)
+        out = resample_volume(vol, target, mode="trilinear" if linear else "nearest", target_dims=forced)
+        if out.dims == vol.dims and target == vol.spacing:
+            expected = vol.data  # already on the target grid: handed back untouched
+        else:
+            ratios = tuple(t / s for s, t in zip(vol.spacing.as_tuple(), target.as_tuple()))
+            expected = corner_blend_oracle(vol.data, out.dims, ratios, linear)
+        assert out.data.dtype == expected.dtype
+        assert out.data.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["bilinear", "nearest"]), prob=st.booleans())
+    def test_resize_and_unresize(self, data, mode, prob):
+        dims = data.draw(_dims(2, hi=9))
+        target = data.draw(_dims(2, hi=9))
+        linear = mode == "bilinear"
+        s = make_slice(data.draw(hnp.arrays(np.float32, dims, elements=_F32, fill=st.nothing())))
+        small, rec = resize_slice(s, target, mode=mode)
+        ratios = (dims[0] / target[0], dims[1] / target[1])
+        expected = s.data if target == dims else corner_blend_oracle(s.data, target, ratios, linear)
+        assert small.data.tobytes() == expected.tobytes()
+
+        if prob:
+            cells = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0.0, 1.0, width=32))
+            p = ProbMap2D(data.draw(hnp.arrays(np.float32, target, elements=cells, fill=st.nothing())), (1.0, 1.0), "axial", 0)
+        else:
+            p = make_slice(data.draw(hnp.arrays(np.float32, target, elements=_F32, fill=st.nothing())))
+        back = unresize(p, rec, mode=mode)
+        if target == dims:
+            expected = p.data
+        else:
+            inv = (target[0] / dims[0], target[1] / dims[1])
+            expected = corner_blend_oracle(p.data, dims, inv, linear)
+            if prob:
+                expected = np.clip(expected, 0.0, 1.0)
+        assert type(back) is type(p)
+        assert back.data.tobytes() == expected.tobytes()
+
+
+    def test_ratio_one_axes_are_still_lerped(self):
+        # W and H keep their spacing; lerping them with f = 0 turns the -0.0
+        # next to 1.0 into +0.0, which the D lerp then keeps.
+        data = np.array([-0.0, 1.0, -1.0, 1.0], dtype=np.float32).reshape(2, 1, 2)
+        vol = Volume3D(data, Spacing(1, 1, 1))
+        out = resample_volume(vol, Spacing(0.5, 1, 1), mode="trilinear")
+        expected = corner_blend_oracle(data, out.dims, (0.5, 1.0, 1.0), True)
+        assert out.data.tobytes() == expected.tobytes()
+        assert out.data[0, 0, 0] == 0.0 and not np.signbit(out.data[0, 0, 0])
+
+
+class TestResampleMemory:
+    def test_trilinear_peak_within_8x_input(self):
+        rng = np.random.default_rng(0)
+        vol = Volume3D(rng.standard_normal((32, 192, 192)).astype(np.float32), Spacing(2.5, 0.8, 0.8))
+        tracemalloc.start()
+        try:
+            resample_volume(vol, Spacing(3.0, 0.7816, 0.7816), mode="trilinear")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * vol.data.nbytes, f"peak {peak / vol.data.nbytes:.1f}x the input"
 
 
 class TestCropPatch:
