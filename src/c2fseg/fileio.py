@@ -11,6 +11,7 @@ NIfTI-1 single-file volumes (optionally gzipped) are read-only inputs.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -95,7 +96,10 @@ _HDR_SIZE = 348
 def _read_maybe_gzip(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
+        try:
+            return gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise FormatError(f"corrupt gzip stream: {exc}") from None
     return raw
 
 
@@ -156,6 +160,8 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
         raise FormatError(f"invalid dims; header: {_header_dump(hdr)}")
 
     np_dtype = np.dtype(_NIFTI_DTYPES[hdr["datatype"]]).newbyteorder(hdr["byte_order"])
+    if not math.isfinite(hdr["vox_offset"]):
+        raise FormatError(f"non-finite vox_offset; header: {_header_dump(hdr)}")
     offset = int(hdr["vox_offset"])
     if offset < _HDR_SIZE:
         raise FormatError(f"vox_offset {offset} overlaps the header; header: {_header_dump(hdr)}")
@@ -168,6 +174,10 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
 
     slope, inter = hdr["scl_slope"], hdr["scl_inter"]
     scaled = slope != 0.0 and not (slope == 1.0 and inter == 0.0)
+    if scaled:  # a zero slope means "unscaled", and scl_inter is then ignored
+        for field, value in (("scl_slope", slope), ("scl_inter", inter)):
+            if not math.isfinite(value):
+                raise FormatError(f"non-finite {field}; header: {_header_dump(hdr)}")
 
     if depth_axis == "slowest":
         data = arr

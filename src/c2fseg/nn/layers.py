@@ -5,6 +5,11 @@ the cache. Convolutions are stride 1 with same-size output; the padding for
 3x3 kernels replicates the edge rather than zero-filling, so a spatially
 constant input stays constant through the whole net. All ops run in the
 dtype of their inputs, which lets tests re-run the exact code in float64.
+
+Forwards do no work that only the backward needs: ReLU caches its output
+(the gradient mask is ``y > 0``) and max-pooling caches its input (the
+backward finds each window's argmax from it). A caller that drops the cache
+pays for nothing but the output.
 """
 
 from __future__ import annotations
@@ -28,7 +33,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, out_h: int, out_w: int) -> np.ndar
 
 
 def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    """Edge padding of the two spatial axes: the interior, then the edge rows, then the edge columns."""
+    b, c, h, w = x.shape
+    xp = np.empty((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:-pad, pad:-pad] = x
+    xp[:, :, :pad, pad:-pad] = x[:, :, :1]
+    xp[:, :, -pad:, pad:-pad] = x[:, :, -1:]
+    xp[:, :, :, :pad] = xp[:, :, :, pad : pad + 1]
+    xp[:, :, :, -pad:] = xp[:, :, :, -pad - 1 : -pad]
+    return xp
 
 
 def _fold_replicate_pad(gxp: np.ndarray, pad: int) -> np.ndarray:
@@ -92,31 +105,40 @@ def conv2d_backward(cache, gy: np.ndarray):
 
 def relu_forward(x: np.ndarray):
     y = np.maximum(x, 0)
-    return y, (x > 0)
+    return y, y
 
 
 def relu_backward(cache, gy: np.ndarray):
-    return gy * cache
+    return gy * (cache > 0)  # x > 0 exactly where max(x, 0) > 0, NaN included
 
 
 def maxpool2_forward(x: np.ndarray, name: str = "pool"):
-    """2x2 max pooling, stride 2; spatial dims must be even."""
-    bsz, c, h, w = x.shape
+    """2x2 max pooling, stride 2; spatial dims must be even.
+
+    The max over the four phases is folded from the last to the first:
+    ``np.maximum`` returns its second argument on a tie, so a tied window
+    yields its first maximum in raster order, the one the backward routes
+    the gradient to. The choice shows only when -0.0 ties with +0.0.
+    """
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise GeometryError(f"{name}: spatial dims {(h, w)} must be even for 2x2 pooling")
+    y = np.maximum(x[:, :, 1::2, 1::2], x[:, :, 1::2, 0::2])
+    np.maximum(y, x[:, :, 0::2, 1::2], out=y)
+    np.maximum(y, x[:, :, 0::2, 0::2], out=y)
+    return y, x
+
+
+def maxpool2_backward(cache, gy: np.ndarray):
+    """Routes each output gradient to its window's first maximum, found from the cached input."""
+    x = cache
+    bsz, c, h, w = x.shape
     windows = (
         x.reshape(bsz, c, h // 2, 2, w // 2, 2)
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(bsz, c, h // 2, w // 2, 4)
     )
     idx = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return y, (idx, x.shape)
-
-
-def maxpool2_backward(cache, gy: np.ndarray):
-    idx, x_shape = cache
-    bsz, c, h, w = x_shape
     gwin = np.zeros((bsz, c, h // 2, w // 2, 4), dtype=gy.dtype)
     np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
     return (

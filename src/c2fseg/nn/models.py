@@ -46,5 +46,5 @@ class UNetModel:
 
     def predict(self, s: Slice2D) -> ProbMap2D:
         x = s.data[None, None, :, :].astype(np.float32)
-        probs, _ = unet_forward(self.spec, self.weights, x)
+        probs, _ = unet_forward(self.spec, self.weights, x, cache=False)
         return ProbMap2D(probs[0, 0], s.pixel_spacing, s.plane, s.index)

@@ -101,37 +101,51 @@ def _check_input(spec: UNetSpec, x: np.ndarray) -> None:
             )
 
 
-def unet_forward(spec: UNetSpec, weights, x: np.ndarray):
-    """Run the net; returns (probabilities, cache for the backward pass)."""
+def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
+    """Run the net; returns (probabilities, cache for the backward pass).
+
+    With ``cache=False`` (inference) each layer's cache is dropped as soon
+    as the layer returns, so a conv's im2col columns are freed right after
+    its GEMM, and the second value is None. The probabilities are the same
+    either way.
+    """
     _check_input(spec, x)
     shapes = parameter_shapes(spec)
     entries: dict = {}
+
+    def keep(key, result):
+        out, layer_cache = result
+        if cache:
+            entries[key] = layer_cache
+        return out
+
     skips = []
     h = x
     for i in range(spec.depth):
         w = _get_param(weights, f"enc{i}.w", shapes[f"enc{i}.w"], "weight")
         b = _get_param(weights, f"enc{i}.b", shapes[f"enc{i}.b"], "bias")
-        h, entries[f"enc{i}.conv"] = layers.conv2d_forward(h, w, b, name=f"enc{i}")
-        h, entries[f"enc{i}.relu"] = layers.relu_forward(h)
+        h = keep(f"enc{i}.conv", layers.conv2d_forward(h, w, b, name=f"enc{i}"))
+        h = keep(f"enc{i}.relu", layers.relu_forward(h))
         skips.append(h)
-        h, entries[f"enc{i}.pool"] = layers.maxpool2_forward(h, name=f"enc{i}.pool")
+        h = keep(f"enc{i}.pool", layers.maxpool2_forward(h, name=f"enc{i}.pool"))
     w = _get_param(weights, "mid.w", shapes["mid.w"], "weight")
     b = _get_param(weights, "mid.b", shapes["mid.b"], "bias")
-    h, entries["mid.conv"] = layers.conv2d_forward(h, w, b, name="mid")
-    h, entries["mid.relu"] = layers.relu_forward(h)
+    h = keep("mid.conv", layers.conv2d_forward(h, w, b, name="mid"))
+    h = keep("mid.relu", layers.relu_forward(h))
     for i in reversed(range(spec.depth)):
-        h, entries[f"dec{i}.up"] = layers.upsample2_forward(h)
-        h, entries[f"dec{i}.cat"] = layers.concat_forward(skips[i], h, name=f"dec{i}.cat")
+        h = keep(f"dec{i}.up", layers.upsample2_forward(h))
+        h = keep(f"dec{i}.cat", layers.concat_forward(skips[i], h, name=f"dec{i}.cat"))
         w = _get_param(weights, f"dec{i}.w", shapes[f"dec{i}.w"], "weight")
         b = _get_param(weights, f"dec{i}.b", shapes[f"dec{i}.b"], "bias")
-        h, entries[f"dec{i}.conv"] = layers.conv2d_forward(h, w, b, name=f"dec{i}")
-        h, entries[f"dec{i}.relu"] = layers.relu_forward(h)
+        h = keep(f"dec{i}.conv", layers.conv2d_forward(h, w, b, name=f"dec{i}"))
+        h = keep(f"dec{i}.relu", layers.relu_forward(h))
     w = _get_param(weights, "head.w", shapes["head.w"], "weight")
     b = _get_param(weights, "head.b", shapes["head.b"], "bias")
-    h, entries["head.conv"] = layers.conv2d_forward(h, w, b, name="head")
-    y, entries["head.sig"] = layers.sigmoid_forward(h)
-    cache = ForwardCache(spec=spec, input_shape=x.shape, output_shape=y.shape, entries=entries)
-    return y, cache
+    h = keep("head.conv", layers.conv2d_forward(h, w, b, name="head"))
+    y = keep("head.sig", layers.sigmoid_forward(h))
+    if not cache:
+        return y, None
+    return y, ForwardCache(spec=spec, input_shape=x.shape, output_shape=y.shape, entries=entries)
 
 
 def unet_backward(spec: UNetSpec, weights, cache: ForwardCache, grad_output: np.ndarray):

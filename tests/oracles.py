@@ -172,6 +172,31 @@ def conv3x3_replicate_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.
     return out
 
 
+def maxpool2_argmax_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2/stride-2 max pooling by window argmax: (output, input gradient).
+
+    Each window's four pixels are laid out in raster order; the output takes
+    the first maximum and the gradient goes to that pixel alone.
+    """
+    bsz, c, h, w = x.shape
+    windows = (
+        x.reshape(bsz, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(bsz, c, h // 2, w // 2, 4)
+    )
+    idx = windows.argmax(axis=-1)
+    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    gwin = np.zeros((bsz, c, h // 2, w // 2, 4), dtype=gy.dtype)
+    np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
+    gx = gwin.reshape(bsz, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h, w)
+    return y, gx
+
+
+def relu_mask_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU as max(x, 0), its gradient as gy times the input mask x > 0: (output, input gradient)."""
+    return np.maximum(x, 0), gy * (x > 0)
+
+
 def brute_centroid(mask: np.ndarray) -> tuple[float, float, float]:
     """Mean coordinate of foreground voxels via an explicit loop."""
     total = np.zeros(3)

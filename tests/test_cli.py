@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -221,6 +222,20 @@ class TestPredictAndEval:
         assert code == 0
         mask = read_volume(out)
         assert mask.dims == (8, 24, 24)
+
+    def test_truncated_gzip_input_is_an_error_line(self, tmp_path, desk_config, capsys):
+        from test_fileio import build_nifti
+
+        nii = tmp_path / "case.nii.gz"
+        zipped = gzip.compress(build_nifti())
+        nii.write_bytes(zipped[: len(zipped) // 2])
+        code = main([
+            "predict", "--input", str(nii),
+            "--coarse", "x", "--abnormal", "y", "--fine", "z",
+            "--config", str(desk_config), "--out", str(tmp_path / "o.rvol"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_input_exits_nonzero(self, tmp_path, desk_config, capsys):
         code = main([

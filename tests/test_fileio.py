@@ -97,6 +97,7 @@ def build_nifti(
     payload=None,
     scl_slope=0.0,
     scl_inter=0.0,
+    vox_offset=352.0,
     magic=b"n+1\x00",
     byte_order="<",
     ndim=3,
@@ -112,7 +113,7 @@ def build_nifti(
     struct.pack_into(byte_order + "h", hdr, 72, bitpix)
     pd = [1.0, pixdim[0], pixdim[1], pixdim[2], 0, 0, 0, 0]
     struct.pack_into(byte_order + "8f", hdr, 76, *pd)
-    struct.pack_into(byte_order + "f", hdr, 108, 352.0)  # vox_offset
+    struct.pack_into(byte_order + "f", hdr, 108, vox_offset)
     struct.pack_into(byte_order + "f", hdr, 112, scl_slope)
     struct.pack_into(byte_order + "f", hdr, 116, scl_inter)
     hdr[344:348] = magic
@@ -222,6 +223,35 @@ class TestReadNifti:
         path.write_bytes(build_nifti(pixdim=(0.7816, bad, 3.0)))
         with pytest.raises(FormatError, match="invalid pixdim"):
             read_nifti(path, depth_axis=depth_axis)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["vox_offset", "scl_slope", "scl_inter"])
+    def test_non_finite_header_field_rejected(self, tmp_path, field, bad):
+        fields = {"scl_slope": 2.0, field: bad}  # scl_inter is read only under a nonzero slope
+        path = tmp_path / "h.nii"
+        path.write_bytes(build_nifti(**fields))
+        with pytest.raises(FormatError, match=f"non-finite {field}"):
+            read_nifti(path)
+
+    def test_scl_inter_ignored_under_zero_slope(self, tmp_path):
+        path = tmp_path / "z.nii"
+        path.write_bytes(build_nifti(scl_slope=0.0, scl_inter=float("nan")))
+        assert read_nifti(path).data[0, 0, 1] == 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda z: z[: len(z) // 2],  # truncated: EOFError from gzip
+            lambda z: z[:2] + b"not a deflate stream",  # bad header: gzip.BadGzipFile
+            lambda z: z[:10] + b"\xff" * 20,  # bad deflate block: zlib.error
+        ],
+        ids=["truncated", "garbage_after_magic", "bad_block"],
+    )
+    def test_corrupt_gzip_rejected(self, tmp_path, damage):
+        path = tmp_path / "c.nii.gz"
+        path.write_bytes(damage(gzip.compress(build_nifti())))
+        with pytest.raises(FormatError, match="corrupt gzip"):
+            read_nifti(path)
 
     def test_not_nifti_rejected(self, tmp_path):
         path = tmp_path / "x.nii"

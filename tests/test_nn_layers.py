@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from c2fseg.errors import GeometryError
 from c2fseg.nn import layers
-from oracles import conv3x3_replicate_oracle, numeric_gradient, relative_error
+from oracles import (
+    conv3x3_replicate_oracle,
+    maxpool2_argmax_oracle,
+    numeric_gradient,
+    relative_error,
+    relu_mask_oracle,
+)
 
 TOL = 1e-5
 
@@ -143,3 +152,62 @@ class TestSigmoid:
         gy = rng.standard_normal(out.shape)
         loss = lambda: float((layers.sigmoid_forward(x)[0] * gy).sum())
         assert relative_error(layers.sigmoid_backward(cache, gy), numeric_gradient(loss, x)) < TOL
+
+
+# Few distinct values (signed zeros among them), so tied windows are common.
+_TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def _pool_inputs(draw):
+    """(x, gy) for 2x2 pooling; x is free, window-constant (all-equal windows) or constant."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    bits = 32 if dtype == np.float32 else 64
+    cells = st.one_of(_TIES, st.floats(-1e3, 1e3, width=bits))
+    b, c, h, w = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)))
+    layout = draw(st.sampled_from(["free", "windows", "constant"]))
+    if layout == "free":
+        x = draw(hnp.arrays(dtype, (b, c, 2 * h, 2 * w), elements=cells, fill=st.nothing()))
+    elif layout == "windows":
+        x = draw(hnp.arrays(dtype, (b, c, h, w), elements=cells, fill=st.nothing())).repeat(2, axis=2).repeat(2, axis=3)
+    else:
+        x = np.full((b, c, 2 * h, 2 * w), draw(cells), dtype=dtype)
+    gy = draw(hnp.arrays(dtype, (b, c, h, w), elements=st.floats(-10, 10, width=bits), fill=st.nothing()))
+    return x, gy
+
+
+class TestMatchesArgmaxAndMaskOracles:
+    """Max-pool and ReLU keep their old outputs and gradients byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pool_inputs())
+    def test_maxpool(self, inputs):
+        x, gy = inputs
+        y, cache = layers.maxpool2_forward(x)
+        gx = layers.maxpool2_backward(cache, gy)
+        y_ref, gx_ref = maxpool2_argmax_oracle(x, gy)
+        assert y.dtype == y_ref.dtype and y.tobytes() == np.ascontiguousarray(y_ref).tobytes()
+        assert gx.dtype == gx_ref.dtype and gx.tobytes() == gx_ref.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pool_inputs())
+    def test_relu(self, inputs):
+        x, _ = inputs
+        gy = x[::-1].copy()  # any same-shape gradient; signed zeros included
+        y, cache = layers.relu_forward(x)
+        gx = layers.relu_backward(cache, gy)
+        y_ref, gx_ref = relu_mask_oracle(x, gy)
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+        assert gx.dtype == gx_ref.dtype and gx.tobytes() == gx_ref.tobytes()
+
+    def test_maxpool_signed_zero_tie_takes_first(self):
+        x = np.array([[-0.0, 0.0], [0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]], dtype=np.float32)
+        x = x.reshape(1, 1, 4, 2)
+        y, _ = layers.maxpool2_forward(x)
+        assert np.signbit(y).ravel().tolist() == [True, False]
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=hnp.arrays(np.float32, st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6))), pad=st.integers(1, 2))
+    def test_replicate_pad_matches_edge_pad(self, x, pad):
+        expected = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+        assert layers._replicate_pad(x, pad).tobytes() == expected.tobytes()

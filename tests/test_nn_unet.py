@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from c2fseg import UNetSpec, unet_backward, unet_forward
 from c2fseg.errors import GeometryError
+from c2fseg.nn.models import UNetModel
 from c2fseg.nn.unet import init_weights, parameter_shapes
+from c2fseg.nn.weights import ModelWeights
+from c2fseg.volume import Slice2D
 from oracles import numeric_gradient, relative_error
 
 
@@ -51,6 +56,32 @@ class TestForward:
         del p["head.b"]
         with pytest.raises(GeometryError, match="head"):
             unet_forward(spec, p, rng.standard_normal((1, 1, 8, 8)))
+
+
+class TestInferenceWithoutCache:
+    def test_same_bytes_as_training_forward(self, rng):
+        spec = UNetSpec(depth=3, base_channels=8)
+        weights = ModelWeights(init_weights(spec, seed=5))
+        x = rng.standard_normal((1, 1, 64, 96)).astype(np.float32)
+        y_train, cache = unet_forward(spec, weights, x)
+        y_infer, no_cache = unet_forward(spec, weights, x, cache=False)
+        p = UNetModel(spec, weights).predict(Slice2D(x[0, 0], (1.0, 1.0), "axial", 0))
+        assert cache is not None and no_cache is None
+        assert y_infer.tobytes() == y_train.tobytes()
+        assert p.data.tobytes() == y_train[0, 0].tobytes()
+
+    def test_peak_memory_within_1_5x_largest_im2col(self):
+        spec = UNetSpec(depth=3, base_channels=8)
+        weights = init_weights(spec, seed=5)
+        x = np.random.default_rng(0).standard_normal((1, 1, 128, 128)).astype(np.float32)
+        largest_cols = (8 + 16) * 9 * 128 * 128 * 4  # dec0: skip + upsampled channels, 3x3 taps
+        tracemalloc.start()
+        try:
+            unet_forward(spec, weights, x, cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * largest_cols, f"peak {peak / largest_cols:.2f}x the largest im2col buffer"
 
 
 class TestParameterPlan:
