@@ -1,9 +1,22 @@
 """3D connected-component labeling and the normal/abnormal kidney-count criterion.
 
-Labeling is two-pass union-find: a raster scan assigns provisional labels
-from already-visited neighbours and records equivalences; a resolution pass
-renumbers roots in first-encounter scan order, so ids are contiguous from 1
-and deterministic.
+Labeling works on runs, the maximal foreground stretches along W (He, Chao &
+Suzuki, "A Run-Based Two-Scan Labeling Algorithm", IEEE TIP 2008), all in
+numpy with no per-voxel Python:
+
+1. Runs are cut from the sorted foreground indices wherever the index jumps
+   or a row begins, so they come out in raster order.
+2. Each run is joined to the runs it touches on its prior rows (the row
+   above, and for the slice above the rows the connectivity reaches). Those
+   runs sit in one contiguous range of the sorted run keys, found with two
+   binary searches per prior row.
+3. Equivalences are resolved by array union-find: every round hooks each
+   root to the smallest root it shares an edge with, then pointer-jumps to a
+   fixed point, until a round changes nothing. Each component ends up keyed
+   by its first run.
+4. Components are numbered in the order of their first runs, which is
+   first-encounter raster order, so ids are contiguous from 1 and
+   deterministic, and painted back run by run.
 """
 
 from __future__ import annotations
@@ -16,15 +29,9 @@ from .volume import Mask3D, Spacing, voxel_volume_ml
 
 Connectivity = int  # 6 or 26
 
-# Scan-order-prior neighbour offsets: lexicographically negative (dz, dy, dx).
-_PRIOR_6 = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
-_PRIOR_26 = tuple(
-    (dz, dy, dx)
-    for dz in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dx in (-1, 0, 1)
-    if (dz, dy, dx) < (0, 0, 0)
-)
+# Prior-row neighbours of a run as (dz, dy) row offsets, and the column slack
+# with which runs on those rows touch: 1 lets 26-connectivity join diagonals.
+_PRIOR_ROWS = {6: (((0, -1), (-1, 0)), 0), 26: (((0, -1), (-1, -1), (-1, 0), (-1, 1)), 1)}
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,7 @@ class ComponentStats:
     voxel_count: int
     volume_ml: float
     centroid: tuple[float, float, float]
+    z_range: tuple[int, int] | None = None  # first and last axial slice, inclusive
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,57 @@ def _check_connectivity(connectivity: int):
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
 
 
+def _run_edges(row, start, stop, h, w, connectivity):
+    """Index pairs (a, b), b < a, of runs that touch across a prior row."""
+    offsets, slack = _PRIOR_ROWS[connectivity]
+    pitch = w + 2  # keys of one row stay clear of its neighbours' even with slack
+    start_keys = row * pitch + start
+    stop_keys = row * pitch + stop
+    z, y = np.divmod(row, h)
+    lo_parts, count_parts = [], []
+    for dz, dy in offsets:
+        base = (row + dz * h + dy) * pitch
+        # Runs of the prior row overlap [start - slack, stop + slack) in one
+        # contiguous range: from the first that stops past our start to the
+        # last that starts before our stop.
+        lo = np.searchsorted(stop_keys, base + start - slack, side="right")
+        hi = np.searchsorted(start_keys, base + stop + slack, side="left")
+        valid = (z + dz >= 0) & (y + dy >= 0) & (y + dy < h)
+        lo_parts.append(lo)
+        count_parts.append(np.where(valid, hi - lo, 0))
+    lo = np.concatenate(lo_parts)
+    counts = np.concatenate(count_parts)
+    a = np.repeat(np.tile(np.arange(row.size), len(offsets)), counts)
+    first = np.cumsum(counts) - counts
+    b = np.arange(a.size) - np.repeat(first - lo, counts)
+    return a, b
+
+
+def _resolve(n_runs, a, b):
+    """Smallest run index of each run's component, by array union-find.
+
+    Each round hooks every root to the smallest root it shares an edge with,
+    then pointer-jumps until every run points at its root; it stops when a
+    round changes nothing. Hooking roots, not runs, merges whole trees at
+    once, so long chains take few rounds.
+    """
+    lab = np.arange(n_runs)
+    while True:
+        la, lb = lab[a], lab[b]
+        low = np.minimum(la, lb)
+        new = lab.copy()
+        np.minimum.at(new, la, low)
+        np.minimum.at(new, lb, low)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
 def label_components(mask: Mask3D, connectivity: Connectivity = 26) -> LabelMap3D:
     """Label maximal connected foreground regions of a binary mask.
 
@@ -83,71 +142,50 @@ def label_components(mask: Mask3D, connectivity: Connectivity = 26) -> LabelMap3
     """
     _check_connectivity(connectivity)
     d, h, w = mask.dims
-    offsets = _PRIOR_6 if connectivity == 6 else _PRIOR_26
-
-    # Pad by 1 so neighbour reads never need bounds checks.
-    padded = np.zeros((d + 2, h + 2, w + 2), dtype=np.int64)
-    flat = padded.ravel()
-    sz, sy = (h + 2) * (w + 2), (w + 2)
-    flat_offsets = [dz * sz + dy * sy + dx for dz, dy, dx in offsets]
-
-    coords = np.argwhere(mask.data)  # row-major order == scan order
-    flat_idx = (coords[:, 0] + 1) * sz + (coords[:, 1] + 1) * sy + (coords[:, 2] + 1)
-
-    parent = [0]  # union-find over provisional labels; parent[i] <= i
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    # Pass 1: provisional labels + equivalences.
-    for fi in flat_idx.tolist():
-        neigh = [flat[fi + off] for off in flat_offsets]
-        neigh = [n for n in neigh if n]
-        if not neigh:
-            lab = len(parent)
-            parent.append(lab)
-        else:
-            roots = {find(n) for n in neigh}
-            lab = min(roots)
-            for r in roots:
-                parent[r] = lab
-        flat[fi] = lab
-
-    # Pass 2: resolve to roots, renumber in first-encounter order.
-    final = [0] * len(parent)
-    n_components = 0
     out = np.zeros((d, h, w), dtype=np.int32)
-    out_flat = out.ravel()
-    raw_idx = coords[:, 0] * (h * w) + coords[:, 1] * w + coords[:, 2]
-    for fi, ri in zip(flat_idx.tolist(), raw_idx.tolist()):
-        root = find(flat[fi])
-        lab = final[root]
-        if lab == 0:
-            n_components += 1
-            lab = final[root] = n_components
-        out_flat[ri] = lab
+    fi = np.flatnonzero(mask.data)
+    if fi.size == 0:
+        return LabelMap3D(out, mask.spacing, 0)
 
-    return LabelMap3D(out, mask.spacing, n_components)
+    # Maximal runs along W, in raster order.
+    is_start = np.empty(fi.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(np.diff(fi), 1, out=is_start[1:])
+    is_start |= fi % w == 0
+    first = np.flatnonzero(is_start)
+    lengths = np.diff(first, append=fi.size)
+    row, start = np.divmod(fi[first], w)
+    stop = start + lengths
+
+    a, b = _run_edges(row, start, stop, h, w, connectivity)
+    # Components keyed by their first run number in raster order, which is
+    # first-encounter order of their voxels.
+    roots, comp = np.unique(_resolve(first.size, a, b), return_inverse=True)
+    out.ravel()[fi] = np.repeat(comp.astype(np.int32) + 1, lengths)
+    return LabelMap3D(out, mask.spacing, roots.size)
 
 
 def component_stats(lm: LabelMap3D) -> list[ComponentStats]:
-    """Exact voxel counts, physical volumes, and centroids per component.
+    """Exact voxel counts, physical volumes, centroids and z-ranges per component.
 
     Sorted by voxel count descending, ties by ascending id.
     """
-    if lm.n_components == 0:
+    n = lm.n_components
+    if n == 0:
         return []
-    zz, yy, xx = np.nonzero(lm.data)
-    ids = lm.data[zz, yy, xx]
-    counts = np.bincount(ids, minlength=lm.n_components + 1)
-    csz = np.bincount(ids, weights=zz, minlength=lm.n_components + 1)
-    csy = np.bincount(ids, weights=yy, minlength=lm.n_components + 1)
-    csx = np.bincount(ids, weights=xx, minlength=lm.n_components + 1)
+    d, h, w = lm.dims
+    fi = np.flatnonzero(lm.data)
+    ids = lm.data.ravel()[fi]
+    zz, rest = np.divmod(fi, h * w)
+    yy, xx = np.divmod(rest, w)
+    counts = np.bincount(ids, minlength=n + 1)
+    csz = np.bincount(ids, weights=zz, minlength=n + 1)
+    csy = np.bincount(ids, weights=yy, minlength=n + 1)
+    csx = np.bincount(ids, weights=xx, minlength=n + 1)
+    z0 = np.full(n + 1, d, dtype=np.int64)
+    z1 = np.full(n + 1, -1, dtype=np.int64)
+    np.minimum.at(z0, ids, zz)
+    np.maximum.at(z1, ids, zz)
     stats = [
         ComponentStats(
             id=i,
@@ -158,8 +196,9 @@ def component_stats(lm: LabelMap3D) -> list[ComponentStats]:
                 float(csy[i] / counts[i]),
                 float(csx[i] / counts[i]),
             ),
+            z_range=(int(z0[i]), int(z1[i])),
         )
-        for i in range(1, lm.n_components + 1)
+        for i in range(1, n + 1)
     ]
     stats.sort(key=lambda c: (-c.voxel_count, c.id))
     return stats

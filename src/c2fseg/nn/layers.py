@@ -149,9 +149,18 @@ def maxpool2_backward(cache, gy: np.ndarray):
 
 
 def upsample2_forward(x: np.ndarray):
-    """2x nearest-neighbour upsampling."""
-    y = x.repeat(2, axis=2).repeat(2, axis=3)
-    return y, x.shape
+    """2x nearest-neighbour upsampling into one fresh buffer.
+
+    Each input row is written to the even and odd columns of its first output
+    row, which is then copied to the second: no intermediate array, and
+    faster than a broadcast copy with stride-0 inner axes.
+    """
+    b, c, h, w = x.shape
+    y = np.empty((b, c, h, 2, w, 2), dtype=x.dtype)
+    y[:, :, :, 0, :, 0] = x
+    y[:, :, :, 0, :, 1] = x
+    y[:, :, :, 1] = y[:, :, :, 0]
+    return y.reshape(b, c, 2 * h, 2 * w), x.shape
 
 
 def upsample2_backward(cache, gy: np.ndarray):

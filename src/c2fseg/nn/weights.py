@@ -8,6 +8,7 @@ preceding byte.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -101,7 +102,10 @@ def load_weights(source) -> ModelWeights:
             off += 2
             if off + name_len + 1 > end:
                 raise FormatError(f"truncated at parameter {k}")
-            name = raw[off : off + name_len].decode("utf-8")
+            try:
+                name = raw[off : off + name_len].decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"parameter {k} name is not UTF-8: {e}") from None
             off += name_len
             rank = raw[off]
             off += 1
@@ -109,7 +113,7 @@ def load_weights(source) -> ModelWeights:
                 raise FormatError(f"truncated at parameter {k}")
             dims = struct.unpack_from(f"<{rank}I", raw, off)
             off += 4 * rank
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            n = math.prod(dims)  # Python ints: dims from the file cannot overflow it
             if off + 4 * n > end:
                 raise FormatError(f"truncated at parameter {k}")
             data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)

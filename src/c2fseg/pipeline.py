@@ -119,9 +119,8 @@ def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1):
     for st in component_stats(lm):
         if st.voxel_count < min_count:
             continue
-        zz = np.nonzero((lm.data == st.id).any(axis=(1, 2)))[0]
         center = (int(round(st.centroid[1])), int(round(st.centroid[2])))
-        out.append((center, int(zz[0]), int(zz[-1])))
+        out.append((center, *st.z_range))
     return out
 
 

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +71,61 @@ class TestLabelComponents:
         with pytest.raises(ValueError):
             label_components(mask_of(np.zeros((2, 2, 2))), connectivity=18)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+        p=st.floats(0.02, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        connectivity=st.sampled_from([6, 26]),
+    )
+    def test_ids_identical_to_flood_fill(self, dims, p, seed, connectivity):
+        data = random_mask_data(np.random.default_rng(seed), dims, p=p)
+        lm = label_components(mask_of(data), connectivity)
+        expected = flood_fill_labels(data, connectivity)
+        assert np.array_equal(lm.data, expected)
+        assert lm.n_components == expected.max()
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_agrees_with_scipy_label(self, rng, connectivity):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
+        for dims, p in [((20, 30, 40), 0.3), ((16, 48, 48), 0.55), ((40, 20, 10), 0.1)]:
+            data = random_mask_data(rng, dims, p=p)
+            expected, n = ndimage.label(data, structure=structure)
+            lm = label_components(mask_of(data), connectivity)
+            assert lm.n_components == n
+            assert labelings_equivalent(lm.data, expected)
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_long_u_is_one_component_quickly(self, connectivity):
+        # Two 4-wide pillars of 20000 rows joined at the bottom: each pillar
+        # is a 20000-run chain, and the two chains meet only at the last row.
+        data = np.zeros((1, 20001, 12), dtype=np.uint8)
+        data[0, :, :4] = data[0, :, 8:] = 1
+        data[0, -1] = 1
+        mask = mask_of(data)
+        t0 = time.perf_counter()
+        lm = label_components(mask, connectivity)
+        elapsed = time.perf_counter() - t0
+        assert lm.n_components == 1
+        assert np.array_equal(lm.data, data.astype(np.int32))
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+    def test_memory_peak_near_output_size(self):
+        data = np.zeros((67, 393, 393), dtype=np.uint8)
+        data[20:45, 150:230, 80:140] = 1
+        data[22:48, 160:240, 250:310] = 1
+        mask = mask_of(data)
+        out_bytes = data.size * np.dtype(np.int32).itemsize
+        tracemalloc.start()
+        try:
+            lm = label_components(mask, 26)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lm.n_components == 2
+        assert peak <= 1.5 * out_bytes, f"peak {peak / out_bytes:.2f}x the int32 output"
+
 
 class TestComponentStats:
     def test_single_voxel(self):
@@ -104,6 +162,15 @@ class TestComponentStats:
         m[0, 0, 0] = m[0, 0, 2] = m[0, 0, 4] = m[0, 0, 5] = 1
         st_ = component_stats(label_components(mask_of(m), connectivity=6))
         assert [(s.id, s.voxel_count) for s in st_] == [(3, 2), (1, 1), (2, 1)]
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_z_range_matches_brute_scan(self, rng, connectivity):
+        for _ in range(20):
+            data = random_mask_data(rng, tuple(rng.integers(1, 10, size=3)), p=rng.uniform(0.05, 0.5))
+            lm = label_components(mask_of(data), connectivity)
+            for s in component_stats(lm):
+                zz = np.nonzero((lm.data == s.id).any(axis=(1, 2)))[0]
+                assert s.z_range == (int(zz[0]), int(zz[-1]))
 
     def test_counts_sum_to_foreground(self, rng):
         data = random_mask_data(rng, (9, 9, 9), p=0.5)

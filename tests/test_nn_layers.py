@@ -120,6 +120,23 @@ class TestUpsample:
         assert y[0, 0, 0].tolist() == [1.0, 1.0, 2.0, 2.0]
         assert y[0, 0, 3].tolist() == [3.0, 3.0, 4.0, 4.0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.sampled_from([np.float32, np.float64]).flatmap(
+            lambda dtype: hnp.arrays(
+                dtype,
+                st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
+                elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)),
+            )
+        )
+    )
+    def test_forward_bytes_match_double_repeat(self, x):
+        y, cache = layers.upsample2_forward(x)
+        expected = x.repeat(2, axis=2).repeat(2, axis=3)
+        assert y.dtype == x.dtype and y.shape == expected.shape and y.flags.c_contiguous
+        assert y.tobytes() == expected.tobytes()
+        assert cache == x.shape
+
     def test_gradient(self, rng):
         x = rng.standard_normal((2, 2, 3, 3))
         out, cache = layers.upsample2_forward(x)

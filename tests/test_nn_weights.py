@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ class TestRejection:
         save_weights(weights, path)
         path.write_bytes(path.read_bytes() + b"JUNKJUNK")
         with pytest.raises(FormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize(
+        "name, dims, match",
+        [
+            (b"\xff\xfeconv", (), "not UTF-8"),
+            (b"w", (2**32 - 1, 2**32 - 1), "truncated at parameter 0"),
+            (b"w", (2**16,) * 4, "truncated at parameter 0"),  # 2**64 wraps to 0 in int64
+        ],
+    )
+    def test_hostile_parameter_header(self, tmp_path, name, dims, match):
+        body = b"".join(
+            [
+                b"C2FW",
+                struct.pack("<II", 1, 1),
+                struct.pack("<H", len(name)),
+                name,
+                struct.pack(f"<B{len(dims)}I", len(dims), *dims),
+                struct.pack("<f", 1.0),
+            ]
+        )
+        path = tmp_path / "hostile.c2fw"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match=match):
             load_weights(path)
 
     def test_nonfinite_parameters_rejected(self):

@@ -23,6 +23,7 @@ from c2fseg import (
     run_case,
 )
 from c2fseg.components import component_stats
+from c2fseg.pipeline import _component_windows
 from oracles import brute_centroid
 
 SP = Spacing(3.0, 0.7816, 0.7816)
@@ -95,6 +96,36 @@ class TestPrepareCoarseSet:
         bad = Mask3D(np.zeros((2, 2, 2), dtype=np.uint8), SP)
         with pytest.raises(GeometryError):
             prepare_coarse_set([(vol, bad)], desk_cfg())
+
+
+def rescanned_windows(label, cfg, min_count=1):
+    """Component windows with each slice range found by rescanning the label map."""
+    lm = label_components(label, cfg.connectivity)
+    out = []
+    for st in component_stats(lm):
+        if st.voxel_count < min_count:
+            continue
+        zz = np.nonzero((lm.data == st.id).any(axis=(1, 2)))[0]
+        center = (int(round(st.centroid[1])), int(round(st.centroid[2])))
+        out.append((center, int(zz[0]), int(zz[-1])))
+    return out
+
+
+class TestComponentWindows:
+    def test_phantom_matches_rescan(self, phantom):
+        _, gt = phantom
+        cfg = desk_cfg()
+        assert _component_windows(gt, cfg) == rescanned_windows(gt, cfg)
+        assert len(_component_windows(gt, cfg, min_count=cfg.th_vn)) == 2
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_random_masks_match_rescan(self, rng, connectivity):
+        cfg = desk_cfg(connectivity=connectivity)
+        for _ in range(20):
+            data = (rng.uniform(size=(6, 10, 10)) < rng.uniform(0.05, 0.4)).astype(np.uint8)
+            mask = Mask3D(data, SP)
+            for min_count in (1, 3):
+                assert _component_windows(mask, cfg, min_count) == rescanned_windows(mask, cfg, min_count)
 
 
 class TestPrepareFineSet:
