@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .bench import PhantomSpec, dsc, generate_phantom, summarize
+from .bench import CaseScore, PhantomSpec, dsc, generate_phantom, score_cases
 from .config import RunConfig, default_config, load_config
 from .errors import FormatError, GeometryError
 from .fileio import read_nifti, read_volume, write_volume
@@ -95,11 +96,6 @@ def cmd_phantom_gen(args) -> int:
     return 0
 
 
-_STAGE_DIMS = {
-    "coarse": lambda p: p.coarse_dims,
-    "fine": lambda p: p.fine_dims,
-    "abnormal": lambda p: p.abnormal_dims,
-}
 _STAGE_PREP = {
     "coarse": prepare_coarse_set,
     "fine": prepare_fine_set,
@@ -109,7 +105,7 @@ _STAGE_PREP = {
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    dims = _STAGE_DIMS[args.stage](cfg.pipeline)
+    dims = getattr(cfg.pipeline, f"{args.stage}_dims")
     step = 2**cfg.unet.depth
     if dims[0] % step or dims[1] % step:
         print(
@@ -167,84 +163,72 @@ def _format_summary_line(stage: str, stats: dict[str, float]) -> str:
     )
 
 
+def _score_prediction(case_id: str, gt_path: Path, pred_dir: Path) -> CaseScore:
+    """Score ``<case>_fine.rvol``, and ``<case>_coarse.rvol`` if present, against ``gt_path``."""
+    gt = read_volume(gt_path)
+    fine_path = pred_dir / f"{case_id}_fine.rvol"
+    if not fine_path.exists():
+        raise FileNotFoundError(f"missing prediction {fine_path.name}")
+    fine = read_volume(fine_path)
+    if not isinstance(fine, Mask3D) or not isinstance(gt, Mask3D):
+        raise FormatError("predictions and ground truth must be masks")
+    fine_dsc = dsc(fine, gt)
+    coarse_path = pred_dir / f"{case_id}_coarse.rvol"
+    coarse_dsc = None
+    if coarse_path.exists():
+        coarse = read_volume(coarse_path)
+        if not isinstance(coarse, Mask3D):
+            raise FormatError("predictions and ground truth must be masks")
+        coarse_dsc = dsc(coarse, gt)
+    verdict = "-"
+    report_path = pred_dir / f"{case_id}_report.json"
+    if report_path.exists():
+        verdict = json.loads(report_path.read_text()).get("verdict", "-")
+    return CaseScore(case_id, coarse_dsc, fine_dsc, verdict)
+
+
 def cmd_eval(args) -> int:
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     gt_files = sorted(gt_dir.glob("*_mask.rvol"))
     if not gt_files:
         print(f"error: no ground-truth masks (*_mask.rvol) in {gt_dir}", file=sys.stderr)
         return 2
-
-    rows = []
-    failures = []
-    for gt_path in gt_files:
-        case_id = gt_path.name[: -len("_mask.rvol")]
-        try:
-            gt = read_volume(gt_path)
-            fine_path = pred_dir / f"{case_id}_fine.rvol"
-            if not fine_path.exists():
-                raise FileNotFoundError(f"missing prediction {fine_path.name}")
-            fine = read_volume(fine_path)
-            if not isinstance(fine, Mask3D) or not isinstance(gt, Mask3D):
-                raise FormatError("predictions and ground truth must be masks")
-            fine_dsc = dsc(fine, gt)
-            coarse_path = pred_dir / f"{case_id}_coarse.rvol"
-            coarse_dsc = None
-            if coarse_path.exists():
-                coarse = read_volume(coarse_path)
-                coarse_dsc = dsc(coarse, gt)
-            verdict = "-"
-            report_path = pred_dir / f"{case_id}_report.json"
-            if report_path.exists():
-                verdict = json.loads(report_path.read_text()).get("verdict", "-")
-            rows.append((case_id, coarse_dsc, fine_dsc, verdict))
-        except (OSError, FormatError, GeometryError, ValueError) as exc:
-            failures.append((case_id, str(exc)))
+    report = score_cases(
+        ((p.name[: -len("_mask.rvol")], p, pred_dir) for p in gt_files),
+        _score_prediction,
+        (OSError, FormatError, GeometryError, ValueError),
+    )
 
     lines = []
-    for case_id, coarse_dsc, fine_dsc, verdict in rows:
-        coarse_txt = f"{coarse_dsc:.6f}" if coarse_dsc is not None else "-"
-        lines.append(f"{case_id} {coarse_txt} {fine_dsc:.6f} {verdict}")
-    for case_id, message in failures:
+    for s in report.scores:
+        coarse_txt = f"{s.coarse_dsc:.6f}" if s.coarse_dsc is not None else "-"
+        lines.append(f"{s.case_id} {coarse_txt} {s.fine_dsc:.6f} {s.verdict}")
+    for case_id, message in report.failures:
         lines.append(f"{case_id} ERROR {message}")
 
     lines.append("")
     lines.append("# stage   mean±std [%]  max [%]  min [%]")
     summary_json: dict[str, dict] = {}
-    coarse_scores = [r[1] for r in rows if r[1] is not None]
-    if coarse_scores:
-        stats = summarize(coarse_scores)
-        lines.append(_format_summary_line("coarse", stats))
-        summary_json["coarse"] = stats
-    else:
-        lines.append("coarse  n/a")
-    if rows:
-        stats = summarize([r[2] for r in rows])
-        lines.append(_format_summary_line("fine", stats))
-        summary_json["fine"] = stats
-    else:
-        lines.append("fine    n/a")
+    for stage, stats in (("coarse", report.coarse_summary), ("fine", report.fine_summary)):
+        if stats:
+            lines.append(_format_summary_line(stage, stats))
+            summary_json[stage] = stats
+        else:
+            lines.append(f"{stage:<7} n/a")
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text("\n".join(lines) + "\n")
     machine = {
-        "cases": [
-            {
-                "case_id": r[0],
-                "coarse_dsc": r[1],
-                "fine_dsc": r[2],
-                "verdict": r[3],
-            }
-            for r in rows
-        ],
-        "failures": [{"case_id": c, "error": m} for c, m in failures],
+        "cases": [asdict(s) for s in report.scores],
+        "failures": [{"case_id": c, "error": m} for c, m in report.failures],
         "summary": summary_json,
     }
     Path(str(report_path) + ".json").write_text(json.dumps(machine, indent=2) + "\n")
 
     print("\n".join(lines))
-    if failures:
-        print(f"error: {len(failures)} case(s) failed", file=sys.stderr)
+    if report.failures:
+        print(f"error: {len(report.failures)} case(s) failed", file=sys.stderr)
         return 1
     return 0
 

@@ -1,15 +1,18 @@
 """Flat key-value run configuration.
 
-One ``key = value`` per line, ``#`` comments, no nesting. Unknown or
-duplicated keys are rejected; absent keys fall back to the defaults below
-(the production-scale pipeline settings plus the stock net and training
-hyperparameters).
+One ``key = value`` per line, ``#`` comments, no nesting. Each key names a
+field of ``RunConfig`` or of one of its settings dataclasses, and an absent
+key keeps that field's dataclass default. A value is parsed by the type and
+arity of the default: ``Spacing`` takes 3 floats, dims 2 ints, scalars their
+own type. Unknown or duplicated keys are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .nn.train import FitParams
 from .nn.unet import UNetSpec
@@ -19,96 +22,56 @@ from .volume import Spacing
 
 @dataclass(frozen=True)
 class RunConfig:
-    pipeline: PipelineConfig
-    unet: UNetSpec
-    train: FitParams
+    pipeline: PipelineConfig = PipelineConfig()
+    unet: UNetSpec = UNetSpec()
+    train: FitParams = FitParams()
     nifti_depth_axis: str = "slowest"
 
-
-def _parse_floats(value: str, n: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated values, got {value!r}")
-    return tuple(float(p) for p in parts)
+    def __post_init__(self):
+        axis = self.nifti_depth_axis
+        if axis not in ("slowest", "fastest"):
+            raise ValueError(f"nifti_depth_axis must be 'slowest' or 'fastest', got {axis!r}")
 
 
-def _parse_ints(value: str, n: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated values, got {value!r}")
-    return tuple(int(p) for p in parts)
-
-
-_PARSERS = {
-    "normalized_spacing": lambda v: _parse_floats(v, 3),
-    "coarse_dims": lambda v: _parse_ints(v, 2),
-    "fine_dims": lambda v: _parse_ints(v, 2),
-    "abnormal_dims": lambda v: _parse_ints(v, 2),
-    "th_vn": int,
-    "prob_threshold": float,
-    "connectivity": int,
-    "fine_slice_margin": int,
-    "unet_depth": int,
-    "unet_base_channels": int,
-    "lr": float,
-    "epochs": int,
-    "batch": int,
-    "momentum": float,
-    "seed": int,
-    "nifti_depth_axis": str,
+# config key -> (RunConfig section, field); section "" is RunConfig itself.
+# The pipeline keys are the PipelineConfig field names.
+_KEYS = {
+    **{f.name: ("pipeline", f.name) for f in fields(PipelineConfig)},
+    "unet_depth": ("unet", "depth"),
+    "unet_base_channels": ("unet", "base_channels"),
+    "lr": ("train", "lr"),
+    "epochs": ("train", "epochs"),
+    "batch": ("train", "batch"),
+    "momentum": ("train", "momentum"),
+    "seed": ("train", "seed"),
+    "nifti_depth_axis": ("", "nifti_depth_axis"),
 }
 
-_DEFAULTS = {
-    "normalized_spacing": (3.0, 0.7816, 0.7816),
-    "coarse_dims": (128, 128),
-    "fine_dims": (160, 160),
-    "abnormal_dims": (64, 256),
-    "th_vn": 10000,
-    "prob_threshold": 0.5,
-    "connectivity": 26,
-    "fine_slice_margin": 2,
-    "unet_depth": 3,
-    "unet_base_channels": 8,
-    "lr": 0.1,
-    "epochs": 20,
-    "batch": 8,
-    "momentum": 0.0,
-    "seed": 0,
-    "nifti_depth_axis": "slowest",
-}
+
+def _field(cfg: RunConfig, key: str):
+    section, name = _KEYS[key]
+    return getattr(getattr(cfg, section) if section else cfg, name)
+
+
+def _parse_value(value: str, default):
+    """Parse ``value`` into the type and arity of ``default``."""
+    if not isinstance(default, (tuple, Spacing)):
+        return type(default)(value)
+    items = default.as_tuple() if isinstance(default, Spacing) else default
+    parts = [p.strip() for p in value.split(",")]
+    if len(parts) != len(items):
+        raise ValueError(f"expected {len(items)} comma-separated values, got {value!r}")
+    parsed = tuple(type(d)(p) for d, p in zip(items, parts))
+    return Spacing(*parsed) if isinstance(default, Spacing) else parsed
 
 
 def default_config() -> RunConfig:
-    return _build(dict(_DEFAULTS))
-
-
-def _build(values: dict) -> RunConfig:
-    pipeline = PipelineConfig(
-        normalized_spacing=Spacing(*values["normalized_spacing"]),
-        coarse_dims=tuple(values["coarse_dims"]),
-        fine_dims=tuple(values["fine_dims"]),
-        abnormal_dims=tuple(values["abnormal_dims"]),
-        th_vn=values["th_vn"],
-        prob_threshold=values["prob_threshold"],
-        connectivity=values["connectivity"],
-        fine_slice_margin=values["fine_slice_margin"],
-    )
-    unet = UNetSpec(depth=values["unet_depth"], base_channels=values["unet_base_channels"])
-    train = FitParams(
-        lr=values["lr"],
-        epochs=values["epochs"],
-        batch=values["batch"],
-        seed=values["seed"],
-        momentum=values["momentum"],
-    )
-    axis = values["nifti_depth_axis"]
-    if axis not in ("slowest", "fastest"):
-        raise ValueError(f"nifti_depth_axis must be 'slowest' or 'fastest', got {axis!r}")
-    return RunConfig(pipeline=pipeline, unet=unet, train=train, nifti_depth_axis=axis)
+    return RunConfig()
 
 
 def parse_config(text: str) -> RunConfig:
-    values = dict(_DEFAULTS)
+    base = RunConfig()
+    sections: dict[str, dict] = {"pipeline": {}, "unet": {}, "train": {}, "": {}}
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -118,16 +81,20 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
+        section, name = _KEYS[key]
         try:
-            values[key] = _PARSERS[key](value)
+            sections[section][name] = _parse_value(value, _field(base, key))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    return _build(values)
+    return RunConfig(
+        **{s: replace(getattr(base, s), **fields) for s, fields in sections.items() if s},
+        **sections[""],
+    )
 
 
 def load_config(path) -> RunConfig:
@@ -136,15 +103,17 @@ def load_config(path) -> RunConfig:
 
 def config_text(values: dict | None = None) -> str:
     """Render a config document (defaults unless overridden); parseable by parse_config."""
-    merged = dict(_DEFAULTS)
+    base = RunConfig()
+    merged = {key: _field(base, key) for key in _KEYS}
     if values:
-        unknown = set(values) - set(_DEFAULTS)
+        unknown = set(values) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(values)
     lines = []
-    for key in _DEFAULTS:
-        v = merged[key]
+    for key, v in merged.items():
+        if isinstance(v, Spacing):  # float32-canonical: print the shortest float32 text
+            v = tuple(np.float32(x) for x in v.as_tuple())
         if isinstance(v, tuple):
             lines.append(f"{key} = {', '.join(repr(x) if isinstance(x, float) else str(x) for x in v)}")
         else:

@@ -15,19 +15,16 @@ import math
 import struct
 import zlib
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .errors import FormatError
-from .volume import Mask3D, Spacing, Volume3D
+from .volume import AnyVolume, Mask3D, Spacing, Volume3D
 
 RVOL_MAGIC = b"RVOL"
 RVOL_VERSION = 1
 _DTYPE_F32 = 0
 _DTYPE_MASK = 1
-
-AnyVolume = Union[Volume3D, Mask3D]
 
 
 def write_volume(vol: AnyVolume, path) -> None:
@@ -43,11 +40,12 @@ def write_volume(vol: AnyVolume, path) -> None:
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
-def _spacing(values, field: str) -> Spacing:
+def _construct(cls, what: str, *args):
+    """``cls(*args)``, with the constructor's ValueError raised as a FormatError naming ``what``."""
     try:
-        return Spacing(*values)
+        return cls(*args)
     except ValueError as exc:
-        raise FormatError(f"invalid {field} {tuple(values)}: {exc}") from None
+        raise FormatError(f"invalid {what}: {exc}") from None
 
 
 def read_volume(path) -> AnyVolume:
@@ -66,7 +64,7 @@ def read_volume(path) -> AnyVolume:
         raise FormatError(f"unknown dtype code {dtype_code}")
     if min(dims) < 1:
         raise FormatError(f"invalid dims {dims}")
-    n = int(np.prod(dims, dtype=np.int64))
+    n = math.prod(dims)  # Python ints: dims from the file cannot overflow it
     itemsize = 1 if dtype_code == _DTYPE_MASK else 4
     expected = 33 + n * itemsize + 4
     if len(raw) != expected:
@@ -76,7 +74,7 @@ def read_volume(path) -> AnyVolume:
     actual_crc = zlib.crc32(raw[:body_end]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
-    sp = _spacing(spacing, "spacing")
+    sp = _construct(Spacing, f"spacing {spacing}", *spacing)
     if dtype_code == _DTYPE_MASK:
         data = np.frombuffer(raw, dtype="<u1", count=n, offset=33).reshape(dims)
         if ((data != 0) & (data != 1)).any():
@@ -84,7 +82,7 @@ def read_volume(path) -> AnyVolume:
             raise FormatError(f"mask payload contains non-binary byte {bad}")
         return Mask3D(data.copy(), sp)
     data = np.frombuffer(raw, dtype="<f4", count=n, offset=33).reshape(dims)
-    return Volume3D(data.copy(), sp)
+    return _construct(Volume3D, "volume payload", data.copy(), sp)
 
 
 # --- NIfTI-1 ---------------------------------------------------------------
@@ -181,14 +179,17 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
 
     if depth_axis == "slowest":
         data = arr
-        spacing = _spacing(hdr["pixdim"][3:0:-1], "pixdim")
+        pixdim = hdr["pixdim"][3:0:-1]
     else:
         data = arr.transpose(2, 1, 0)
-        spacing = _spacing(hdr["pixdim"][1:4], "pixdim")
+        pixdim = hdr["pixdim"][1:4]
+    spacing = _construct(Spacing, f"pixdim {pixdim}", *pixdim)
 
     if scaled:
-        data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)
-        return Volume3D(data, spacing)
+        with np.errstate(over="ignore"):  # an overflow is non-finite, rejected by the constructor
+            data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)
+        what = f"payload scaled by scl_slope={slope!r}, scl_inter={inter!r}"
+        return _construct(Volume3D, what, data, spacing)
     if np.issubdtype(np_dtype.base, np.integer) and not ((data != 0) & (data != 1)).any():
         return Mask3D(data.astype(np.uint8), spacing)
-    return Volume3D(data.astype(np.float32), spacing)
+    return _construct(Volume3D, "payload", data.astype(np.float32), spacing)

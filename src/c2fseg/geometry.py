@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GeometryError
-from .volume import AnySlice, AnyVolume, Mask3D, Plane, ProbMap2D, Slice2D, Spacing, Volume3D
+from .volume import AnyVolume, Mask3D, Plane, ProbMap2D, Slice2D, Spacing, Volume3D
 
 InterpMode = Literal["trilinear", "nearest"]
 ResizeMode = Literal["bilinear", "nearest"]
@@ -196,23 +196,22 @@ def resize_slice(
     return Slice2D(out, new_spacing, s.plane, s.index), rec
 
 
-def unresize(p: AnySlice, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> AnySlice:
-    """Invert a resize: map a prediction back to the recorded original size."""
+def unresize(p: Slice2D, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> Slice2D:
+    """Invert a resize: map a prediction back to the recorded original size, keeping its type."""
     if p.dims != rec.target_dims:
         raise GeometryError(
             f"prediction dims {p.dims} do not match resize record target {rec.target_dims}"
         )
-    cls = ProbMap2D if isinstance(p, ProbMap2D) else Slice2D
     if rec.original_dims == rec.target_dims:
-        return cls(p.data, rec.original_pixel_spacing, p.plane, p.index)
+        return type(p)(p.data, rec.original_pixel_spacing, p.plane, p.index)
     ratios = (
         rec.target_dims[0] / rec.original_dims[0],
         rec.target_dims[1] / rec.original_dims[1],
     )
     out = _resample_axes(p.data, rec.original_dims, ratios, linear=(mode == "bilinear"))
-    if cls is ProbMap2D:
+    if isinstance(p, ProbMap2D):
         out = np.clip(out, 0.0, 1.0)
-    return cls(out, rec.original_pixel_spacing, p.plane, p.index)
+    return type(p)(out, rec.original_pixel_spacing, p.plane, p.index)
 
 
 def crop_patch(
@@ -247,8 +246,8 @@ def crop_patch(
     return Slice2D(patch, s.pixel_spacing, s.plane, s.index), rec
 
 
-def uncrop_patch(p: AnySlice, rec: CropRecord) -> AnySlice:
-    """Invert a crop: place patch values back, zero everywhere else.
+def uncrop_patch(p: Slice2D, rec: CropRecord) -> Slice2D:
+    """Invert a crop: place patch values back, zero everywhere else, keeping the type of ``p``.
 
     Patch pixels that were boundary padding are discarded.
     """
@@ -264,5 +263,4 @@ def uncrop_patch(p: AnySlice, rec: CropRecord) -> AnySlice:
     out[r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right] = p.data[
         top : pr - bottom, left : pc - right
     ]
-    cls = ProbMap2D if isinstance(p, ProbMap2D) else Slice2D
-    return cls(out, p.pixel_spacing, p.plane, p.index)
+    return type(p)(out, p.pixel_spacing, p.plane, p.index)

@@ -17,10 +17,10 @@ from .weights import ModelWeights
 class FitParams:
     """Training hyperparameters. Runs are bit-reproducible for a fixed seed."""
 
-    lr: float
-    epochs: int
-    batch: int
-    seed: int
+    lr: float = 0.1
+    epochs: int = 20
+    batch: int = 8
+    seed: int = 0
     momentum: float = 0.0
 
     def __post_init__(self):

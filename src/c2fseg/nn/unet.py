@@ -19,8 +19,8 @@ from . import layers
 
 @dataclass(frozen=True)
 class UNetSpec:
-    depth: int
-    base_channels: int
+    depth: int = 3
+    base_channels: int = 8
     in_channels: int = 1
     out_channels: int = 1
 

@@ -123,10 +123,15 @@ def load_weights(source) -> ModelWeights:
         if name in params:
             raise FormatError(f"duplicate parameter name {name!r}")
         params[name] = data.copy()
+    if off > end:  # only a parameter-free file reaches here without room for the checksum
+        raise FormatError(f"weight file too short ({len(raw)} bytes)")
     if off != end:
         raise FormatError(f"{end - off} unexpected trailing bytes before checksum")
     (stored_crc,) = struct.unpack_from("<I", raw, end)
     actual_crc = zlib.crc32(raw[:end]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
-    return ModelWeights(params)
+    try:
+        return ModelWeights(params)
+    except ValueError as exc:
+        raise FormatError(f"invalid parameter data: {exc}") from None

@@ -142,37 +142,16 @@ class Slice2D:
 
 
 @dataclass(frozen=True)
-class ProbMap2D:
-    """A per-pixel probability plane; same geometry fields as Slice2D, values in [0, 1]."""
-
-    data: np.ndarray
-    pixel_spacing: tuple[float, float]
-    plane: Plane
-    index: int
+class ProbMap2D(Slice2D):
+    """A per-pixel probability plane: a Slice2D whose values lie in [0, 1]."""
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 2 or min(arr.shape) < 1:
-            raise GeometryError(f"probability map must be 2D and non-empty, got shape {arr.shape}")
-        arr = arr.astype(np.float32, copy=not (arr.dtype == np.float32 and arr.flags.c_contiguous))
-        if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
+        super().__post_init__()
+        if self.data.min() < 0.0 or self.data.max() > 1.0:
             raise ValueError("probability values must lie in [0, 1]")
-        _check_plane(self.plane)
-        ps = tuple(float(s) for s in self.pixel_spacing)
-        if len(ps) != 2 or any(not (np.isfinite(s) and s > 0) for s in ps):
-            raise ValueError(f"pixel_spacing must be two positive floats, got {self.pixel_spacing!r}")
-        if self.index < 0:
-            raise ValueError(f"slice index must be non-negative, got {self.index}")
-        object.__setattr__(self, "data", _freeze(arr))
-        object.__setattr__(self, "pixel_spacing", ps)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.data.shape
 
 
 AnyVolume = Union[Volume3D, Mask3D]
-AnySlice = Union[Slice2D, ProbMap2D]
 
 
 def extract_slices(vol: AnyVolume, plane: Plane) -> list[Slice2D]:
@@ -196,7 +175,7 @@ def extract_slices(vol: AnyVolume, plane: Plane) -> list[Slice2D]:
 
 
 def compose_slices(
-    slices: list[AnySlice],
+    slices: list[Slice2D],
     plane: Plane,
     dims: tuple[int, int, int],
     spacing: Spacing,

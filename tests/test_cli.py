@@ -244,3 +244,76 @@ class TestPredictAndEval:
             "--config", str(desk_config), "--out", str(tmp_path / "o.rvol"),
         ])
         assert code != 0
+
+
+def write_eval_dirs(tmp_path, masks):
+    """Write ``{case_id: (gt, fine, coarse-or-None, verdict)}`` as the files ``c2fseg eval`` reads."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for case_id, (gt, fine, coarse, verdict) in masks.items():
+        write_volume(gt, gt_dir / f"{case_id}_mask.rvol")
+        write_volume(fine, pred_dir / f"{case_id}_fine.rvol")
+        if coarse is not None:
+            write_volume(coarse, pred_dir / f"{case_id}_coarse.rvol")
+        (pred_dir / f"{case_id}_report.json").write_text(json.dumps({"verdict": verdict}))
+    return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--report", str(tmp_path / "report.txt")]
+
+
+class TestEvalScoring:
+    def test_matches_evaluate_split(self, tmp_path):
+        from dataclasses import asdict
+
+        from c2fseg import (
+            PhantomSpec,
+            PipelineConfig,
+            StageModels,
+            ThresholdModel,
+            evaluate_split,
+            generate_phantom,
+        )
+        from test_bench import PHANTOM_KW, SP
+
+        cases = [
+            (f"c{i}", *generate_phantom(PhantomSpec(seed=i, noise_sigma=0.4, **PHANTOM_KW)))
+            for i in range(3)
+        ]
+        m = ThresholdModel(0.5)
+        cfg = PipelineConfig(
+            normalized_spacing=SP, coarse_dims=(32, 32), fine_dims=(32, 32),
+            abnormal_dims=(16, 32), th_vn=300,
+        )
+        report = evaluate_split(cases, StageModels(coarse=m, abnormal=m, fine=m), cfg)
+        assert report.fine_summary["std"] > 0  # noisy cases, so the summaries are not trivial
+        args = write_eval_dirs(tmp_path, {
+            cid: (gt, report.results[cid].fine_mask, report.results[cid].coarse_mask,
+                  report.results[cid].verdict.verdict)
+            for cid, _, gt in cases
+        })
+        assert main(args) == 0
+        machine = json.loads((tmp_path / "report.txt.json").read_text())
+        assert machine["summary"] == {"coarse": report.coarse_summary, "fine": report.fine_summary}
+        assert machine["cases"] == [asdict(s) for s in report.scores]
+
+    def test_missing_coarse_is_left_out_of_its_summary(self, tmp_path):
+        sp = Spacing(1, 1, 1)
+        gt = Mask3D(np.ones((1, 2, 2), dtype=np.uint8), sp)
+        half = Mask3D(np.array([[[1, 1], [0, 0]]], dtype=np.uint8), sp)
+        args = write_eval_dirs(tmp_path, {"a": (gt, gt, half, "Normal"), "b": (gt, half, None, "-")})
+        assert main(args) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert lines[:2] == ["a 0.666667 1.000000 Normal", "b - 0.666667 -"]
+        summary = json.loads((tmp_path / "report.txt.json").read_text())["summary"]
+        assert summary["coarse"]["max"] == summary["coarse"]["min"] == pytest.approx(2 / 3)
+        assert summary["fine"]["min"] == pytest.approx(2 / 3) and summary["fine"]["max"] == 1.0
+
+    def test_non_mask_coarse_prediction_is_an_error_row(self, tmp_path, capsys):
+        sp = Spacing(1, 1, 1)
+        gt = Mask3D(np.ones((1, 2, 2), dtype=np.uint8), sp)
+        intensity = Volume3D(np.full((1, 2, 2), 0.5, dtype=np.float32), sp)
+        args = write_eval_dirs(tmp_path, {"a": (gt, gt, gt, "Normal"), "b": (gt, gt, intensity, "Normal")})
+        assert main(args) == 1
+        text = (tmp_path / "report.txt").read_text()
+        assert "a 1.000000 1.000000 Normal" in text
+        assert "b ERROR predictions and ground truth must be masks" in text
+        assert "error: 1 case(s) failed" in capsys.readouterr().err

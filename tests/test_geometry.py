@@ -162,6 +162,21 @@ class TestUnresize:
         assert unresize(p, rec).dims == (512, 512)
 
 
+class TestInversesKeepType:
+    @pytest.mark.parametrize("cls", [Slice2D, ProbMap2D])
+    @pytest.mark.parametrize("target", [(4, 6), (8, 12)], ids=["resized", "same_dims"])
+    def test_unresize(self, rng, cls, target):
+        small, rec = resize_slice(make_slice(rng.uniform(size=(8, 12))), target)
+        back = unresize(cls(small.data, small.pixel_spacing, "axial", 0), rec)
+        assert type(back) is cls and back.dims == (8, 12)
+
+    @pytest.mark.parametrize("cls", [Slice2D, ProbMap2D])
+    def test_uncrop_patch(self, rng, cls):
+        patch, rec = crop_patch(make_slice(rng.uniform(size=(8, 12))), (1, 10), (6, 6))
+        back = uncrop_patch(cls(patch.data, patch.pixel_spacing, "axial", 0), rec)
+        assert type(back) is cls and back.dims == (8, 12)
+
+
 # Finite float32 values, with signed zeros and the extremes drawn often.
 _F32 = st.one_of(
     st.sampled_from([-0.0, 0.0, 1.0, -3.4e38, 3.4e38, 1e-45]),

@@ -56,6 +56,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             ProbMap2D(np.full((2, 2), 1.5, dtype=np.float32), (1, 1), "axial", 0)
 
+    def test_probmap_is_a_slice(self):
+        p = ProbMap2D(np.array([[0.0, 0.5], [1.0, 0.25]]), (0.5, 2), "sagittal", 3)
+        assert isinstance(p, Slice2D)
+        assert p.data.dtype == np.float32 and not p.data.flags.writeable
+        assert (p.dims, p.pixel_spacing, p.plane, p.index) == ((2, 2), (0.5, 2.0), "sagittal", 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-6, 1.0 + 1e-6])
+    def test_probmap_rejects_non_finite_and_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            ProbMap2D(np.array([[0.5, bad]], dtype=np.float64), (1, 1), "axial", 0)
+
 
 class TestExtractSlices:
     def test_axial_counts_and_geometry(self, rng):
