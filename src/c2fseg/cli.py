@@ -183,7 +183,9 @@ def _score_prediction(case_id: str, gt_path: Path, pred_dir: Path) -> CaseScore:
     verdict = "-"
     report_path = pred_dir / f"{case_id}_report.json"
     if report_path.exists():
-        verdict = json.loads(report_path.read_text()).get("verdict", "-")
+        report = json.loads(report_path.read_text())
+        if not isinstance(report, dict) or not isinstance(verdict := report.get("verdict", "-"), str):
+            raise FormatError(f"{report_path.name} is not a JSON object with a string verdict")
     return CaseScore(case_id, coarse_dsc, fine_dsc, verdict)
 
 

@@ -7,9 +7,10 @@ constant input stays constant through the whole net. All ops run in the
 dtype of their inputs, which lets tests re-run the exact code in float64.
 
 Forwards do no work that only the backward needs: ReLU caches its output
-(the gradient mask is ``y > 0``) and max-pooling caches its input (the
-backward finds each window's argmax from it). A caller that drops the cache
-pays for nothing but the output.
+(the gradient mask is ``y > 0``) and max-pooling its input and output (the
+backward finds each window's first maximum from them). A caller that drops
+the cache pays for nothing but the output. The 2x2 operations, pooling and
+upsampling, work on the four stride-2 phase views ``x[:, :, r::2, c::2]``.
 """
 
 from __future__ import annotations
@@ -126,58 +127,48 @@ def maxpool2_forward(x: np.ndarray, name: str = "pool"):
     y = np.maximum(x[:, :, 1::2, 1::2], x[:, :, 1::2, 0::2])
     np.maximum(y, x[:, :, 0::2, 1::2], out=y)
     np.maximum(y, x[:, :, 0::2, 0::2], out=y)
-    return y, x
+    return y, (x, y)
 
 
 def maxpool2_backward(cache, gy: np.ndarray):
-    """Routes each output gradient to its window's first maximum, found from the cached input."""
-    x = cache
-    bsz, c, h, w = x.shape
-    windows = (
-        x.reshape(bsz, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(bsz, c, h // 2, w // 2, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    gwin = np.zeros((bsz, c, h // 2, w // 2, 4), dtype=gy.dtype)
-    np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
-    return (
-        gwin.reshape(bsz, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(bsz, c, h, w)
-    )
+    """Routes each output gradient to its window's first maximum in raster order; NaN counts as one."""
+    x, y = cache
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for r in (0, 1):
+        for c in (0, 1):
+            xp = x[:, :, r::2, c::2]
+            hit = free & ((xp == y) | (xp != xp))
+            np.copyto(gx[:, :, r::2, c::2], gy, where=hit)
+            free &= ~hit
+    return gx
 
 
-def upsample2_forward(x: np.ndarray):
-    """2x nearest-neighbour upsampling into one fresh buffer.
+def upcat_forward(skip: np.ndarray, h: np.ndarray, name: str = "upcat"):
+    """Decoder input in one fresh buffer: the skip channels, then a nearest 2x copy of ``h``."""
+    b, cs, hs, ws = skip.shape
+    if h.shape[0] != b or (2 * h.shape[2], 2 * h.shape[3]) != (hs, ws):
+        raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
+    y = np.empty((b, cs + h.shape[1], hs, ws), dtype=np.result_type(skip, h))
+    y[:, :cs] = skip
+    up = y[:, cs:]
+    up[:, :, 0::2, 0::2] = h
+    up[:, :, 0::2, 1::2] = h
+    up[:, :, 1::2] = up[:, :, 0::2]
+    return y, cs
 
-    Each input row is written to the even and odd columns of its first output
-    row, which is then copied to the second: no intermediate array, and
-    faster than a broadcast copy with stride-0 inner axes.
+
+def upcat_backward(cs: int, gy: np.ndarray):
+    """(skip gradient, gradient of ``h`` summed over the four phases).
+
+    Byte-equal to numpy's sum over each reshaped 2x2 window: it starts from +0.0
+    (four -0.0 sum to +0.0) and adds the row sums, or at width 1 the phases in turn.
     """
-    b, c, h, w = x.shape
-    y = np.empty((b, c, h, 2, w, 2), dtype=x.dtype)
-    y[:, :, :, 0, :, 0] = x
-    y[:, :, :, 0, :, 1] = x
-    y[:, :, :, 1] = y[:, :, :, 0]
-    return y.reshape(b, c, 2 * h, 2 * w), x.shape
-
-
-def upsample2_backward(cache, gy: np.ndarray):
-    bsz, c, h, w = cache
-    return gy.reshape(bsz, c, h, 2, w, 2).sum(axis=(3, 5))
-
-
-def concat_forward(a: np.ndarray, b: np.ndarray, name: str = "concat"):
-    """Channel concatenation; spatial dims must agree."""
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise GeometryError(f"{name}: cannot concat shapes {a.shape} and {b.shape}")
-    return np.concatenate([a, b], axis=1), a.shape[1]
-
-
-def concat_backward(cache, gy: np.ndarray):
-    split = cache
-    return gy[:, :split], gy[:, split:]
+    g = gy[:, cs:]
+    g00, g01, g10, g11 = (g[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1))
+    if g.shape[3] == 2:
+        return gy[:, :cs], 0.0 + g00 + g01 + g10 + g11
+    return gy[:, :cs], 0.0 + ((g00 + g01) + (g10 + g11))
 
 
 def sigmoid_forward(x: np.ndarray):

@@ -24,7 +24,7 @@ class FitParams:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.lr < 0 or self.epochs < 0 or self.batch < 1:
+        if not 0 <= self.lr < np.inf or self.epochs < 0 or self.batch < 1:
             raise ValueError(f"invalid hyperparameters {self!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")

@@ -13,10 +13,3 @@ def rng():
 def reference_spacing():
     return Spacing(3.0, 0.7816, 0.7816)
 
-
-def random_volume_data(rng, dims, lo=-100.0, hi=200.0):
-    return rng.uniform(lo, hi, size=dims).astype(np.float32)
-
-
-def random_mask_data(rng, dims, p=0.3):
-    return (rng.uniform(size=dims) < p).astype(np.uint8)

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 
+from c2fseg.errors import GeometryError
+
 
 def trilinear_oracle(data: np.ndarray, out_dims, step_ratios) -> np.ndarray:
     """Closed-form trilinear interpolation evaluated voxel by voxel.
@@ -190,6 +192,43 @@ def maxpool2_argmax_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, n
     np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
     gx = gwin.reshape(bsz, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h, w)
     return y, gx
+
+
+# The decoder input as two layer pairs, a 2x nearest upsample and then a
+# channel concatenation: the package's code before the two were fused into
+# one buffer. ``upcat_*`` must match this chain byte for byte.
+
+
+def upsample2_forward(x: np.ndarray):
+    """2x nearest-neighbour upsampling into one fresh buffer.
+
+    Each input row is written to the even and odd columns of its first output
+    row, which is then copied to the second: no intermediate array, and
+    faster than a broadcast copy with stride-0 inner axes.
+    """
+    b, c, h, w = x.shape
+    y = np.empty((b, c, h, 2, w, 2), dtype=x.dtype)
+    y[:, :, :, 0, :, 0] = x
+    y[:, :, :, 0, :, 1] = x
+    y[:, :, :, 1] = y[:, :, :, 0]
+    return y.reshape(b, c, 2 * h, 2 * w), x.shape
+
+
+def upsample2_backward(cache, gy: np.ndarray):
+    bsz, c, h, w = cache
+    return gy.reshape(bsz, c, h, 2, w, 2).sum(axis=(3, 5))
+
+
+def concat_forward(a: np.ndarray, b: np.ndarray, name: str = "concat"):
+    """Channel concatenation; spatial dims must agree."""
+    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
+        raise GeometryError(f"{name}: cannot concat shapes {a.shape} and {b.shape}")
+    return np.concatenate([a, b], axis=1), a.shape[1]
+
+
+def concat_backward(cache, gy: np.ndarray):
+    split = cache
+    return gy[:, :split], gy[:, split:]
 
 
 def relu_mask_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -163,22 +163,15 @@ def _fd_layer_checks(seed: int) -> float:
     loss = lambda: float((layers.maxpool2_forward(xp)[0] * gy).sum())
     check(layers.maxpool2_backward(cache, gy), loss, xp)
 
-    # 2x nearest upsample
-    xu = rng.standard_normal((1, 2, 3, 3))
-    out, cache = layers.upsample2_forward(xu)
+    # decoder input: skip channels, then a 2x nearest upsample
+    xa = rng.standard_normal((1, 2, 6, 6))
+    xu = rng.standard_normal((1, 3, 3, 3))
+    out, cache = layers.upcat_forward(xa, xu)
     gy = rng.standard_normal(out.shape)
-    loss = lambda: float((layers.upsample2_forward(xu)[0] * gy).sum())
-    check(layers.upsample2_backward(cache, gy), loss, xu)
-
-    # channel concatenation
-    xa = rng.standard_normal((1, 2, 3, 3))
-    xb = rng.standard_normal((1, 3, 3, 3))
-    out, cache = layers.concat_forward(xa, xb)
-    gy = rng.standard_normal(out.shape)
-    loss = lambda: float((layers.concat_forward(xa, xb)[0] * gy).sum())
-    ga, gb_ = layers.concat_backward(cache, gy)
+    loss = lambda: float((layers.upcat_forward(xa, xu)[0] * gy).sum())
+    ga, gu = layers.upcat_backward(cache, gy)
     check(ga, loss, xa)
-    check(gb_, loss, xb)
+    check(gu, loss, xu)
 
     # sigmoid
     xs = rng.standard_normal((1, 2, 3, 3))

@@ -317,3 +317,17 @@ class TestEvalScoring:
         assert "a 1.000000 1.000000 Normal" in text
         assert "b ERROR predictions and ground truth must be masks" in text
         assert "error: 1 case(s) failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "report", ["[1, 2]", '"Normal"', '{"verdict": 3}', "null"], ids=["list", "string", "int-verdict", "null"]
+    )
+    def test_report_without_a_string_verdict_is_an_error_row(self, tmp_path, capsys, report):
+        sp = Spacing(1, 1, 1)
+        gt = Mask3D(np.ones((1, 2, 2), dtype=np.uint8), sp)
+        args = write_eval_dirs(tmp_path, {"a": (gt, gt, gt, "Normal"), "b": (gt, gt, gt, "Normal")})
+        (tmp_path / "pred" / "b_report.json").write_text(report)
+        assert main(args) == 1
+        text = (tmp_path / "report.txt").read_text()
+        assert "a 1.000000 1.000000 Normal" in text
+        assert "b ERROR b_report.json is not a JSON object with a string verdict" in text
+        assert "error: 1 case(s) failed" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from c2fseg import (
     label_components,
     remove_small,
 )
-from conftest import random_mask_data
+from data import random_mask_data
 from oracles import flood_fill_labels, labelings_equivalent
 
 

@@ -118,6 +118,11 @@ class TestParse:
         with pytest.raises(ValueError, match="nifti_depth_axis"):
             RunConfig(nifti_depth_axis="diagonal")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lr_rejected(self, value):
+        with pytest.raises(ValueError, match="invalid hyperparameters"):
+            parse_config(f"lr = {value}")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some words")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from c2fseg import FormatError, Mask3D, Spacing, Volume3D, read_nifti, read_volume, write_volume
-from conftest import random_mask_data, random_volume_data
+from data import random_mask_data, random_volume_data
 
 
 class TestRvolRoundTrip:

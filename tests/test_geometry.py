@@ -20,7 +20,7 @@ from c2fseg import (
     uncrop_patch,
     unresize,
 )
-from conftest import random_mask_data, random_volume_data
+from data import random_mask_data, random_volume_data
 from oracles import corner_blend_oracle, pad_then_crop_oracle, trilinear_oracle
 
 

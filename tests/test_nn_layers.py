@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from c2fseg.errors import GeometryError
 from c2fseg.nn import layers
+import oracles
 from oracles import (
     conv3x3_replicate_oracle,
     maxpool2_argmax_oracle,
@@ -15,6 +16,27 @@ from oracles import (
 )
 
 TOL = 1e-5
+
+# Few distinct values (signed zeros among them), so tied windows are common.
+_TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def _upcat_inputs(draw):
+    """(skip, h, gy) for the decoder input; gy is free or constant on each 2x2 window,
+    so windows of four -0.0 are common."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    bits = 32 if dtype == np.float32 else 64
+    cells = st.one_of(_TIES, st.floats(-1e6, 1e6, width=bits))
+    b, cs, cu, h, w = draw(st.tuples(*(st.integers(1, n) for n in (2, 3, 3, 4, 4))))
+    skip = draw(hnp.arrays(dtype, (b, cs, 2 * h, 2 * w), elements=cells, fill=st.nothing()))
+    low = draw(hnp.arrays(dtype, (b, cu, h, w), elements=cells, fill=st.nothing()))
+    if draw(st.booleans()):
+        gy = draw(hnp.arrays(dtype, (b, cs + cu, 2 * h, 2 * w), elements=cells, fill=st.nothing()))
+    else:
+        gy = draw(hnp.arrays(dtype, (b, cs + cu, h, w), elements=cells, fill=st.nothing()))
+        gy = gy.repeat(2, axis=2).repeat(2, axis=3)
+    return skip, low, gy
 
 
 def fd_check_layer(forward, backward, arrays, rng, extra_grad_arrays=()):
@@ -113,49 +135,48 @@ class TestMaxPool:
         assert relative_error(layers.maxpool2_backward(cache, gy), numeric_gradient(loss, x)) < TOL
 
 
-class TestUpsample:
+class TestUpcat:
     def test_forward_repeats(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        y, _ = layers.upsample2_forward(x)
-        assert y[0, 0, 0].tolist() == [1.0, 1.0, 2.0, 2.0]
-        assert y[0, 0, 3].tolist() == [3.0, 3.0, 4.0, 4.0]
+        skip = np.full((1, 1, 4, 4), 9.0)
+        h = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        y, cs = layers.upcat_forward(skip, h)
+        assert cs == 1 and y.shape == (1, 2, 4, 4)
+        assert (y[0, 0] == 9.0).all()
+        assert y[0, 1, 0].tolist() == [1.0, 1.0, 2.0, 2.0]
+        assert y[0, 1, 3].tolist() == [3.0, 3.0, 4.0, 4.0]
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        x=st.sampled_from([np.float32, np.float64]).flatmap(
-            lambda dtype: hnp.arrays(
-                dtype,
-                st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
-                elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)),
-            )
-        )
-    )
-    def test_forward_bytes_match_double_repeat(self, x):
-        y, cache = layers.upsample2_forward(x)
-        expected = x.repeat(2, axis=2).repeat(2, axis=3)
-        assert y.dtype == x.dtype and y.shape == expected.shape and y.flags.c_contiguous
-        assert y.tobytes() == expected.tobytes()
-        assert cache == x.shape
+    def test_skip_roundtrip(self, rng):
+        skip, h = rng.standard_normal((1, 2, 6, 6)), rng.standard_normal((1, 4, 3, 3))
+        y, cs = layers.upcat_forward(skip, h)
+        assert y.shape == (1, 6, 6, 6)
+        g_skip, g_h = layers.upcat_backward(cs, y)
+        assert np.array_equal(g_skip, skip) and np.array_equal(g_h, 4 * h)
+
+    def test_mismatch_rejected_with_name(self):
+        skip = np.zeros((1, 2, 6, 6))
+        for h_shape in [(2, 3, 3, 3), (1, 3, 3, 4), (1, 3, 2, 3), (1, 3, 6, 6)]:
+            with pytest.raises(GeometryError, match="dec1.cat"):
+                layers.upcat_forward(skip, np.zeros(h_shape), name="dec1.cat")
 
     def test_gradient(self, rng):
-        x = rng.standard_normal((2, 2, 3, 3))
-        out, cache = layers.upsample2_forward(x)
-        gy = rng.standard_normal(out.shape)
-        loss = lambda: float((layers.upsample2_forward(x)[0] * gy).sum())
-        assert relative_error(layers.upsample2_backward(cache, gy), numeric_gradient(loss, x)) < TOL
+        skip, h = rng.standard_normal((2, 2, 6, 4)), rng.standard_normal((2, 3, 3, 2))
+        fd_check_layer(layers.upcat_forward, layers.upcat_backward, (skip, h), rng)
 
-
-class TestConcat:
-    def test_roundtrip(self, rng):
-        a, b = rng.standard_normal((1, 2, 3, 3)), rng.standard_normal((1, 4, 3, 3))
-        y, cache = layers.concat_forward(a, b)
-        assert y.shape == (1, 6, 3, 3)
-        ga, gb = layers.concat_backward(cache, y)
-        assert np.array_equal(ga, a) and np.array_equal(gb, b)
-
-    def test_spatial_mismatch_rejected(self):
-        with pytest.raises(GeometryError):
-            layers.concat_forward(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 4)))
+    @settings(max_examples=200, deadline=None)
+    @given(_upcat_inputs())
+    def test_bytes_match_upsample_concat_chain(self, inputs):
+        skip, h, gy = inputs
+        y, cs = layers.upcat_forward(skip, h)
+        up, up_cache = oracles.upsample2_forward(h)
+        y_ref, cat_cache = oracles.concat_forward(skip, up)
+        assert y.dtype == y_ref.dtype and y.shape == y_ref.shape and y.flags.c_contiguous
+        assert y.tobytes() == y_ref.tobytes()
+        assert y.tobytes() == np.concatenate([skip, h.repeat(2, axis=2).repeat(2, axis=3)], axis=1).tobytes()
+        g_skip, g_h = layers.upcat_backward(cs, gy)
+        g_skip_ref, g_up = oracles.concat_backward(cat_cache, gy)
+        g_h_ref = oracles.upsample2_backward(up_cache, g_up)
+        for g, ref in ((g_skip, g_skip_ref), (g_h, g_h_ref)):
+            assert g.dtype == ref.dtype and g.shape == ref.shape and g.tobytes() == ref.tobytes()
 
 
 class TestSigmoid:
@@ -171,16 +192,13 @@ class TestSigmoid:
         assert relative_error(layers.sigmoid_backward(cache, gy), numeric_gradient(loss, x)) < TOL
 
 
-# Few distinct values (signed zeros among them), so tied windows are common.
-_TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])
-
-
 @st.composite
 def _pool_inputs(draw):
-    """(x, gy) for 2x2 pooling; x is free, window-constant (all-equal windows) or constant."""
+    """(x, gy) for 2x2 pooling; x is free, window-constant (all-equal windows) or constant,
+    and may hold NaN and +-inf."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     bits = 32 if dtype == np.float32 else 64
-    cells = st.one_of(_TIES, st.floats(-1e3, 1e3, width=bits))
+    cells = st.one_of(_TIES, st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1e3, 1e3, width=bits))
     b, c, h, w = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)))
     layout = draw(st.sampled_from(["free", "windows", "constant"]))
     if layout == "free":
@@ -208,6 +226,7 @@ class TestMatchesArgmaxAndMaskOracles:
 
     @settings(max_examples=150, deadline=None)
     @given(_pool_inputs())
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")  # inf * False
     def test_relu(self, inputs):
         x, _ = inputs
         gy = x[::-1].copy()  # any same-shape gradient; signed zeros included

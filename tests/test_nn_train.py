@@ -96,6 +96,11 @@ class TestFit:
         with pytest.raises(ValueError):
             FitParams(lr=0.1, epochs=1, batch=1, seed=0, momentum=1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="invalid hyperparameters"):
+            FitParams(lr=lr)
+
 
 class TestThresholdModel:
     def test_thresholds_at_level(self):

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from c2fseg import (
     run_case,
 )
 from c2fseg.components import component_stats
+from c2fseg.nn.models import UNetModel
+from c2fseg.nn.unet import UNetSpec, parameter_shapes
+from c2fseg.nn.weights import ModelWeights
 from c2fseg.pipeline import _component_windows
 from oracles import brute_centroid
 
@@ -348,3 +353,84 @@ class TestRunCase:
         assert np.array_equal(a.fine_mask.data, b.fine_mask.data)
         assert np.array_equal(a.guidance.data, b.guidance.data)
         assert a.verdict == b.verdict
+
+
+def _discs(h, w, centers, r):
+    yy, xx = np.mgrid[:h, :w]
+    return np.logical_or.reduce([(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r for cy, cx in centers])
+
+
+def _three_blocks():
+    data = np.zeros((6, 20, 60), dtype=np.float32)
+    for x0 in (2, 22, 42):
+        data[:, 2:18, x0 : x0 + 16] = 1.0
+    return data
+
+
+_EMPTY_GUIDANCE = "empty guidance mask: fine stage produced an empty result"
+_DETECTION_FAILURE = "detection failure: empty coarse mask and empty corrected mask"
+
+
+class TestDegenerateGeometry:
+    """Volumes at the edges of the cascade's geometry, on the desk config with threshold models.
+
+    Each volume is on the normalized grid, so the resample is the identity;
+    the counts and flags pin what the cascade gives."""
+
+    @pytest.mark.parametrize(
+        "data, n_kidney, verdict, fine_count, flags",
+        [
+            # one slice holding two discs of 377 voxels each
+            (_discs(48, 64, [(24, 16), (24, 48)], 11)[None], 2, "Normal", 754, ()),
+            # smaller than the fine (32x32) and abnormal (16x32) windows
+            (np.ones((3, 10, 12)), 1, "Abnormal", 360, ()),
+            # one component that touches every face of the volume
+            (np.ones((4, 20, 20)), 1, "Abnormal", 1600, ()),
+            # three components, each above th_vn
+            (_three_blocks(), 3, "Abnormal", 4608, ()),
+            (np.zeros((1, 1, 1)), 0, "Abnormal", 0, (_DETECTION_FAILURE, _EMPTY_GUIDANCE)),
+            (np.ones((1, 1, 1)), 0, "Abnormal", 0, (_EMPTY_GUIDANCE,)),
+        ],
+        ids=["one-slice", "smaller-than-windows", "fills-every-face", "three-components", "voxel-empty", "voxel-full"],
+    )
+    def test_defined_result(self, data, n_kidney, verdict, fine_count, flags):
+        vol = Volume3D(data.astype(np.float32), SP)
+        res = run_case(vol, oracle_models(), desk_cfg())
+        assert (res.verdict.n_kidney, res.verdict.verdict) == (n_kidney, verdict)
+        assert res.fine_mask.foreground_count() == fine_count
+        assert res.flags == flags
+        for mask in (res.coarse_mask, res.guidance, res.fine_mask):
+            assert mask.dims == vol.dims and mask.spacing == vol.spacing
+
+
+def threshold_unet(spec: UNetSpec, seed: int, level: float = 0.5) -> UNetModel:
+    """A dense U-Net that thresholds a non-negative input at ``level``: one unit path
+    through enc0 and dec0 into a steep head; every other weight is small noise."""
+    rng = np.random.default_rng(seed)
+    params = {
+        name: rng.uniform(-1e-7, 1e-7, size=shape).astype(np.float32)
+        for name, shape in parameter_shapes(spec).items()
+    }
+    params["enc0.w"][0, 0, 1, 1] = 1.0
+    params["dec0.w"][0, 0, 1, 1] = 1.0  # input channel 0 of dec0 is skip channel 0
+    params["head.w"][0, 0, 0, 0] = 1e7
+    params["head.b"][0] = -1e7 * (level - 1e-5)
+    return UNetModel(spec, ModelWeights(params))
+
+
+class TestSharedUNetModels:
+    def test_two_threads_match_a_serial_run(self, phantom):
+        spec = UNetSpec(depth=2, base_channels=4)
+        models = StageModels(*(threshold_unet(spec, seed) for seed in (1, 2, 3)))
+        one_kidney, _ = generate_phantom(PhantomSpec(seed=8, **{**PHANTOM_KW, "n_kidneys": 1}))
+        empty = Volume3D(np.zeros(PHANTOM_KW["dims"], dtype=np.float32), SP)
+        vols = [phantom[0], one_kidney, empty] * 4
+        cfg = desk_cfg()
+        serial = [run_case(v, models, cfg) for v in vols]
+        assert [r.verdict.verdict for r in serial[:3]] == ["Normal", "Abnormal", "Abnormal"]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda v: run_case(v, models, cfg), vols))
+        for a, b in zip(serial, threaded):  # flags are left out: their warning capture is not thread-safe
+            assert a.verdict == b.verdict
+            for name in ("coarse_mask", "guidance", "fine_mask"):
+                assert np.array_equal(getattr(a, name).data, getattr(b, name).data)

@@ -15,7 +15,7 @@ from c2fseg import (
     extract_slices,
     voxel_volume_ml,
 )
-from conftest import random_mask_data, random_volume_data
+from data import random_mask_data, random_volume_data
 
 
 class TestSpacing:
