@@ -56,7 +56,6 @@ from .pipeline import (
 )
 from .volume import (
     Mask3D,
-    ProbMap2D,
     Slice2D,
     Spacing,
     Volume3D,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import CaseScore, PhantomSpec, dsc, generate_phantom, score_cases
 from .config import RunConfig, default_config, load_config
-from .errors import FormatError, GeometryError
+from .errors import FormatError, GeometryError, TrainingDivergedError
 from .fileio import read_nifti, read_volume, write_volume
 from .nn.models import UNetModel
 from .nn.train import fit
@@ -149,6 +149,7 @@ def cmd_predict(args) -> int:
             "kidney_ids": list(result.verdict.kidney_ids),
             "flags": list(result.flags),
         }
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
     timing = " ".join(f"{k}={v:.2f}s" for k, v in result.timings.items())
     print(f"verdict={result.verdict.verdict} n_kidney={result.verdict.n_kidney} [{timing}]")
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, GeometryError, FileNotFoundError, ValueError) as exc:
+    except (OSError, TrainingDivergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

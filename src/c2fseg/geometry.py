@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GeometryError
-from .volume import AnyVolume, Mask3D, Plane, ProbMap2D, Slice2D, Spacing, Volume3D
+from .volume import AnyVolume, Mask3D, Slice2D, Spacing, Volume3D
 
 InterpMode = Literal["trilinear", "nearest"]
 ResizeMode = Literal["bilinear", "nearest"]
@@ -54,7 +54,6 @@ class CropRecord:
     source and were zero-filled in the patch.
     """
 
-    plane: Plane
     center: tuple[int, int]
     patch_dims: tuple[int, int]
     source_dims: tuple[int, int]
@@ -181,6 +180,8 @@ def resize_slice(
 
     Use ``mode="nearest"`` for label slices so they stay binary.
     """
+    if mode not in ("bilinear", "nearest"):
+        raise ValueError(f"unknown resize mode {mode!r}")
     tr, tc = int(target_dims[0]), int(target_dims[1])
     if tr < 1 or tc < 1:
         raise ValueError(f"target dims must be positive, got {target_dims}")
@@ -190,28 +191,28 @@ def resize_slice(
         s.pixel_spacing[1] * s.dims[1] / tc,
     )
     if (tr, tc) == s.dims:
-        return Slice2D(s.data, s.pixel_spacing, s.plane, s.index), rec
+        return Slice2D(s.data, s.pixel_spacing), rec
     ratios = (s.dims[0] / tr, s.dims[1] / tc)
     out = _resample_axes(s.data, (tr, tc), ratios, linear=(mode == "bilinear"))
-    return Slice2D(out, new_spacing, s.plane, s.index), rec
+    return Slice2D(out, new_spacing), rec
 
 
 def unresize(p: Slice2D, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> Slice2D:
-    """Invert a resize: map a prediction back to the recorded original size, keeping its type."""
+    """Invert a resize: map a prediction back to the recorded original size."""
+    if mode not in ("bilinear", "nearest"):
+        raise ValueError(f"unknown resize mode {mode!r}")
     if p.dims != rec.target_dims:
         raise GeometryError(
             f"prediction dims {p.dims} do not match resize record target {rec.target_dims}"
         )
     if rec.original_dims == rec.target_dims:
-        return type(p)(p.data, rec.original_pixel_spacing, p.plane, p.index)
+        return Slice2D(p.data, rec.original_pixel_spacing)
     ratios = (
         rec.target_dims[0] / rec.original_dims[0],
         rec.target_dims[1] / rec.original_dims[1],
     )
     out = _resample_axes(p.data, rec.original_dims, ratios, linear=(mode == "bilinear"))
-    if isinstance(p, ProbMap2D):
-        out = np.clip(out, 0.0, 1.0)
-    return type(p)(out, rec.original_pixel_spacing, p.plane, p.index)
+    return Slice2D(out, rec.original_pixel_spacing)
 
 
 def crop_patch(
@@ -242,12 +243,12 @@ def crop_patch(
     sc0, sc1 = c0 + left, c0 + pc - right
     patch[top : pr - bottom, left : pc - right] = s.data[sr0:sr1, sc0:sc1]
 
-    rec = CropRecord(s.plane, (cr, cc), (pr, pc), (rows, cols), (top, bottom, left, right))
-    return Slice2D(patch, s.pixel_spacing, s.plane, s.index), rec
+    rec = CropRecord((cr, cc), (pr, pc), (rows, cols), (top, bottom, left, right))
+    return Slice2D(patch, s.pixel_spacing), rec
 
 
 def uncrop_patch(p: Slice2D, rec: CropRecord) -> Slice2D:
-    """Invert a crop: place patch values back, zero everywhere else, keeping the type of ``p``.
+    """Invert a crop: place patch values back, zero everywhere else.
 
     Patch pixels that were boundary padding are discarded.
     """
@@ -263,4 +264,4 @@ def uncrop_patch(p: Slice2D, rec: CropRecord) -> Slice2D:
     out[r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right] = p.data[
         top : pr - bottom, left : pc - right
     ]
-    return type(p)(out, p.pixel_spacing, p.plane, p.index)
+    return Slice2D(out, p.pixel_spacing)

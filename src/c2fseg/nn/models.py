@@ -1,7 +1,8 @@
 """Pluggable per-slice segmentation models.
 
-Anything with ``predict(Slice2D) -> ProbMap2D`` of identical dims plugs into
-the pipeline. ThresholdModel is an analytic stand-in so the pipeline can be
+Anything with ``predict(Slice2D)`` returning a float array of the slice's
+dims, with values in [0, 1], plugs into the pipeline, which checks each
+output. ThresholdModel is an analytic stand-in so the pipeline can be
 exercised (and tested exactly) without any training.
 """
 
@@ -12,14 +13,14 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..volume import ProbMap2D, Slice2D
+from ..volume import Slice2D
 from .unet import UNetSpec, unet_forward
 from .weights import ModelWeights
 
 
 @runtime_checkable
 class SegmentationModel(Protocol):
-    def predict(self, s: Slice2D) -> ProbMap2D: ...
+    def predict(self, s: Slice2D) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,8 @@ class ThresholdModel:
 
     level: float
 
-    def predict(self, s: Slice2D) -> ProbMap2D:
-        return ProbMap2D(
-            (s.data >= self.level).astype(np.float32), s.pixel_spacing, s.plane, s.index
-        )
+    def predict(self, s: Slice2D) -> np.ndarray:
+        return (s.data >= self.level).astype(np.float32)
 
 
 class UNetModel:
@@ -44,7 +43,7 @@ class UNetModel:
         self.spec = spec
         self.weights = weights
 
-    def predict(self, s: Slice2D) -> ProbMap2D:
+    def predict(self, s: Slice2D) -> np.ndarray:
         x = s.data[None, None, :, :].astype(np.float32)
         probs, _ = unet_forward(self.spec, self.weights, x, cache=False)
-        return ProbMap2D(probs[0, 0], s.pixel_spacing, s.plane, s.index)
+        return probs[0, 0]

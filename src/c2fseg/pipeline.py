@@ -27,7 +27,6 @@ from .geometry import crop_patch, resample_volume, resize_slice, uncrop_patch, u
 from .nn.models import SegmentationModel
 from .volume import (
     Mask3D,
-    ProbMap2D,
     Slice2D,
     Spacing,
     Volume3D,
@@ -174,18 +173,23 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePa
     return pairs
 
 
+def _predict(model: SegmentationModel, s: Slice2D, stage: str) -> Slice2D:
+    """Run one stage's model on a slice; the one place model output is checked."""
+    p = np.asarray(model.predict(s), dtype=np.float32)
+    if p.shape != s.dims:
+        raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {s.dims}")
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
+        raise ValueError(f"{stage} model returned values that are not probabilities in [0, 1]")
+    return Slice2D(p, s.pixel_spacing)
+
+
 def predict_coarse(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> Mask3D:
     """Whole-volume coarse mask: resize each axial slice, predict, map back."""
-    probs: list[ProbMap2D] = []
+    probs: list[Slice2D] = []
     for s in extract_slices(vol, "axial"):
         resized, rec = resize_slice(s, cfg.coarse_dims, mode="bilinear")
-        p = models.coarse.predict(resized)
-        if p.dims != resized.dims:
-            raise GeometryError(
-                f"coarse model returned dims {p.dims} for input dims {resized.dims}"
-            )
-        probs.append(unresize(p, rec, mode="bilinear"))
-    prob_vol = compose_slices(probs, "axial", vol.dims, vol.spacing, kind="volume")
+        probs.append(unresize(_predict(models.coarse, resized, "coarse"), rec, mode="bilinear"))
+    prob_vol = compose_slices(probs, "axial", vol.dims, vol.spacing)
     return binarize(prob_vol, cfg.prob_threshold)
 
 
@@ -210,16 +214,11 @@ def build_guidance(
         centroid = tuple((n - 1) / 2.0 for n in vol.dims)
     center = (int(round(centroid[0])), int(round(centroid[1])))
 
-    probs: list[ProbMap2D] = []
+    probs: list[Slice2D] = []
     for s in extract_slices(vol, "sagittal"):
         patch, rec = crop_patch(s, center, cfg.abnormal_dims)
-        p = models.abnormal.predict(patch)
-        if p.dims != patch.dims:
-            raise GeometryError(
-                f"abnormal model returned dims {p.dims} for input dims {patch.dims}"
-            )
-        probs.append(uncrop_patch(p, rec))
-    prob_vol = compose_slices(probs, "sagittal", vol.dims, vol.spacing, kind="volume")
+        probs.append(uncrop_patch(_predict(models.abnormal, patch, "abnormal"), rec))
+    prob_vol = compose_slices(probs, "sagittal", vol.dims, vol.spacing)
     m = binarize(prob_vol, cfg.prob_threshold)
     if s_c.foreground_count() == 0 and m.foreground_count() == 0:
         warnings.warn("detection failure: empty coarse mask and empty corrected mask")
@@ -249,12 +248,7 @@ def predict_fine(vol: Volume3D, m: Mask3D, models: StageModels, cfg: PipelineCon
         z1 = min(nd - 1, z1 + cfg.fine_slice_margin)
         for k in range(z0, z1 + 1):
             patch, rec = crop_patch(img_slices[k], center, cfg.fine_dims)
-            p = models.fine.predict(patch)
-            if p.dims != patch.dims:
-                raise GeometryError(
-                    f"fine model returned dims {p.dims} for input dims {patch.dims}"
-                )
-            back = uncrop_patch(p, rec)
+            back = uncrop_patch(_predict(models.fine, patch, "fine"), rec)
             out[k] |= back.data >= cfg.prob_threshold
     return Mask3D(out, vol.spacing)
 

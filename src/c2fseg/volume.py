@@ -111,14 +111,11 @@ def _check_plane(plane: str) -> None:
 class Slice2D:
     """A 2D plane extracted from a volume.
 
-    ``pixel_spacing`` is (mm per row step, mm per column step); ``index`` is
-    the slice position along the axis orthogonal to ``plane``.
+    ``pixel_spacing`` is (mm per row step, mm per column step).
     """
 
     data: np.ndarray
     pixel_spacing: tuple[float, float]
-    plane: Plane
-    index: int
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -127,28 +124,15 @@ class Slice2D:
         arr = arr.astype(np.float32, copy=not (arr.dtype == np.float32 and arr.flags.c_contiguous))
         if not np.all(np.isfinite(arr)):
             raise ValueError("slice data contains non-finite values")
-        _check_plane(self.plane)
         ps = tuple(float(s) for s in self.pixel_spacing)
         if len(ps) != 2 or any(not (np.isfinite(s) and s > 0) for s in ps):
             raise ValueError(f"pixel_spacing must be two positive floats, got {self.pixel_spacing!r}")
-        if self.index < 0:
-            raise ValueError(f"slice index must be non-negative, got {self.index}")
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "pixel_spacing", ps)
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.data.shape
-
-
-@dataclass(frozen=True)
-class ProbMap2D(Slice2D):
-    """A per-pixel probability plane: a Slice2D whose values lie in [0, 1]."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.data.min() < 0.0 or self.data.max() > 1.0:
-            raise ValueError("probability values must lie in [0, 1]")
 
 
 AnyVolume = Union[Volume3D, Mask3D]
@@ -164,14 +148,8 @@ def extract_slices(vol: AnyVolume, plane: Plane) -> list[Slice2D]:
     d, h, w = vol.spacing.as_tuple()
     data = vol.data
     if plane == "axial":
-        return [
-            Slice2D(data[k, :, :], (h, w), "axial", k)
-            for k in range(data.shape[0])
-        ]
-    return [
-        Slice2D(data[:, :, k], (d, h), "sagittal", k)
-        for k in range(data.shape[2])
-    ]
+        return [Slice2D(data[k, :, :], (h, w)) for k in range(data.shape[0])]
+    return [Slice2D(data[:, :, k], (d, h)) for k in range(data.shape[2])]
 
 
 def compose_slices(
@@ -179,13 +157,10 @@ def compose_slices(
     plane: Plane,
     dims: tuple[int, int, int],
     spacing: Spacing,
-    kind: Literal["volume", "mask"] = "volume",
-) -> AnyVolume:
-    """Reassemble 2D slices into a 3D volume or mask.
+) -> Volume3D:
+    """Reassemble 2D slices into a 3D float32 volume.
 
-    ``compose_slices(extract_slices(v), ...)`` reproduces ``v`` bit-exactly.
-    No binarization happens here; ``kind="mask"`` requires the slice data to
-    already be binary.
+    ``compose_slices(extract_slices(v), ...)`` reproduces ``v.data`` bit-exactly.
     """
     _check_plane(plane)
     nd, nh, nw = dims
@@ -207,8 +182,6 @@ def compose_slices(
     else:
         for k, s in enumerate(slices):
             out[:, :, k] = s.data
-    if kind == "mask":
-        return Mask3D(out, spacing)
     return Volume3D(out, spacing)
 
 
@@ -219,23 +192,8 @@ def voxel_volume_ml(spacing: Spacing, n_voxels: int) -> float:
     return n_voxels * spacing.d * spacing.h * spacing.w / 1000.0
 
 
-def _check_threshold(threshold: float) -> None:
+def binarize(prob: Volume3D, threshold: float = 0.5) -> Mask3D:
+    """Threshold a probability volume to a mask: 1 where value >= threshold, else 0."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
-
-
-def binarize(prob, threshold: float = 0.5):
-    """Threshold probabilities to labels: 1 where value >= threshold, else 0.
-
-    Accepts a ProbMap2D (or Slice2D) and returns a binary Slice2D, or a
-    Volume3D of probabilities and returns a Mask3D.
-    """
-    _check_threshold(threshold)
-    if isinstance(prob, (Volume3D, Mask3D)):
-        return Mask3D((prob.data >= threshold).astype(np.uint8), prob.spacing)
-    return Slice2D(
-        (prob.data >= threshold).astype(np.float32),
-        prob.pixel_spacing,
-        prob.plane,
-        prob.index,
-    )
+    return Mask3D((prob.data >= threshold).astype(np.uint8), prob.spacing)

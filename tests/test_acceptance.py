@@ -53,7 +53,7 @@ class HalfBlindOracle:
     def predict(self, s):
         p = (s.data >= 0.5).astype(np.float32)
         p[:, p.shape[1] // 2 :] = 0.0
-        return c.ProbMap2D(p, s.pixel_spacing, s.plane, s.index)
+        return p
 
 
 def test_criterion_1_oracle_exactness():
@@ -237,7 +237,7 @@ def test_criterion_7_transform_and_file_round_trips(tmp_path):
     # 1000 random crop windows, boundary-padded ones included
     for _ in range(1000):
         rows, cols = rng.integers(4, 20, size=2)
-        s = c.Slice2D((rng.uniform(size=(rows, cols)) < 0.5).astype(np.float32), (1, 1), "axial", 0)
+        s = c.Slice2D((rng.uniform(size=(rows, cols)) < 0.5).astype(np.float32), (1, 1))
         center = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
         pdims = (int(rng.integers(1, 14)), int(rng.integers(1, 14)))
         patch, rec = c.crop_patch(s, center, pdims)

@@ -112,6 +112,19 @@ class TestTrain:
         assert code != 0
         assert "divisible" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_divergence_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(DESK_CONFIG.replace("lr = 0.5", "lr = 1e30"))
+        write_tiny_cases(tmp_path / "data")
+        code = main([
+            "train", "--stage", "coarse", "--data", str(tmp_path / "data"),
+            "--config", str(cfg), "--out", str(tmp_path / "w.c2fw"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: non-finite loss")
+        assert not (tmp_path / "w.c2fw").exists()
+
 
 @pytest.fixture
 def trained_weights(tmp_path, desk_config):
@@ -148,6 +161,27 @@ class TestPredictAndEval:
         report = json.loads((pred / "case0000_report.json").read_text())
         assert report["case_id"] == "case0000"
         assert report["verdict"] in ("Normal", "Abnormal")
+
+    def predict_args(self, tmp_path, desk_config, trained_weights, out):
+        return [
+            "predict",
+            "--input", str(tmp_path / "data" / "case0000_volume.rvol"),
+            "--coarse", str(trained_weights["coarse"]),
+            "--abnormal", str(trained_weights["abnormal"]),
+            "--fine", str(trained_weights["fine"]),
+            "--config", str(desk_config),
+            "--out", str(out),
+        ]
+
+    def test_report_parent_directory_created(self, tmp_path, desk_config, trained_weights):
+        args = self.predict_args(tmp_path, desk_config, trained_weights, tmp_path / "mask.rvol")
+        assert main(args + ["--report", str(tmp_path / "reports" / "a.json")]) == 0
+        assert json.loads((tmp_path / "reports" / "a.json").read_text())["case_id"] == "case0000"
+
+    def test_out_is_a_directory_is_an_error_line(self, tmp_path, desk_config, trained_weights, capsys):
+        (tmp_path / "taken").mkdir()
+        assert main(self.predict_args(tmp_path, desk_config, trained_weights, tmp_path / "taken")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_eval_scores_and_reports(self, tmp_path, desk_config, trained_weights, capsys):
         pred = tmp_path / "pred"

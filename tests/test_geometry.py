@@ -10,7 +10,6 @@ from c2fseg import (
     CropRecord,
     GeometryError,
     Mask3D,
-    ProbMap2D,
     Slice2D,
     Spacing,
     Volume3D,
@@ -24,8 +23,8 @@ from data import random_mask_data, random_volume_data
 from oracles import corner_blend_oracle, pad_then_crop_oracle, trilinear_oracle
 
 
-def make_slice(data, plane="axial", index=0, ps=(1.0, 1.0)):
-    return Slice2D(np.asarray(data, dtype=np.float32), ps, plane, index)
+def make_slice(data, ps=(1.0, 1.0)):
+    return Slice2D(np.asarray(data, dtype=np.float32), ps)
 
 
 class TestResampleVolume:
@@ -118,21 +117,27 @@ class TestResizeSlice:
         out, _ = resize_slice(s, (5, 5), mode="nearest")
         assert set(np.unique(out.data)).issubset({0.0, 1.0})
 
+    def test_unknown_mode_rejected(self, rng):
+        s = make_slice(rng.uniform(size=(8, 8)))
+        with pytest.raises(ValueError, match="unknown resize mode 'bilnear'"):
+            resize_slice(s, (4, 4), mode="bilnear")
+        small, rec = resize_slice(s, (4, 4))
+        with pytest.raises(ValueError, match="unknown resize mode 'bilnear'"):
+            unresize(small, rec, mode="bilnear")
+
 
 class TestUnresize:
     def test_dims_mismatch_rejected(self, rng):
         s = make_slice(rng.uniform(size=(8, 8)))
         _, rec = resize_slice(s, (4, 4))
-        bad = ProbMap2D(np.zeros((5, 5), dtype=np.float32), (1, 1), "axial", 0)
+        bad = make_slice(np.zeros((5, 5)))
         with pytest.raises(GeometryError):
             unresize(bad, rec)
 
     def test_restores_geometry(self, rng):
         s = make_slice(rng.uniform(size=(10, 12)), ps=(0.5, 0.25))
         small, rec = resize_slice(s, (5, 6))
-        back = unresize(
-            ProbMap2D(np.clip(small.data, 0, 1), small.pixel_spacing, "axial", 0), rec
-        )
+        back = unresize(small, rec)
         assert back.dims == (10, 12)
         assert back.pixel_spacing == (0.5, 0.25)
 
@@ -158,22 +163,23 @@ class TestUnresize:
     def test_mm_sizes_match_reference_pipeline(self, rng):
         s = make_slice(rng.uniform(size=(512, 512)), ps=(0.7816, 0.7816))
         small, rec = resize_slice(s, (128, 128))
-        p = ProbMap2D(np.clip(small.data, 0, 1), small.pixel_spacing, "axial", 0)
-        assert unresize(p, rec).dims == (512, 512)
+        assert unresize(small, rec).dims == (512, 512)
 
 
 class TestInversesKeepType:
-    @pytest.mark.parametrize("cls", [Slice2D, ProbMap2D])
+    """Both inverses hand back a Slice2D at the source dims."""
+
+    @pytest.mark.parametrize("cls", [Slice2D])
     @pytest.mark.parametrize("target", [(4, 6), (8, 12)], ids=["resized", "same_dims"])
     def test_unresize(self, rng, cls, target):
         small, rec = resize_slice(make_slice(rng.uniform(size=(8, 12))), target)
-        back = unresize(cls(small.data, small.pixel_spacing, "axial", 0), rec)
+        back = unresize(cls(small.data, small.pixel_spacing), rec)
         assert type(back) is cls and back.dims == (8, 12)
 
-    @pytest.mark.parametrize("cls", [Slice2D, ProbMap2D])
+    @pytest.mark.parametrize("cls", [Slice2D])
     def test_uncrop_patch(self, rng, cls):
         patch, rec = crop_patch(make_slice(rng.uniform(size=(8, 12))), (1, 10), (6, 6))
-        back = uncrop_patch(cls(patch.data, patch.pixel_spacing, "axial", 0), rec)
+        back = uncrop_patch(cls(patch.data, patch.pixel_spacing), rec)
         assert type(back) is cls and back.dims == (8, 12)
 
 
@@ -225,20 +231,15 @@ class TestSeparableMatchesCornerBlend:
         expected = s.data if target == dims else corner_blend_oracle(s.data, target, ratios, linear)
         assert small.data.tobytes() == expected.tobytes()
 
-        if prob:
-            cells = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0.0, 1.0, width=32))
-            p = ProbMap2D(data.draw(hnp.arrays(np.float32, target, elements=cells, fill=st.nothing())), (1.0, 1.0), "axial", 0)
-        else:
-            p = make_slice(data.draw(hnp.arrays(np.float32, target, elements=_F32, fill=st.nothing())))
+        # probabilities, signed zeros included, or any finite values
+        cells = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0.0, 1.0, width=32)) if prob else _F32
+        p = make_slice(data.draw(hnp.arrays(np.float32, target, elements=cells, fill=st.nothing())))
         back = unresize(p, rec, mode=mode)
         if target == dims:
             expected = p.data
         else:
             inv = (target[0] / dims[0], target[1] / dims[1])
             expected = corner_blend_oracle(p.data, dims, inv, linear)
-            if prob:
-                expected = np.clip(expected, 0.0, 1.0)
-        assert type(back) is type(p)
         assert back.data.tobytes() == expected.tobytes()
 
 
@@ -309,7 +310,7 @@ class TestCropPatch:
 class TestUncropPatch:
     def test_all_ones_patch_placement(self):
         patch = make_slice(np.ones((4, 4)))
-        rec = CropRecord("axial", (4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
+        rec = CropRecord((4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
         out = uncrop_patch(patch, rec)
         assert out.data.sum() == 16
         assert np.array_equal(out.data[2:6, 2:6], np.ones((4, 4), dtype=np.float32))
@@ -317,7 +318,7 @@ class TestUncropPatch:
     def test_padded_pixels_discarded(self, rng):
         s = make_slice(rng.uniform(1.0, 2.0, size=(6, 6)))
         patch, rec = crop_patch(s, (0, 5), (4, 4))
-        marked = Slice2D(np.where(patch.data == 0, 9.0, patch.data), patch.pixel_spacing, "axial", 0)
+        marked = Slice2D(np.where(patch.data == 0, 9.0, patch.data), patch.pixel_spacing)
         out = uncrop_patch(marked, rec)
         assert not np.any(out.data == 9.0)
 
@@ -343,10 +344,10 @@ class TestUncropPatch:
         assert np.array_equal(out.data, expected)
 
     def test_dims_mismatch_rejected(self):
-        rec = CropRecord("axial", (4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
+        rec = CropRecord((4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
         with pytest.raises(GeometryError):
             uncrop_patch(make_slice(np.zeros((3, 3))), rec)
 
     def test_record_validates_pad(self):
         with pytest.raises(ValueError, match="pad"):
-            CropRecord("axial", (4, 4), (4, 4), (8, 8), (1, 0, 0, 0))
+            CropRecord((4, 4), (4, 4), (8, 8), (1, 0, 0, 0))

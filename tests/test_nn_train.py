@@ -104,13 +104,13 @@ class TestFit:
 
 class TestThresholdModel:
     def test_thresholds_at_level(self):
-        s = Slice2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1), "axial", 0)
-        assert ThresholdModel(0.5).predict(s).data.tolist() == [[0.0, 1.0]]
+        s = Slice2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1))
+        assert ThresholdModel(0.5).predict(s).tolist() == [[0.0, 1.0]]
 
     def test_level_below_min_gives_all_ones(self):
-        s = Slice2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1), "axial", 0)
-        assert ThresholdModel(0.1).predict(s).data.tolist() == [[1.0, 1.0]]
+        s = Slice2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1))
+        assert ThresholdModel(0.1).predict(s).tolist() == [[1.0, 1.0]]
 
     def test_boundary_inclusive(self):
-        s = Slice2D(np.full((2, 2), 0.5, dtype=np.float32), (1, 1), "axial", 0)
-        assert ThresholdModel(0.5).predict(s).data.sum() == 4
+        s = Slice2D(np.full((2, 2), 0.5, dtype=np.float32), (1, 1))
+        assert ThresholdModel(0.5).predict(s).sum() == 4

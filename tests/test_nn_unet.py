@@ -65,10 +65,10 @@ class TestInferenceWithoutCache:
         x = rng.standard_normal((1, 1, 64, 96)).astype(np.float32)
         y_train, cache = unet_forward(spec, weights, x)
         y_infer, no_cache = unet_forward(spec, weights, x, cache=False)
-        p = UNetModel(spec, weights).predict(Slice2D(x[0, 0], (1.0, 1.0), "axial", 0))
+        p = UNetModel(spec, weights).predict(Slice2D(x[0, 0], (1.0, 1.0)))
         assert cache is not None and no_cache is None
         assert y_infer.tobytes() == y_train.tobytes()
-        assert p.data.tobytes() == y_train[0, 0].tobytes()
+        assert p.tobytes() == y_train[0, 0].tobytes()
 
     def test_peak_memory_within_1_5x_largest_im2col(self):
         spec = UNetSpec(depth=3, base_channels=8)

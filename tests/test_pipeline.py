@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from c2fseg import (
     Mask3D,
     PhantomSpec,
     PipelineConfig,
-    ProbMap2D,
     Spacing,
     StageModels,
     ThresholdModel,
@@ -29,7 +29,7 @@ from c2fseg.nn.models import UNetModel
 from c2fseg.nn.unet import UNetSpec, parameter_shapes
 from c2fseg.nn.weights import ModelWeights
 from c2fseg.pipeline import _component_windows
-from oracles import brute_centroid
+from oracles import brute_centroid, pad_then_crop_oracle
 
 SP = Spacing(3.0, 0.7816, 0.7816)
 
@@ -67,7 +67,7 @@ class HalfBlindModel:
     def predict(self, s):
         p = (s.data >= self.level).astype(np.float32)
         p[:, p.shape[1] // 2 :] = 0.0
-        return ProbMap2D(p, s.pixel_spacing, s.plane, s.index)
+        return p
 
 
 class RaisingModel:
@@ -186,7 +186,11 @@ class TestPrepareAbnormalSet:
         pairs = prepare_abnormal_set([phantom], desk_cfg())
         assert len(pairs) == 48  # one per sagittal slice (volume width)
         assert all(img.dims == (16, 32) for img, _ in pairs)
-        assert all(img.plane == "sagittal" for img, _ in pairs)
+        vol, gt = phantom
+        center = tuple(int(round(x)) for x in brute_centroid(gt.data)[:2])
+        for k, (img, lab) in enumerate(pairs):
+            assert np.array_equal(img.data, pad_then_crop_oracle(vol.data[:, :, k], center, (16, 32)))
+            assert np.array_equal(lab.data, pad_then_crop_oracle(gt.data[:, :, k], center, (16, 32)))
 
     def test_physical_extent_of_default_window(self):
         # the production window spans 64 x 3 mm deep and 256 x 0.7816 mm high
@@ -311,6 +315,41 @@ class TestPredictFine:
         assert verdict.verdict == "Normal"
         out = predict_fine(vol, m, models, desk_cfg())
         assert dsc(out, gt) == 1.0
+
+
+def left_half(mask: Mask3D) -> Mask3D:
+    half = mask.data.copy()
+    half[:, :, half.shape[2] // 2 :] = 0
+    return Mask3D(half, mask.spacing)
+
+
+def run_stage(stage, model, phantom):
+    """Run one stage on the phantom with ``model`` in its slot; the abnormal stage
+    gets a one-kidney coarse mask so that it runs."""
+    vol, gt = phantom
+    models = StageModels(**{k: model if k == stage else RaisingModel() for k in ("coarse", "abnormal", "fine")})
+    if stage == "coarse":
+        return predict_coarse(vol, models, desk_cfg())
+    if stage == "abnormal":
+        return build_guidance(vol, left_half(gt), models, desk_cfg())
+    return predict_fine(vol, gt, models, desk_cfg())
+
+
+class TestModelOutputChecks:
+    """Each stage checks its model's output: the slice's dims, finite values in [0, 1]."""
+
+    @pytest.mark.parametrize("stage", ["coarse", "abnormal", "fine"])
+    def test_wrong_dims_name_the_stage(self, phantom, stage):
+        model = SimpleNamespace(predict=lambda s: np.zeros((s.dims[0], s.dims[1] + 1), dtype=np.float32))
+        with pytest.raises(GeometryError, match=f"^{stage} model returned dims"):
+            run_stage(stage, model, phantom)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf, -1e-6, 1.0 + 1e-6])
+    def test_non_probabilities_rejected(self, phantom, bad):
+        model = SimpleNamespace(predict=lambda s: np.where(np.eye(*s.dims, dtype=bool), bad, 0.5))  # one bad pixel
+        for stage in ("coarse", "abnormal", "fine"):
+            with pytest.raises(ValueError, match=f"^{stage} model returned values that are not probabilities"):
+                run_stage(stage, model, phantom)
 
 
 class TestRunCase:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from c2fseg import (
     GeometryError,
     Mask3D,
-    ProbMap2D,
     Slice2D,
     Spacing,
     Volume3D,
@@ -52,20 +51,10 @@ class TestContainers:
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 1.0
 
-    def test_probmap_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ProbMap2D(np.full((2, 2), 1.5, dtype=np.float32), (1, 1), "axial", 0)
-
-    def test_probmap_is_a_slice(self):
-        p = ProbMap2D(np.array([[0.0, 0.5], [1.0, 0.25]]), (0.5, 2), "sagittal", 3)
-        assert isinstance(p, Slice2D)
-        assert p.data.dtype == np.float32 and not p.data.flags.writeable
-        assert (p.dims, p.pixel_spacing, p.plane, p.index) == ((2, 2), (0.5, 2.0), "sagittal", 3)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-6, 1.0 + 1e-6])
-    def test_probmap_rejects_non_finite_and_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            ProbMap2D(np.array([[0.5, bad]], dtype=np.float64), (1, 1), "axial", 0)
+    def test_slice_is_read_only_float32(self):
+        s = Slice2D(np.array([[0.0, 0.5], [1.0, 0.25]]), (0.5, 2))
+        assert s.data.dtype == np.float32 and not s.data.flags.writeable
+        assert (s.dims, s.pixel_spacing) == ((2, 2), (0.5, 2.0))
 
 
 class TestExtractSlices:
@@ -75,7 +64,7 @@ class TestExtractSlices:
         assert len(slices) == 4
         assert all(s.dims == (6, 8) for s in slices)
         assert all(s.pixel_spacing == (2.0, 1.0) for s in slices)
-        assert [s.index for s in slices] == list(range(4))
+        assert all(np.array_equal(s.data, v.data[k]) for k, s in enumerate(slices))
 
     def test_sagittal_counts_and_geometry(self, rng):
         v = Volume3D(random_volume_data(rng, (4, 6, 8)), Spacing(3, 2, 1))
@@ -83,6 +72,7 @@ class TestExtractSlices:
         assert len(slices) == 8
         assert all(s.dims == (4, 6) for s in slices)
         assert all(s.pixel_spacing == (3.0, 2.0) for s in slices)
+        assert all(np.array_equal(s.data, v.data[:, :, k]) for k, s in enumerate(slices))
 
     def test_voxel_relocation(self):
         data = np.zeros((4, 6, 8), dtype=np.float32)
@@ -109,13 +99,14 @@ class TestComposeSlices:
 
     def test_mask_roundtrip(self, rng):
         m = Mask3D(random_mask_data(rng, (5, 5, 5)), Spacing(1, 1, 1))
-        out = compose_slices(extract_slices(m, "sagittal"), "sagittal", m.dims, m.spacing, kind="mask")
-        assert isinstance(out, Mask3D)
+        out = compose_slices(extract_slices(m, "sagittal"), "sagittal", m.dims, m.spacing)
+        assert isinstance(out, Volume3D)
         assert np.array_equal(out.data, m.data)
+        assert np.array_equal(binarize(out).data, m.data)
 
     def test_prob_maps_compose(self):
         maps = [
-            ProbMap2D(np.full((4, 4), 0.25 * k, dtype=np.float32), (1, 1), "axial", k)
+            Slice2D(np.full((4, 4), 0.25 * k, dtype=np.float32), (1, 1))
             for k in range(3)
         ]
         out = compose_slices(maps, "axial", (3, 4, 4), Spacing(1, 1, 1))
@@ -123,12 +114,12 @@ class TestComposeSlices:
         assert np.allclose(out.data[2], 0.5)
 
     def test_count_mismatch_rejected(self):
-        slices = [Slice2D(np.zeros((4, 4), dtype=np.float32), (1, 1), "axial", k) for k in range(2)]
+        slices = [Slice2D(np.zeros((4, 4), dtype=np.float32), (1, 1)) for _ in range(2)]
         with pytest.raises(GeometryError, match="needs 3 slices"):
             compose_slices(slices, "axial", (3, 4, 4), Spacing(1, 1, 1))
 
     def test_dims_mismatch_rejected(self):
-        slices = [Slice2D(np.zeros((4, 5), dtype=np.float32), (1, 1), "axial", k) for k in range(3)]
+        slices = [Slice2D(np.zeros((4, 5), dtype=np.float32), (1, 1)) for _ in range(3)]
         with pytest.raises(GeometryError, match="dims"):
             compose_slices(slices, "axial", (3, 4, 4), Spacing(1, 1, 1))
 
@@ -161,18 +152,19 @@ class TestVoxelVolumeMl:
         )
 
 
+def prob_volume(data):
+    return Volume3D(np.asarray(data, dtype=np.float32)[None], Spacing(1, 1, 1))
+
+
 class TestBinarize:
     def test_boundary_is_inclusive(self):
-        p = ProbMap2D(np.full((3, 3), 0.5, dtype=np.float32), (1, 1), "axial", 0)
-        assert binarize(p, 0.5).data.sum() == 9
+        assert binarize(prob_volume(np.full((3, 3), 0.5)), 0.5).data.sum() == 9
 
     def test_below_threshold(self):
-        p = ProbMap2D(np.full((3, 3), 0.49, dtype=np.float32), (1, 1), "axial", 0)
-        assert binarize(p, 0.5).data.sum() == 0
+        assert binarize(prob_volume(np.full((3, 3), 0.49)), 0.5).data.sum() == 0
 
     def test_mixed_values(self):
-        p = ProbMap2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1), "axial", 0)
-        assert binarize(p, 0.5).data.tolist() == [[0.0, 1.0]]
+        assert binarize(prob_volume([[0.2, 0.9]]), 0.5).data.tolist() == [[[0, 1]]]
 
     def test_volume_becomes_mask(self, rng):
         v = Volume3D(rng.uniform(0, 1, (3, 3, 3)).astype(np.float32), Spacing(1, 1, 1))
@@ -182,6 +174,5 @@ class TestBinarize:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_threshold_domain(self, bad):
-        p = ProbMap2D(np.zeros((2, 2), dtype=np.float32), (1, 1), "axial", 0)
         with pytest.raises(ValueError):
-            binarize(p, bad)
+            binarize(prob_volume(np.zeros((2, 2))), bad)
