@@ -135,9 +135,7 @@ def cmd_predict(args) -> int:
         fine=UNetModel(cfg.unet, load_weights(args.fine)),
     )
     result = run_case(vol, models, cfg.pipeline)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_volume(result.fine_mask, out)
+    # The fine mask goes last: eval scores a case by it, so a failed write before it leaves none.
     if args.emit_coarse:
         Path(args.emit_coarse).parent.mkdir(parents=True, exist_ok=True)
         write_volume(result.coarse_mask, args.emit_coarse)
@@ -151,6 +149,9 @@ def cmd_predict(args) -> int:
         }
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_volume(result.fine_mask, out)
     timing = " ".join(f"{k}={v:.2f}s" for k, v in result.timings.items())
     print(f"verdict={result.verdict.verdict} n_kidney={result.verdict.n_kidney} [{timing}]")
     print(f"wrote mask to {out}")

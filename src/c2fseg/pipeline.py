@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,17 @@ Case = tuple[Volume3D, Mask3D]
 SlicePair = tuple[Slice2D, Slice2D]
 
 
+def _planes(stack: Slice2D, k0: int, k1: int) -> Slice2D:
+    """Planes ``k0`` to ``k1`` (inclusive) of a stack."""
+    return Slice2D(stack.data[k0 : k1 + 1], stack.pixel_spacing)
+
+
+def _pairs(imgs: Slice2D, labs: Slice2D) -> list[SlicePair]:
+    """One (image, label) training pair per plane of two stacks of one shape."""
+    return [(Slice2D(img, imgs.pixel_spacing), Slice2D(lab, labs.pixel_spacing))
+            for img, lab in zip(imgs.data, labs.data)]
+
+
 def _check_case_geometry(vol: Volume3D, label: Mask3D) -> None:
     if vol.dims != label.dims or vol.spacing != label.spacing:
         raise GeometryError(
@@ -102,12 +114,9 @@ def prepare_coarse_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePair
     pairs: list[SlicePair] = []
     for vol, label in cases:
         _check_case_geometry(vol, label)
-        img_slices = extract_slices(vol, "axial")
-        lab_slices = extract_slices(label, "axial")
-        for img, lab in zip(img_slices, lab_slices):
-            ri, _ = resize_slice(img, cfg.coarse_dims, mode="bilinear")
-            rl, _ = resize_slice(lab, cfg.coarse_dims, mode="nearest")
-            pairs.append((ri, rl))
+        imgs, _ = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
+        labs, _ = resize_slice(extract_slices(label, "axial"), cfg.coarse_dims, mode="nearest")
+        pairs += _pairs(imgs, labs)
     return pairs
 
 
@@ -137,13 +146,11 @@ def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePair]:
         if not windows:
             warnings.warn(f"case {case_idx}: no foreground components, skipped")
             continue
-        img_slices = extract_slices(vol, "axial")
-        lab_slices = extract_slices(label, "axial")
+        imgs, labs = extract_slices(vol, "axial"), extract_slices(label, "axial")
         for center, z0, z1 in windows:
-            for k in range(z0, z1 + 1):
-                pi, _ = crop_patch(img_slices[k], center, cfg.fine_dims)
-                pl, _ = crop_patch(lab_slices[k], center, cfg.fine_dims)
-                pairs.append((pi, pl))
+            pi, _ = crop_patch(_planes(imgs, z0, z1), center, cfg.fine_dims)
+            pl, _ = crop_patch(_planes(labs, z0, z1), center, cfg.fine_dims)
+            pairs += _pairs(pi, pl)
     return pairs
 
 
@@ -164,31 +171,41 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePa
             warnings.warn(f"case {case_idx}: no foreground, skipped")
             continue
         center = (int(round(centroid[0])), int(round(centroid[1])))
-        img_slices = extract_slices(vol, "sagittal")
-        lab_slices = extract_slices(label, "sagittal")
-        for img, lab in zip(img_slices, lab_slices):
-            pi, _ = crop_patch(img, center, cfg.abnormal_dims)
-            pl, _ = crop_patch(lab, center, cfg.abnormal_dims)
-            pairs.append((pi, pl))
+        pi, _ = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
+        pl, _ = crop_patch(extract_slices(label, "sagittal"), center, cfg.abnormal_dims)
+        pairs += _pairs(pi, pl)
     return pairs
 
 
-def _predict(model: SegmentationModel, s: Slice2D, stage: str) -> Slice2D:
-    """Run one stage's model on a slice; the one place model output is checked."""
-    p = np.asarray(model.predict(s), dtype=np.float32)
-    if p.shape != s.dims:
-        raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {s.dims}")
-    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
-        raise ValueError(f"{stage} model returned values that are not probabilities in [0, 1]")
-    return Slice2D(p, s.pixel_spacing)
+def _predict(model: SegmentationModel, stack: Slice2D, stage: str) -> Slice2D:
+    """Run one stage's model on each plane of a stack; the one place model output is checked."""
+    out = np.empty(stack.data.shape, dtype=np.float32)
+    for k, plane in enumerate(stack.data):
+        p = np.asarray(model.predict(Slice2D(plane, stack.pixel_spacing)), dtype=np.float32)
+        if p.shape != stack.dims:
+            raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {stack.dims}")
+        if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
+            raise ValueError(f"{stage} model returned values that are not probabilities in [0, 1]")
+        out[k] = p
+    return Slice2D(out, stack.pixel_spacing)
+
+
+_FLAGS: ContextVar[list[str] | None] = ContextVar("c2fseg_flags", default=None)
+
+
+def _flag(message: str) -> None:
+    """Add a flag to the run_case in progress in this context, or warn outside one."""
+    flags = _FLAGS.get()
+    if flags is None:
+        warnings.warn(message, stacklevel=2)
+    else:
+        flags.append(message)
 
 
 def predict_coarse(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> Mask3D:
-    """Whole-volume coarse mask: resize each axial slice, predict, map back."""
-    probs: list[Slice2D] = []
-    for s in extract_slices(vol, "axial"):
-        resized, rec = resize_slice(s, cfg.coarse_dims, mode="bilinear")
-        probs.append(unresize(_predict(models.coarse, resized, "coarse"), rec, mode="bilinear"))
+    """Whole-volume coarse mask: resize the axial stack, predict, map back."""
+    resized, rec = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
+    probs = unresize(_predict(models.coarse, resized, "coarse"), rec, mode="bilinear")
     prob_vol = compose_slices(probs, "axial", vol.dims, vol.spacing)
     return binarize(prob_vol, cfg.prob_threshold)
 
@@ -214,14 +231,12 @@ def build_guidance(
         centroid = tuple((n - 1) / 2.0 for n in vol.dims)
     center = (int(round(centroid[0])), int(round(centroid[1])))
 
-    probs: list[Slice2D] = []
-    for s in extract_slices(vol, "sagittal"):
-        patch, rec = crop_patch(s, center, cfg.abnormal_dims)
-        probs.append(uncrop_patch(_predict(models.abnormal, patch, "abnormal"), rec))
+    patch, rec = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
+    probs = uncrop_patch(_predict(models.abnormal, patch, "abnormal"), rec)
     prob_vol = compose_slices(probs, "sagittal", vol.dims, vol.spacing)
     m = binarize(prob_vol, cfg.prob_threshold)
     if s_c.foreground_count() == 0 and m.foreground_count() == 0:
-        warnings.warn("detection failure: empty coarse mask and empty corrected mask")
+        _flag("detection failure: empty coarse mask and empty corrected mask")
     return m, verdict
 
 
@@ -238,18 +253,17 @@ def predict_fine(vol: Volume3D, m: Mask3D, models: StageModels, cfg: PipelineCon
     windows = _component_windows(m, cfg, min_count=cfg.th_vn)
     out = np.zeros(vol.dims, dtype=np.uint8)
     if not windows:
-        warnings.warn("empty guidance mask: fine stage produced an empty result")
+        _flag("empty guidance mask: fine stage produced an empty result")
         return Mask3D(out, vol.spacing)
 
-    img_slices = extract_slices(vol, "axial")
+    imgs = extract_slices(vol, "axial")
     nd = vol.dims[0]
     for center, z0, z1 in windows:
         z0 = max(0, z0 - cfg.fine_slice_margin)
         z1 = min(nd - 1, z1 + cfg.fine_slice_margin)
-        for k in range(z0, z1 + 1):
-            patch, rec = crop_patch(img_slices[k], center, cfg.fine_dims)
-            back = uncrop_patch(_predict(models.fine, patch, "fine"), rec)
-            out[k] |= back.data >= cfg.prob_threshold
+        patch, rec = crop_patch(_planes(imgs, z0, z1), center, cfg.fine_dims)
+        back = uncrop_patch(_predict(models.fine, patch, "fine"), rec)
+        out[z0 : z1 + 1] |= back.data >= cfg.prob_threshold
     return Mask3D(out, vol.spacing)
 
 
@@ -270,19 +284,17 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
     s_c = predict_coarse(work, models, cfg)
     timings["coarse"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    token = _FLAGS.set(flags)
+    try:
+        t0 = time.perf_counter()
         m, verdict = build_guidance(work, s_c, models, cfg)
-    flags.extend(str(w.message) for w in caught)
-    timings["guidance"] = time.perf_counter() - t0
+        timings["guidance"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        t0 = time.perf_counter()
         s_f = predict_fine(work, m, models, cfg)
-    flags.extend(str(w.message) for w in caught)
-    timings["fine"] = time.perf_counter() - t0
+        timings["fine"] = time.perf_counter() - t0
+    finally:
+        _FLAGS.reset(token)
 
     def to_native(mask: Mask3D) -> Mask3D:
         return resample_volume(mask, vol.spacing, mode="nearest", target_dims=vol.dims)

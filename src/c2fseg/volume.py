@@ -46,8 +46,9 @@ class Spacing:
         return (self.d, self.h, self.w)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
+    """A read-only C-contiguous array of ``dtype``, copied at most once."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -65,10 +66,10 @@ class Volume3D:
             raise GeometryError(f"volume data must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise GeometryError(f"volume dims must be positive, got {arr.shape}")
-        arr = arr.astype(np.float32, copy=not (arr.dtype == np.float32 and arr.flags.c_contiguous))
+        arr = _freeze(arr, np.float32)
         if not np.all(np.isfinite(arr)):
             raise ValueError("volume data contains non-finite values")
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", arr)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -91,8 +92,7 @@ class Mask3D:
         if ((arr != 0) & (arr != 1)).any():
             bad = arr[(arr != 0) & (arr != 1)].ravel()[0]
             raise ValueError(f"mask data must be binary, found value {bad!r}")
-        arr = arr.astype(np.uint8, copy=not (arr.dtype == np.uint8 and arr.flags.c_contiguous))
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", _freeze(arr, np.uint8))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -109,9 +109,9 @@ def _check_plane(plane: str) -> None:
 
 @dataclass(frozen=True)
 class Slice2D:
-    """A 2D plane extracted from a volume.
+    """One 2D plane ``(H, W)``, or a stack ``(N, H, W)`` of planes sharing one pixel spacing.
 
-    ``pixel_spacing`` is (mm per row step, mm per column step).
+    ``pixel_spacing`` is (mm per row step, mm per column step); ``dims`` is ``(H, W)``.
     """
 
     data: np.ndarray
@@ -119,70 +119,50 @@ class Slice2D:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 2 or min(arr.shape) < 1:
-            raise GeometryError(f"slice data must be 2D and non-empty, got shape {arr.shape}")
-        arr = arr.astype(np.float32, copy=not (arr.dtype == np.float32 and arr.flags.c_contiguous))
+        if arr.ndim not in (2, 3) or min(arr.shape) < 1:
+            raise GeometryError(f"slice data must be a non-empty 2D plane or 3D stack, got shape {arr.shape}")
+        arr = _freeze(arr, np.float32)
         if not np.all(np.isfinite(arr)):
             raise ValueError("slice data contains non-finite values")
         ps = tuple(float(s) for s in self.pixel_spacing)
         if len(ps) != 2 or any(not (np.isfinite(s) and s > 0) for s in ps):
             raise ValueError(f"pixel_spacing must be two positive floats, got {self.pixel_spacing!r}")
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", arr)
         object.__setattr__(self, "pixel_spacing", ps)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.data.shape
+        return self.data.shape[-2:]
 
 
 AnyVolume = Union[Volume3D, Mask3D]
 
 
-def extract_slices(vol: AnyVolume, plane: Plane) -> list[Slice2D]:
-    """Split a volume into ordered 2D slices along an anatomical plane.
+def extract_slices(vol: AnyVolume, plane: Plane) -> Slice2D:
+    """A volume's planes along an anatomical plane, in order, as one stack.
 
-    Axial yields D slices of (H, W) with pixel spacing (h, w); sagittal
-    yields W slices of (D, H) with pixel spacing (d, h).
+    Axial gives (D, H, W) with pixel spacing (h, w); sagittal gives (W, D, H) with (d, h).
     """
     _check_plane(plane)
     d, h, w = vol.spacing.as_tuple()
-    data = vol.data
     if plane == "axial":
-        return [Slice2D(data[k, :, :], (h, w)) for k in range(data.shape[0])]
-    return [Slice2D(data[:, :, k], (d, h)) for k in range(data.shape[2])]
+        return Slice2D(vol.data, (h, w))
+    return Slice2D(vol.data.transpose(2, 0, 1), (d, h))
 
 
-def compose_slices(
-    slices: list[Slice2D],
-    plane: Plane,
-    dims: tuple[int, int, int],
-    spacing: Spacing,
-) -> Volume3D:
-    """Reassemble 2D slices into a 3D float32 volume.
+def compose_slices(stack: Slice2D, plane: Plane, dims: tuple[int, int, int], spacing: Spacing) -> Volume3D:
+    """Reassemble a stack of planes into a 3D float32 volume of ``dims``.
 
     ``compose_slices(extract_slices(v), ...)`` reproduces ``v.data`` bit-exactly.
     """
     _check_plane(plane)
     nd, nh, nw = dims
-    expected_count = nd if plane == "axial" else nw
-    expected_dims = (nh, nw) if plane == "axial" else (nd, nh)
-    if len(slices) != expected_count:
+    expected = (nd, nh, nw) if plane == "axial" else (nw, nd, nh)
+    if stack.data.shape != expected:
         raise GeometryError(
-            f"{plane} composition of dims {dims} needs {expected_count} slices, got {len(slices)}"
+            f"{plane} composition of dims {dims} needs a stack of shape {expected}, got {stack.data.shape}"
         )
-    for k, s in enumerate(slices):
-        if s.data.shape != expected_dims:
-            raise GeometryError(
-                f"slice {k} has dims {s.data.shape}, expected {expected_dims} for {plane} dims {dims}"
-            )
-    out = np.empty(dims, dtype=np.float32)
-    if plane == "axial":
-        for k, s in enumerate(slices):
-            out[k, :, :] = s.data
-    else:
-        for k, s in enumerate(slices):
-            out[:, :, k] = s.data
-    return Volume3D(out, spacing)
+    return Volume3D(stack.data if plane == "axial" else stack.data.transpose(1, 2, 0), spacing)
 
 
 def voxel_volume_ml(spacing: Spacing, n_voxels: int) -> float:

@@ -183,6 +183,14 @@ class TestPredictAndEval:
         assert main(self.predict_args(tmp_path, desk_config, trained_weights, tmp_path / "taken")) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_failed_report_write_leaves_no_mask(self, tmp_path, desk_config, trained_weights, capsys):
+        # eval scores a case by its fine mask, so a predict that fails must not leave one
+        (tmp_path / "rep").mkdir()
+        args = self.predict_args(tmp_path, desk_config, trained_weights, tmp_path / "out" / "m.rvol")
+        assert main(args + ["--report", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "m.rvol").exists()
+
     def test_eval_scores_and_reports(self, tmp_path, desk_config, trained_weights, capsys):
         pred = tmp_path / "pred"
         for i in range(2):

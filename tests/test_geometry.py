@@ -254,6 +254,63 @@ class TestSeparableMatchesCornerBlend:
         assert out.data[0, 0, 0] == 0.0 and not np.signbit(out.data[0, 0, 0])
 
 
+class TestStacksMatchPlanes:
+    """Each slice transform does to an (N, H, W) stack what it does to every plane, byte for byte."""
+
+    @staticmethod
+    def stack(data, dims, ps):
+        n = data.draw(st.integers(1, 4))
+        return Slice2D(data.draw(hnp.arrays(np.float32, (n, *dims), elements=_F32, fill=st.nothing())), ps)
+
+    @staticmethod
+    def check(stack_out, plane_outs):
+        assert all(p.pixel_spacing == stack_out.pixel_spacing for p in plane_outs)
+        assert stack_out.data.tobytes() == np.stack([p.data for p in plane_outs]).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["bilinear", "nearest"]), ps=st.tuples(_MM, _MM))
+    def test_resize_and_unresize(self, data, mode, ps):
+        dims, target = data.draw(_dims(2, hi=9)), data.draw(_dims(2, hi=9))
+        stack = self.stack(data, dims, ps)
+        small, rec = resize_slice(stack, target, mode=mode)
+        planes = [resize_slice(Slice2D(p, ps), target, mode=mode) for p in stack.data]
+        assert all(r == rec for _, r in planes)
+        self.check(small, [p for p, _ in planes])
+        probs = self.stack(data, target, small.pixel_spacing)
+        self.check(unresize(probs, rec, mode=mode), [unresize(Slice2D(p, probs.pixel_spacing), rec, mode=mode)
+                                                     for p in probs.data])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), ps=st.tuples(_MM, _MM))
+    def test_crop_and_uncrop(self, data, ps):
+        rows, cols = data.draw(_dims(2, hi=9))
+        center = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+        patch_dims = data.draw(_dims(2, hi=12))  # often larger than the source: padded on some side
+        stack = self.stack(data, (rows, cols), ps)
+        patch, rec = crop_patch(stack, center, patch_dims)
+        planes = [crop_patch(Slice2D(p, ps), center, patch_dims) for p in stack.data]
+        assert all(r == rec for _, r in planes)
+        self.check(patch, [p for p, _ in planes])
+        probs = self.stack(data, patch_dims, ps)
+        self.check(uncrop_patch(probs, rec), [uncrop_patch(Slice2D(p, ps), rec) for p in probs.data])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_signed_zeros_and_padding(self, n):
+        plane = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0]], dtype=np.float32)
+        stack = Slice2D(np.stack([plane * (k + 1) for k in range(n)]), (0.5, 2.0))
+        for mode in ("bilinear", "nearest"):
+            small, rec = resize_slice(stack, (3, 5), mode=mode)
+            self.check(small, [resize_slice(Slice2D(p, (0.5, 2.0)), (3, 5), mode=mode)[0] for p in stack.data])
+            if mode == "nearest":  # copies -0.0 through; bilinear's lerp turns it into +0.0
+                assert np.signbit(small.data).any()
+            self.check(unresize(small, rec, mode=mode), [unresize(Slice2D(p, small.pixel_spacing), rec, mode=mode)
+                                                         for p in small.data])
+        patch, rec = crop_patch(stack, (0, 2), (4, 4))
+        assert rec.pad == (2, 0, 0, 1)
+        self.check(patch, [crop_patch(Slice2D(p, (0.5, 2.0)), (0, 2), (4, 4))[0] for p in stack.data])
+        self.check(uncrop_patch(patch, rec), [uncrop_patch(Slice2D(p, (0.5, 2.0)), rec) for p in patch.data])
+
+
 class TestResampleMemory:
     def test_trilinear_peak_within_8x_input(self):
         rng = np.random.default_rng(0)

@@ -32,8 +32,8 @@ def phantom_slice_pairs(n=10, dims=(32, 32), seed=5):
     imgs, labs = extract_slices(vol, "axial"), extract_slices(mask, "axial")
     pairs = []
     for k in picks:
-        ri, _ = resize_slice(imgs[k], dims, mode="bilinear")
-        rl, _ = resize_slice(labs[k], dims, mode="nearest")
+        ri, _ = resize_slice(Slice2D(imgs.data[k], imgs.pixel_spacing), dims, mode="bilinear")
+        rl, _ = resize_slice(Slice2D(labs.data[k], labs.pixel_spacing), dims, mode="nearest")
         pairs.append((ri, rl))
     return pairs
 

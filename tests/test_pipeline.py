@@ -1,3 +1,4 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -335,6 +336,37 @@ def run_stage(stage, model, phantom):
     return predict_fine(vol, gt, models, desk_cfg())
 
 
+class PlaneModel:
+    """Threshold oracle that accepts only a single 2D slice and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, s):
+        assert s.data.ndim == 2 and s.data.shape == s.dims
+        self.calls += 1
+        return (s.data >= 0.5).astype(np.float32)
+
+
+class TestModelsSeeSinglePlanes:
+    """Stages run on stacks, but every model call gets one 2D slice."""
+
+    @pytest.mark.parametrize("stage", ["coarse", "abnormal", "fine"])
+    def test_one_call_per_plane(self, phantom, stage):
+        _, gt = phantom
+        cfg = desk_cfg()
+        model = PlaneModel()
+        run_stage(stage, model, phantom)
+        if stage == "fine":
+            m = cfg.fine_slice_margin
+            ranges = [(max(0, z0 - m), min(gt.dims[0] - 1, z1 + m))
+                      for _, z0, z1 in _component_windows(gt, cfg, min_count=cfg.th_vn)]
+            expected = sum(z1 - z0 + 1 for z0, z1 in ranges)
+        else:
+            expected = {"coarse": gt.dims[0], "abnormal": gt.dims[2]}[stage]
+        assert model.calls == expected
+
+
 class TestModelOutputChecks:
     """Each stage checks its model's output: the slice's dims, finite values in [0, 1]."""
 
@@ -469,7 +501,23 @@ class TestSharedUNetModels:
         assert [r.verdict.verdict for r in serial[:3]] == ["Normal", "Abnormal", "Abnormal"]
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda v: run_case(v, models, cfg), vols))
-        for a, b in zip(serial, threaded):  # flags are left out: their warning capture is not thread-safe
-            assert a.verdict == b.verdict
+        for a, b in zip(serial, threaded):
+            assert (a.verdict, a.flags) == (b.verdict, b.flags)
             for name in ("coarse_mask", "guidance", "fine_mask"):
                 assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+
+
+class TestFlagsAcrossThreads:
+    def test_each_case_gets_its_own_flags(self):
+        cfg = PipelineConfig(coarse_dims=(64, 64), fine_dims=(48, 48), abnormal_dims=(32, 64), th_vn=800)
+        sp = cfg.normalized_spacing
+        normal, _ = generate_phantom(
+            PhantomSpec(dims=(64, 96, 96), spacing=sp, semi_axes_mm=((15, 21), (9, 12), (9, 12)), seed=1)
+        )
+        empty = Volume3D(np.zeros(normal.dims, dtype=np.float32), sp)
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                flags = list(pool.map(lambda v: run_case(v, oracle_models(), cfg).flags, [empty, normal] * 100))
+        assert flags == [(_DETECTION_FAILURE, _EMPTY_GUIDANCE), ()] * 100
+        assert [str(w.message) for w in leaked] == []

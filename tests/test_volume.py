@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,30 +58,51 @@ class TestContainers:
         assert s.data.dtype == np.float32 and not s.data.flags.writeable
         assert (s.dims, s.pixel_spacing) == ((2, 2), (0.5, 2.0))
 
+    def test_stack_dims_are_the_plane_dims(self):
+        s = Slice2D(np.zeros((3, 2, 5)), (0.5, 2))
+        assert s.data.shape == (3, 2, 5) and s.dims == (2, 5)
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 2, 2), (1, 2, 2, 2)])
+    def test_slice_rejects_other_shapes(self, shape):
+        with pytest.raises(GeometryError):
+            Slice2D(np.zeros(shape), (1, 1))
+
+    @pytest.mark.parametrize("make", [lambda a: Volume3D(a, Spacing(1, 1, 1)), lambda a: Slice2D(a, (1, 1))],
+                             ids=["Volume3D", "Slice2D"])
+    def test_transposed_input_is_copied_once(self, make):
+        view = np.zeros((40, 50, 60), dtype=np.float32).transpose(2, 0, 1)
+        tracemalloc.start()
+        try:
+            out = make(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.flags.c_contiguous and np.array_equal(out.data, view)
+        assert peak <= 1.3 * view.nbytes, f"peak {peak / view.nbytes:.2f}x the array"  # the copy and isfinite's mask
+
 
 class TestExtractSlices:
     def test_axial_counts_and_geometry(self, rng):
         v = Volume3D(random_volume_data(rng, (4, 6, 8)), Spacing(3, 2, 1))
-        slices = extract_slices(v, "axial")
-        assert len(slices) == 4
-        assert all(s.dims == (6, 8) for s in slices)
-        assert all(s.pixel_spacing == (2.0, 1.0) for s in slices)
-        assert all(np.array_equal(s.data, v.data[k]) for k, s in enumerate(slices))
+        stack = extract_slices(v, "axial")
+        assert stack.data.shape == (4, 6, 8) and stack.dims == (6, 8)
+        assert stack.pixel_spacing == (2.0, 1.0)
+        assert all(np.array_equal(stack.data[k], v.data[k]) for k in range(4))
 
     def test_sagittal_counts_and_geometry(self, rng):
         v = Volume3D(random_volume_data(rng, (4, 6, 8)), Spacing(3, 2, 1))
-        slices = extract_slices(v, "sagittal")
-        assert len(slices) == 8
-        assert all(s.dims == (4, 6) for s in slices)
-        assert all(s.pixel_spacing == (3.0, 2.0) for s in slices)
-        assert all(np.array_equal(s.data, v.data[:, :, k]) for k, s in enumerate(slices))
+        stack = extract_slices(v, "sagittal")
+        assert stack.data.shape == (8, 4, 6) and stack.dims == (4, 6)
+        assert stack.pixel_spacing == (3.0, 2.0)
+        assert all(np.array_equal(stack.data[k], v.data[:, :, k]) for k in range(8))
+        assert stack.data.flags.c_contiguous and not stack.data.flags.writeable
 
     def test_voxel_relocation(self):
         data = np.zeros((4, 6, 8), dtype=np.float32)
         data[2, 3, 5] = 7.0
         v = Volume3D(data, Spacing(1, 1, 1))
-        assert extract_slices(v, "axial")[2].data[3, 5] == 7.0
-        assert extract_slices(v, "sagittal")[5].data[2, 3] == 7.0
+        assert extract_slices(v, "axial").data[2, 3, 5] == 7.0
+        assert extract_slices(v, "sagittal").data[5, 2, 3] == 7.0
 
 
 class TestComposeSlices:
@@ -105,23 +128,20 @@ class TestComposeSlices:
         assert np.array_equal(binarize(out).data, m.data)
 
     def test_prob_maps_compose(self):
-        maps = [
-            Slice2D(np.full((4, 4), 0.25 * k, dtype=np.float32), (1, 1))
-            for k in range(3)
-        ]
+        maps = Slice2D(0.25 * np.arange(3, dtype=np.float32)[:, None, None] * np.ones((3, 4, 4)), (1, 1))
         out = compose_slices(maps, "axial", (3, 4, 4), Spacing(1, 1, 1))
         assert out.dims == (3, 4, 4)
         assert np.allclose(out.data[2], 0.5)
 
     def test_count_mismatch_rejected(self):
-        slices = [Slice2D(np.zeros((4, 4), dtype=np.float32), (1, 1)) for _ in range(2)]
-        with pytest.raises(GeometryError, match="needs 3 slices"):
-            compose_slices(slices, "axial", (3, 4, 4), Spacing(1, 1, 1))
+        stack = Slice2D(np.zeros((2, 4, 4), dtype=np.float32), (1, 1))
+        with pytest.raises(GeometryError, match=r"needs a stack of shape \(3, 4, 4\), got \(2, 4, 4\)"):
+            compose_slices(stack, "axial", (3, 4, 4), Spacing(1, 1, 1))
 
     def test_dims_mismatch_rejected(self):
-        slices = [Slice2D(np.zeros((4, 5), dtype=np.float32), (1, 1)) for _ in range(3)]
-        with pytest.raises(GeometryError, match="dims"):
-            compose_slices(slices, "axial", (3, 4, 4), Spacing(1, 1, 1))
+        stack = Slice2D(np.zeros((3, 4, 5), dtype=np.float32), (1, 1))
+        with pytest.raises(GeometryError, match=r"needs a stack of shape \(4, 3, 4\), got \(3, 4, 5\)"):
+            compose_slices(stack, "sagittal", (3, 4, 4), Spacing(1, 1, 1))
 
 
 class TestVoxelVolumeMl:
