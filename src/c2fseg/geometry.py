@@ -11,9 +11,12 @@ Sampling conventions, fixed so round-trip tests are stable:
   to the source extent (voxel 0 centres of source and target coincide)
 - linear interpolation uses the ``v0 + f * (v1 - v0)`` form, so constant
   inputs come back exactly
-- resampling is separable: one axis at a time in the order W, H, D, in
-  float64 with a single final cast to float32, which is bit-identical to
-  blending the 4 (2D) or 8 (3D) surrounding corners in that order
+- resampling is separable and runs one (H, W) plane at a time: each input
+  plane gets its W then H pass in float64, then each output plane is
+  lerped in D from its two resampled input planes and cast to float32 once
+  (at most two resampled planes are held, so the peak stays near the
+  output's size); this is bit-identical to blending the 4 (2D) or 8 (3D)
+  surrounding corners in the order W, H, D
 - nearest-neighbour picks ``floor(coord + 0.5)``
 - output dims under a spacing resample are round-half-up, minimum 1
 - crop windows start at ``center - dim // 2``; for odd window dims the
@@ -77,59 +80,62 @@ class CropRecord:
             raise ValueError("pad inconsistent with center/patch_dims/source_dims")
 
 
-def _axis_samples(n_src: int, n_out: int, step_ratio: float):
-    """Clamped source coordinates for each output index along one axis."""
+def _axis(n_src: int, n_out: int, step_ratio: float, linear: bool):
+    """Per output index along one axis: the source index (nearest), or (i0, i1, f) (linear)."""
     x = np.arange(n_out, dtype=np.float64) * step_ratio
-    np.clip(x, 0.0, float(n_src - 1), out=x)
-    return x
+    np.clip(x, 0.0, float(n_src - 1), out=x)  # edge-clamped source coordinates
+    if not linear:
+        return np.clip(np.floor(x + 0.5).astype(np.intp), 0, n_src - 1)
+    i0 = np.minimum(np.floor(x).astype(np.intp), n_src - 1)
+    return i0, np.minimum(i0 + 1, n_src - 1), x - i0
 
 
-def _linear_axis(n_src: int, n_out: int, step_ratio: float):
-    x = _axis_samples(n_src, n_out, step_ratio)
-    i0 = np.floor(x).astype(np.intp)
-    np.minimum(i0, n_src - 1, out=i0)
-    i1 = np.minimum(i0 + 1, n_src - 1)
-    f = x - i0
-    return i0, i1, f
+def _lerp(v0: np.ndarray, v1: np.ndarray, f) -> np.ndarray:
+    """``v0 + f * (v1 - v0)`` in float64, in one fresh array."""
+    d = np.subtract(v1, v0, dtype=np.float64)
+    d *= f
+    d += v0
+    return d
 
 
-def _nearest_axis(n_src: int, n_out: int, step_ratio: float):
-    x = _axis_samples(n_src, n_out, step_ratio)
-    idx = np.floor(x + 0.5).astype(np.intp)
-    np.clip(idx, 0, n_src - 1, out=idx)
-    return idx
+def _resample_plane(plane: np.ndarray, rows, cols, linear: bool) -> np.ndarray:
+    """The W then H pass over one (H, W) plane; linear results stay float64."""
+    for ax, table in ((1, cols), (0, rows)):
+        if linear:
+            i0, i1, f = table
+            plane = _lerp(np.take(plane, i0, axis=ax), np.take(plane, i1, axis=ax), f if ax else f[:, None])
+        else:
+            plane = np.take(plane, table, axis=ax)
+    return plane
 
 
 def _resample_axes(data: np.ndarray, out_dims, ratios, linear: bool) -> np.ndarray:
-    """Resample the last ``len(out_dims)`` axes of ``data``, one axis at a time.
+    """Resample the last ``len(out_dims)`` axes of ``data``, one (H, W) plane at a time.
 
-    Axes run last first (W, then H, then D), the order in which the
+    Each input plane gets a W then an H pass. A 3D resample then lerps each
+    output plane from its two resampled input planes in D; for a plane or a
+    stack, output plane k is input plane k. That is the order in which the
     2^n-corner blend lerps, so the result is bit-identical to that blend.
-    Linear passes gather the two neighbours, promote to float64 and lerp in
-    place with the same operations as ``v0 + f * (v1 - v0)``; the result is
-    cast to float32 once. An axis with ratio 1 is still lerped (``f = 0``):
-    the blend lerps it too, which turns a ``-0.0`` next to a positive value
-    into ``+0.0``, so skipping it would change the sign of some zeros.
+    Linear passes run in float64 and each output plane is cast to float32
+    once. An axis with ratio 1 is still lerped (``f = 0``): the blend lerps
+    it too, which turns a ``-0.0`` next to a positive value into ``+0.0``.
     """
-    if data.ndim > len(out_dims):  # a stack, one plane at a time: at CT size faster than one pass
-        out = np.empty(data.shape[:1] + tuple(out_dims), np.float32 if linear else data.dtype)
-        for k, plane in enumerate(data):
-            out[k] = _resample_axes(plane, out_dims, ratios, linear)
-        return out
-    work = data
-    for ax in reversed(range(data.ndim)):
-        if not linear:
-            work = np.take(work, _nearest_axis(data.shape[ax], out_dims[ax], ratios[ax]), axis=ax)
-            continue
-        i0, i1, f = _linear_axis(data.shape[ax], out_dims[ax], ratios[ax])
-        v0 = np.take(work, i0, axis=ax)
-        d = np.take(work, i1, axis=ax).astype(np.float64, copy=False)
-        d -= v0
-        d *= f.reshape((-1,) + (1,) * (data.ndim - 1 - ax))
-        d += v0
-        del v0  # freed before the next pass gathers
-        work = d
-    return work.astype(np.float32) if linear else work
+    planes = data.reshape((-1,) + data.shape[-2:])  # a single plane is a stack of one
+    rows, cols = (_axis(n, m, r, linear) for n, m, r in zip(data.shape[-2:], out_dims[-2:], ratios[-2:]))
+    lo = hi = np.arange(len(planes))
+    f = None
+    if len(out_dims) == 3:
+        src = _axis(len(planes), out_dims[0], ratios[0], linear)
+        lo, hi, f = src if linear else (src, src, None)
+    out = np.empty((len(lo),) + tuple(out_dims[-2:]), np.float32 if linear else data.dtype)
+    kept: dict[int, np.ndarray] = {}  # resampled input planes; the D indices only rise, so two suffice
+    for k, (i0, i1) in enumerate(zip(lo.tolist(), hi.tolist())):
+        for i in sorted({i0, i1} - kept.keys()):
+            if len(kept) == 2:
+                del kept[min(kept)]
+            kept[i] = _resample_plane(planes[i], rows, cols, linear)
+        out[k] = kept[i0] if f is None else _lerp(kept[i0], kept[i1], f[k])
+    return out if data.ndim == 3 else out[0]
 
 
 def _round_half_up(x: float) -> int:

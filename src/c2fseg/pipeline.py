@@ -210,6 +210,27 @@ def predict_coarse(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> M
     return binarize(prob_vol, cfg.prob_threshold)
 
 
+def _sagittal_correction(
+    vol: Volume3D, center: tuple[int, int], model: SegmentationModel, cfg: PipelineConfig
+) -> np.ndarray:
+    """The abnormal model's uint8 mask over the sagittal window at (depth, row) ``center``.
+
+    The window is cropped from a view of the volume, and only its in-volume
+    part is thresholded back: the zero padding is below any threshold in
+    (0, 1), so the rest of the mask stays 0.
+    """
+    (pr, pc), (nd, nh, _) = cfg.abnormal_dims, vol.dims
+    r0, c0 = center[0] - pr // 2, center[1] - pc // 2
+    d0, d1, h0, h1 = max(0, r0), min(nd, r0 + pr), max(0, c0), min(nh, c0 + pc)
+    inside = Slice2D(vol.data[d0:d1, h0:h1].transpose(2, 0, 1), (vol.spacing.d, vol.spacing.h))
+    patch, _ = crop_patch(inside, (center[0] - d0, center[1] - h0), cfg.abnormal_dims)
+    del inside  # a copy of the window; freed before the forwards
+    probs = _predict(model, patch, "abnormal").data[:, d0 - r0 : d1 - r0, h0 - c0 : h1 - c0]
+    out = np.zeros(vol.dims, dtype=np.uint8)
+    out[d0:d1, h0:h1] = (probs >= cfg.prob_threshold).transpose(1, 2, 0)
+    return out
+
+
 def build_guidance(
     vol: Volume3D, s_c: Mask3D, models: StageModels, cfg: PipelineConfig
 ) -> tuple[Mask3D, AbnormalityVerdict]:
@@ -218,7 +239,7 @@ def build_guidance(
     Normal keeps the coarse mask verbatim. Abnormal re-predicts every
     sagittal slice in a fixed window whose (depth, row) centre comes from
     the coarse mask's global centroid (volume centre if the mask is empty),
-    then maps the patches back with zero padding.
+    thresholds the patches and writes their in-volume part into an empty mask.
     """
     if s_c.dims != vol.dims or s_c.spacing != vol.spacing:
         raise GeometryError("coarse mask geometry does not match the volume")
@@ -231,10 +252,7 @@ def build_guidance(
         centroid = tuple((n - 1) / 2.0 for n in vol.dims)
     center = (int(round(centroid[0])), int(round(centroid[1])))
 
-    patch, rec = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
-    probs = uncrop_patch(_predict(models.abnormal, patch, "abnormal"), rec)
-    prob_vol = compose_slices(probs, "sagittal", vol.dims, vol.spacing)
-    m = binarize(prob_vol, cfg.prob_threshold)
+    m = Mask3D(_sagittal_correction(vol, center, models.abnormal, cfg), vol.spacing)
     if s_c.foreground_count() == 0 and m.foreground_count() == 0:
         _flag("detection failure: empty coarse mask and empty corrected mask")
     return m, verdict
@@ -271,7 +289,7 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
     """Full testing flow on a raw volume of any spacing.
 
     All returned masks live on the input volume's native grid (mapped back
-    with nearest-neighbour resampling).
+    with nearest-neighbour resampling, once per distinct mask).
     """
     flags: list[str] = []
     timings: dict[str, float] = {}
@@ -299,10 +317,11 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
     def to_native(mask: Mask3D) -> Mask3D:
         return resample_volume(mask, vol.spacing, mode="nearest", target_dims=vol.dims)
 
+    coarse = to_native(s_c)
     return CaseResult(
-        coarse_mask=to_native(s_c),
+        coarse_mask=coarse,
         verdict=verdict,
-        guidance=to_native(m),
+        guidance=coarse if m is s_c else to_native(m),  # Normal: the guidance is the coarse mask
         fine_mask=to_native(s_f),
         timings=timings,
         flags=tuple(flags),

@@ -108,6 +108,33 @@ def pad_then_crop_oracle(data: np.ndarray, center, patch_dims) -> np.ndarray:
     return padded[r0 : r0 + pr, c0 : c0 + pc].copy()
 
 
+def full_frame_sagittal_oracle(vol_data: np.ndarray, coarse_data: np.ndarray, window, predict, threshold: float):
+    """The Abnormal correction through full-frame sagittal stacks.
+
+    Centres the (depth, row) window on the coarse mask's global centroid (the
+    volume centre if the mask is empty), copies every sagittal plane, crops
+    each with zero padding, predicts it with ``predict(patch) -> probs``,
+    pastes the predictions into a zeroed full-frame stack, composes that
+    back to (D, H, W) and thresholds it to a uint8 mask.
+    """
+    coords = np.nonzero(coarse_data)
+    if coords[0].size:
+        centroid = [float(c.mean()) for c in coords]
+    else:
+        centroid = [(n - 1) / 2.0 for n in vol_data.shape]
+    center = (int(round(centroid[0])), int(round(centroid[1])))
+    sagittal = np.ascontiguousarray(vol_data.transpose(2, 0, 1))
+    nd, nh = sagittal.shape[1:]
+    pr, pc = window
+    r0, c0 = center[0] - pr // 2 + pr, center[1] - pc // 2 + pc  # window origin in a frame padded by the window
+    frame = np.zeros(sagittal.shape, dtype=np.float32)
+    for k, plane in enumerate(sagittal):
+        padded = np.zeros((nd + 2 * pr, nh + 2 * pc), dtype=np.float32)
+        padded[r0 : r0 + pr, c0 : c0 + pc] = predict(pad_then_crop_oracle(plane, center, window))
+        frame[k] = padded[pr : pr + nd, pc : pc + nh]
+    return (frame.transpose(1, 2, 0) >= threshold).astype(np.uint8)
+
+
 def flood_fill_labels(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Recursive flood-fill labeling; ids in first-encounter scan order."""
     offsets = []

@@ -242,6 +242,30 @@ class TestSeparableMatchesCornerBlend:
             expected = corner_blend_oracle(p.data, dims, inv, linear)
         assert back.data.tobytes() == expected.tobytes()
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), case=st.sampled_from(["one input plane", "one output plane", "upsampled depth"]),
+           linear=st.booleans())
+    def test_plane_loop_edge_paths(self, data, case, linear):
+        # The loop's edge paths: a one-plane input, a one-plane output, and D
+        # indices that repeat (each input plane serves several output planes).
+        # H and W often keep their spacing, so only the lerps decide the sign
+        # of the -0.0 cells.
+        nd = 1 if case == "one input plane" else data.draw(st.integers(2, 5))
+        cells = st.one_of(st.sampled_from([-0.0, -0.0, 0.0, 1.0, -1.0]), _F32)
+        src = data.draw(hnp.arrays(np.float32, (nd, *data.draw(_dims(2))), elements=cells, fill=st.nothing()))
+        out_d = {"one input plane": data.draw(st.integers(1, 4)), "one output plane": 1,
+                 "upsampled depth": data.draw(st.integers(nd + 1, 3 * nd))}[case]
+        rd = data.draw(st.sampled_from([0.25, 0.4, 0.5]) if case == "upsampled depth" else _MM)
+        rh, rw = data.draw(st.tuples(*[st.sampled_from([1.0, 1.0, 0.5, 0.8, 2.5])] * 2))
+        dims = (out_d, *data.draw(st.sampled_from([src.shape[1:], (1, 1)]) | _dims(2, hi=8)))
+        vol = Volume3D(src, Spacing(1.0, 1.0, 1.0))
+        out = resample_volume(vol, Spacing(rd, rh, rw), mode="trilinear" if linear else "nearest", target_dims=dims)
+        if out.dims == vol.dims and (rd, rh, rw) == (1.0, 1.0, 1.0):
+            expected = vol.data  # already on the target grid: handed back untouched
+        else:
+            expected = corner_blend_oracle(src, dims, Spacing(rd, rh, rw).as_tuple(), linear)
+        assert out.data.dtype == expected.dtype
+        assert out.data.tobytes() == expected.tobytes()
 
     def test_ratio_one_axes_are_still_lerped(self):
         # W and H keep their spacing; lerping them with f = 0 turns the -0.0
@@ -322,6 +346,20 @@ class TestResampleMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * vol.data.nbytes, f"peak {peak / vol.data.nbytes:.1f}x the input"
+
+    @pytest.mark.parametrize("mode", ["trilinear", "nearest"])
+    def test_peak_within_1_5x_output(self, mode):
+        # One plane at a time: only the output and a few planes are ever held.
+        rng = np.random.default_rng(1)
+        vol = Volume3D(rng.standard_normal((48, 96, 96)).astype(np.float32), Spacing(2.5, 0.8, 0.8))
+        tracemalloc.start()
+        try:
+            out = resample_volume(vol, Spacing(3.0, 0.7816, 0.7816), mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dims == (40, 98, 98)
+        assert peak <= 1.5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
 
 class TestCropPatch:

@@ -1,15 +1,21 @@
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import c2fseg.pipeline
 from c2fseg import (
     GeometryError,
     Mask3D,
     PhantomSpec,
     PipelineConfig,
+    Slice2D,
     Spacing,
     StageModels,
     ThresholdModel,
@@ -23,6 +29,7 @@ from c2fseg import (
     prepare_abnormal_set,
     prepare_coarse_set,
     prepare_fine_set,
+    resample_volume,
     run_case,
 )
 from c2fseg.components import component_stats
@@ -30,7 +37,7 @@ from c2fseg.nn.models import UNetModel
 from c2fseg.nn.unet import UNetSpec, parameter_shapes
 from c2fseg.nn.weights import ModelWeights
 from c2fseg.pipeline import _component_windows
-from oracles import brute_centroid, pad_then_crop_oracle
+from oracles import brute_centroid, full_frame_sagittal_oracle, pad_then_crop_oracle
 
 SP = Spacing(3.0, 0.7816, 0.7816)
 
@@ -266,6 +273,66 @@ class TestBuildGuidance:
         assert m.foreground_count() == 0
 
 
+class InvertedModel:
+    """1 - intensity: predicts 1.0 on the zero padding, which the map-back must drop."""
+
+    def predict(self, s):
+        return (1.0 - s.data).astype(np.float32)
+
+
+def guidance_against_oracle(vol_data, coarse_data, window, model, threshold):
+    """build_guidance on an always-Abnormal config against the full-frame oracle, with its flag."""
+    vol, s_c = Volume3D(vol_data, SP), Mask3D(coarse_data, SP)
+    cfg = desk_cfg(abnormal_dims=window, prob_threshold=threshold, th_vn=10**9)  # no component is a kidney
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m, verdict = build_guidance(vol, s_c, StageModels(RaisingModel(), model, RaisingModel()), cfg)
+    assert verdict.verdict == "Abnormal"
+    expected = full_frame_sagittal_oracle(
+        vol.data, s_c.data, window, lambda p: model.predict(Slice2D(p, (SP.d, SP.h))), threshold
+    )
+    assert m.data.tobytes() == expected.tobytes()
+    flagged = [w for w in caught if str(w.message) == _DETECTION_FAILURE]
+    assert len(flagged) == int(not s_c.data.any() and not expected.any())
+
+
+class TestGuidanceMatchesFullFrameChain:
+    """The window-local map-back gives the mask of the full-frame sagittal chain, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), inverted=st.booleans(),
+           threshold=st.sampled_from([0.5, 0.05, 0.95]) | st.floats(0.01, 0.99))
+    def test_random_windows(self, data, inverted, threshold):
+        dims = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 10), st.integers(1, 4)))
+        cells = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0, width=32)
+        vol = data.draw(hnp.arrays(np.float32, dims, elements=cells))
+        # sparse coarse masks put the centroid anywhere, near every face too; all-zero ones take the centre
+        coarse = data.draw(hnp.arrays(np.uint8, dims, elements=st.sampled_from([0, 0, 0, 1])))
+        window = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 14)))  # often larger than the volume
+        model = InvertedModel() if inverted else ThresholdModel(0.5)
+        guidance_against_oracle(vol, coarse, window, model, threshold)
+
+    @pytest.mark.parametrize(
+        "voxel, window",
+        [
+            ((0, 5), (4, 6)),  # clipped at depth 0
+            ((5, 5), (4, 6)),  # clipped at the last depth
+            ((3, 0), (4, 6)),  # clipped at row 0
+            ((3, 9), (4, 6)),  # clipped at the last row
+            ((3, 5), (10, 14)),  # larger than the volume on every face
+            (None, (4, 6)),  # empty coarse mask: centred on the volume
+            (None, (3, 3)),  # and an odd window
+        ],
+    )
+    @pytest.mark.parametrize("model", [ThresholdModel(0.5), InvertedModel()], ids=["threshold", "inverted"])
+    def test_clipped_windows(self, rng, voxel, window, model):
+        vol = rng.uniform(size=(6, 10, 4)).astype(np.float32)
+        coarse = np.zeros(vol.shape, dtype=np.uint8)
+        if voxel is not None:
+            coarse[voxel[0], voxel[1], :] = 1
+        guidance_against_oracle(vol, coarse, window, model, 0.5)
+
+
 class TestPredictFine:
     def test_oracle_exactness(self, phantom):
         vol, gt = phantom
@@ -417,6 +484,33 @@ class TestRunCase:
             assert mask.spacing == vol.spacing
         assert dsc(res.fine_mask, gt) > 0.8  # resample round trip costs a little accuracy
 
+    @pytest.mark.parametrize("kidneys, verdict, map_backs", [(2, "Normal", 2), (1, "Abnormal", 3)])
+    def test_each_distinct_mask_mapped_back_once(self, monkeypatch, kidneys, verdict, map_backs):
+        vol, _ = generate_phantom(
+            PhantomSpec(seed=11, dims=(16, 40, 40), spacing=Spacing(4.5, 1.2, 1.2),
+                        n_kidneys=kidneys, semi_axes_mm=((9, 12), (6, 8), (4.5, 5.5)))
+        )
+        cfg, models = desk_cfg(), oracle_models()
+        work = resample_volume(vol, cfg.normalized_spacing, mode="trilinear")
+        s_c = predict_coarse(work, models, cfg)
+        m, _ = build_guidance(work, s_c, models, cfg)
+        stage_masks = (s_c, m, predict_fine(work, m, models, cfg))
+
+        modes = []
+
+        def counted(*args, **kwargs):
+            modes.append(kwargs.get("mode"))
+            return resample_volume(*args, **kwargs)
+
+        monkeypatch.setattr(c2fseg.pipeline, "resample_volume", counted)
+        res = run_case(vol, models, cfg)
+        assert res.verdict.verdict == verdict
+        assert modes.count("nearest") == map_backs
+        for got, mask in zip((res.coarse_mask, res.guidance, res.fine_mask), stage_masks):
+            want = resample_volume(mask, vol.spacing, mode="nearest", target_dims=vol.dims)
+            assert (got.dims, got.spacing) == (want.dims, want.spacing)
+            assert got.data.tobytes() == want.data.tobytes()
+
     def test_deterministic(self, phantom):
         vol, _ = phantom
         a = run_case(vol, oracle_models(), desk_cfg())
@@ -424,6 +518,25 @@ class TestRunCase:
         assert np.array_equal(a.fine_mask.data, b.fine_mask.data)
         assert np.array_equal(a.guidance.data, b.guidance.data)
         assert a.verdict == b.verdict
+
+
+class TestCaseMemory:
+    @pytest.mark.parametrize("kidneys, verdict", [(2, "Normal"), (1, "Abnormal")])
+    def test_peak_within_4x_input(self, kidneys, verdict):
+        # A small CT-like case on the production settings. The abnormal window
+        # is scaled to this 33x164x164 working grid as (64, 256) is to a CT's
+        # 67x393x393; the full window would be larger than the volume.
+        vol, _ = generate_phantom(
+            PhantomSpec(dims=(40, 160, 160), spacing=Spacing(2.5, 0.8, 0.8), n_kidneys=kidneys, seed=3)
+        )
+        tracemalloc.start()
+        try:
+            res = run_case(vol, oracle_models(), PipelineConfig(abnormal_dims=(32, 112)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.verdict.verdict == verdict
+        assert peak <= 4 * vol.data.nbytes, f"peak {peak / vol.data.nbytes:.2f}x the input"
 
 
 def _discs(h, w, centers, r):
