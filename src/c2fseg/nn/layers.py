@@ -9,8 +9,8 @@ dtype of their inputs, which lets tests re-run the exact code in float64.
 Forwards do no work that only the backward needs: ReLU caches its output
 (the gradient mask is ``y > 0``) and max-pooling its input and output (the
 backward finds each window's first maximum from them). A caller that drops
-the cache pays for nothing but the output. The 2x2 operations, pooling and
-upsampling, work on the four stride-2 phase views ``x[:, :, r::2, c::2]``.
+the cache pays for nothing but the output. Max pooling and the decoder
+conv's up half work on the four stride-2 phase views ``x[:, :, r::2, c::2]``.
 """
 
 from __future__ import annotations
@@ -45,12 +45,18 @@ def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _fold_replicate_pad(gxp: np.ndarray, pad: int) -> np.ndarray:
-    """Accumulate gradients of replicated border pixels back onto their sources."""
+def _col2im(gcols: np.ndarray, x_shape, k: int, pad: int) -> np.ndarray:
+    """Adjoint of ``_im2col`` and the replicate pad: (B, C*k*k, H*W) columns -> (B, C, H, W) gradient."""
+    if pad not in (0, 1):
+        raise ValueError("only pad 0 or 1 supported")
+    bsz, c, h, w = x_shape
+    gcols = gcols.reshape(bsz, c, k, k, h, w)
+    gxp = np.zeros((bsz, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i : i + h, j : j + w] += gcols[:, :, i, j]
     if pad == 0:
         return gxp
-    if pad != 1:
-        raise ValueError("only pad 0 or 1 supported")
     gx = gxp[:, :, 1:-1, 1:-1].copy()
     gx[:, :, 0, :] += gxp[:, :, 0, 1:-1]
     gx[:, :, -1, :] += gxp[:, :, -1, 1:-1]
@@ -87,20 +93,14 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "con
 
 def conv2d_backward(cache, gy: np.ndarray):
     cols, w, x_shape, pad, name = cache
-    bsz, cin, h, wid = x_shape
-    cout, _, kh, kw = w.shape
+    bsz, _, h, wid = x_shape
+    cout, _, kh, _ = w.shape
     if gy.shape != (bsz, cout, h, wid):
         raise GeometryError(f"{name}: grad shape {gy.shape} does not match output {(bsz, cout, h, wid)}")
     gy_mat = gy.reshape(bsz, cout, h * wid)
     gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gb = gy.sum(axis=(0, 2, 3))
-    gcols = np.matmul(w.reshape(cout, -1).T, gy_mat)
-    gcols = gcols.reshape(bsz, cin, kh, kw, h, wid)
-    gxp = np.zeros((bsz, cin, h + 2 * pad, wid + 2 * pad), dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + h, j : j + wid] += gcols[:, :, i, j]
-    gx = _fold_replicate_pad(gxp, pad)
+    gx = _col2im(np.matmul(w.reshape(cout, -1).T, gy_mat), x_shape, kh, pad)
     return gx, gw, gb
 
 
@@ -144,31 +144,55 @@ def maxpool2_backward(cache, gy: np.ndarray):
     return gx
 
 
-def upcat_forward(skip: np.ndarray, h: np.ndarray, name: str = "upcat"):
-    """Decoder input in one fresh buffer: the skip channels, then a nearest 2x copy of ``h``."""
-    b, cs, hs, ws = skip.shape
-    if h.shape[0] != b or (2 * h.shape[2], 2 * h.shape[3]) != (hs, ws):
-        raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
-    y = np.empty((b, cs + h.shape[1], hs, ws), dtype=np.result_type(skip, h))
-    y[:, :cs] = skip
-    up = y[:, cs:]
-    up[:, :, 0::2, 0::2] = h
-    up[:, :, 0::2, 1::2] = h
-    up[:, :, 1::2] = up[:, :, 0::2]
-    return y, cs
+# Tap (i, j) of a 3x3 kernel over the nearest 2x upsample of h, at output phase (r, c),
+# reads tap (_TAP[r, i], _TAP[c, j]) of the 3x3 window on the replicate-padded h itself.
+_TAP = (np.arange(2)[:, None] + np.arange(3) - 1) // 2 + 1
+_ONEHOT = np.eye(3, dtype=np.float32)[_TAP]  # (r, i, low-resolution tap)
+_FOLD = np.einsum("rit,cju->ijrctu", _ONEHOT, _ONEHOT).reshape(9, 36)
 
 
-def upcat_backward(cs: int, gy: np.ndarray):
-    """(skip gradient, gradient of ``h`` summed over the four phases).
+def _fold_up(w_up: np.ndarray) -> np.ndarray:
+    """(Cout, Cup, 3, 3) kernel over the upsample -> (4*Cout, Cup*9) phase kernels on the low-resolution grid."""
+    cout, cup = w_up.shape[:2]
+    w4 = np.matmul(w_up.reshape(cout, cup, 9), _FOLD)
+    return w4.reshape(cout, cup, 4, 9).transpose(2, 0, 1, 3).reshape(4 * cout, cup * 9)
 
-    Byte-equal to numpy's sum over each reshaped 2x2 window: it starts from +0.0
-    (four -0.0 sum to +0.0) and adds the row sums, or at width 1 the phases in turn.
+
+def decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec"):
+    """3x3 conv over ``[skip ; nearest 2x upsample of h]`` without forming the upsample.
+
+    The skip channels go through ``conv2d_forward``. The up half is one GEMM of the four
+    phase kernels with the im2col of ``h`` on its own grid; phase (r, c) adds into ``y[:, :, r::2, c::2]``.
     """
-    g = gy[:, cs:]
-    g00, g01, g10, g11 = (g[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1))
-    if g.shape[3] == 2:
-        return gy[:, :cs], 0.0 + g00 + g01 + g10 + g11
-    return gy[:, :cs], 0.0 + ((g00 + g01) + (g10 + g11))
+    if h.ndim != 4 or skip.shape[:1] + skip.shape[2:] != (h.shape[0], 2 * h.shape[2], 2 * h.shape[3]):
+        raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
+    bsz, cs = skip.shape[:2]
+    _, cup, hl, wl = h.shape
+    cout = w.shape[0]
+    if w.shape[1:] != (cs + cup, 3, 3):
+        raise GeometryError(f"{name}: weight shape {w.shape} does not fit {cs} skip + {cup} up channels, 3x3")
+    y, skip_cache = conv2d_forward(skip, w[:, :cs], b, name)
+    cols = _im2col(_replicate_pad(h, 1), 3, 3, hl, wl)
+    w4 = _fold_up(w[:, cs:])
+    z = np.matmul(w4, cols).reshape(bsz, 2, 2, cout, hl, wl)
+    for r in (0, 1):
+        for c in (0, 1):
+            y[:, :, r::2, c::2] += z[:, r, c]
+    return y, (skip_cache, cols, w4, h.shape)
+
+
+def decoder_conv_backward(cache, gy: np.ndarray):
+    """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
+    skip_cache, cols, w4, h_shape = cache
+    g_skip, gw_skip, gb = conv2d_backward(skip_cache, gy)
+    bsz, cup, hl, wl = h_shape
+    cout = gy.shape[1]
+    gz = np.stack([gy[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)], axis=1).reshape(bsz, 4 * cout, hl * wl)
+    gw4 = np.matmul(gz, cols.transpose(0, 2, 1)).sum(axis=0)
+    gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), _FOLD.T)
+    g_h = _col2im(np.matmul(w4.T, gz), h_shape, 3, 1)
+    gw = np.concatenate([gw_skip, gw_up.reshape(cout, cup, 3, 3)], axis=1)
+    return g_skip, g_h, gw, gb
 
 
 def sigmoid_forward(x: np.ndarray):

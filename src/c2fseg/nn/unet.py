@@ -2,9 +2,10 @@
 
 Topology for depth L and base channels B: each encoder level is one 3x3
 conv + ReLU followed by 2x2 max pooling; the bottleneck is one conv; each
-decoder level puts the matching encoder feature and a 2x nearest upsample
-into one tensor and applies one conv + ReLU; a 1x1 conv + sigmoid gives the
-per-pixel probability. Channel widths double per level from B.
+decoder level applies one 3x3 conv + ReLU over the matching encoder feature
+and a 2x nearest upsample of the level below (``layers.decoder_conv_*``,
+which never forms the upsample); a 1x1 conv + sigmoid gives the per-pixel
+probability. Channel widths double per level from B.
 """
 
 from __future__ import annotations
@@ -133,10 +134,9 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
     h = keep("mid.conv", layers.conv2d_forward(h, w, b, name="mid"))
     h = keep("mid.relu", layers.relu_forward(h))
     for i in reversed(range(spec.depth)):
-        h = keep(f"dec{i}.cat", layers.upcat_forward(skips[i], h, name=f"dec{i}.cat"))
         w = _get_param(weights, f"dec{i}.w", shapes[f"dec{i}.w"], "weight")
         b = _get_param(weights, f"dec{i}.b", shapes[f"dec{i}.b"], "bias")
-        h = keep(f"dec{i}.conv", layers.conv2d_forward(h, w, b, name=f"dec{i}"))
+        h = keep(f"dec{i}.conv", layers.decoder_conv_forward(skips[i], h, w, b, name=f"dec{i}"))
         h = keep(f"dec{i}.relu", layers.relu_forward(h))
     w = _get_param(weights, "head.w", shapes["head.w"], "weight")
     b = _get_param(weights, "head.b", shapes["head.b"], "bias")
@@ -162,8 +162,7 @@ def unet_backward(spec: UNetSpec, weights, cache: ForwardCache, grad_output: np.
     skip_grads = [None] * spec.depth
     for i in range(spec.depth):  # reverse of the forward decoder order
         g = layers.relu_backward(e[f"dec{i}.relu"], g)
-        g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = layers.conv2d_backward(e[f"dec{i}.conv"], g)
-        skip_grads[i], g = layers.upcat_backward(e[f"dec{i}.cat"], g)
+        skip_grads[i], g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = layers.decoder_conv_backward(e[f"dec{i}.conv"], g)
     g = layers.relu_backward(e["mid.relu"], g)
     g, grads["mid.w"], grads["mid.b"] = layers.conv2d_backward(e["mid.conv"], g)
     for i in reversed(range(spec.depth)):

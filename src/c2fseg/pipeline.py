@@ -313,6 +313,7 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
         timings["fine"] = time.perf_counter() - t0
     finally:
         _FLAGS.reset(token)
+    del work  # the map-backs need only the masks
 
     def to_native(mask: Mask3D) -> Mask3D:
         return resample_volume(mask, vol.spacing, mode="nearest", target_dims=vol.dims)

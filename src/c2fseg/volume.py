@@ -89,7 +89,8 @@ class Mask3D:
             raise GeometryError(f"mask data must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise GeometryError(f"mask dims must be positive, got {arr.shape}")
-        if ((arr != 0) & (arr != 1)).any():
+        by_max = arr.dtype in (np.uint8, np.bool_)  # binary iff max <= 1: a reduction, no mask-size temporary
+        if arr.max() > 1 if by_max else ((arr != 0) & (arr != 1)).any():
             bad = arr[(arr != 0) & (arr != 1)].ravel()[0]
             raise ValueError(f"mask data must be binary, found value {bad!r}")
         object.__setattr__(self, "data", _freeze(arr, np.uint8))

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from c2fseg.errors import GeometryError
+from c2fseg.nn import layers
 
 
 def trilinear_oracle(data: np.ndarray, out_dims, step_ratios) -> np.ndarray:
@@ -221,41 +222,45 @@ def maxpool2_argmax_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, n
     return y, gx
 
 
-# The decoder input as two layer pairs, a 2x nearest upsample and then a
-# channel concatenation: the package's code before the two were fused into
-# one buffer. ``upcat_*`` must match this chain byte for byte.
+# The decoder conv as the package ran it before the sub-pixel form: one
+# buffer holding the skip channels and a nearest 2x copy of ``h``, then a
+# 3x3 conv over all of it. ``decoder_conv_*`` must match this chain within
+# a rounding tolerance. The conv itself is the package's ``conv2d_*``, which
+# ``conv3x3_replicate_oracle`` and the finite-difference tests check apart.
 
 
-def upsample2_forward(x: np.ndarray):
-    """2x nearest-neighbour upsampling into one fresh buffer.
-
-    Each input row is written to the even and odd columns of its first output
-    row, which is then copied to the second: no intermediate array, and
-    faster than a broadcast copy with stride-0 inner axes.
-    """
-    b, c, h, w = x.shape
-    y = np.empty((b, c, h, 2, w, 2), dtype=x.dtype)
-    y[:, :, :, 0, :, 0] = x
-    y[:, :, :, 0, :, 1] = x
-    y[:, :, :, 1] = y[:, :, :, 0]
-    return y.reshape(b, c, 2 * h, 2 * w), x.shape
-
-
-def upsample2_backward(cache, gy: np.ndarray):
-    bsz, c, h, w = cache
-    return gy.reshape(bsz, c, h, 2, w, 2).sum(axis=(3, 5))
+def upcat_forward(skip: np.ndarray, h: np.ndarray, name: str = "upcat"):
+    """Decoder input in one fresh buffer: the skip channels, then a nearest 2x copy of ``h``."""
+    b, cs, hs, ws = skip.shape
+    if h.shape[0] != b or (2 * h.shape[2], 2 * h.shape[3]) != (hs, ws):
+        raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
+    y = np.empty((b, cs + h.shape[1], hs, ws), dtype=np.result_type(skip, h))
+    y[:, :cs] = skip
+    up = y[:, cs:]
+    up[:, :, 0::2, 0::2] = h
+    up[:, :, 0::2, 1::2] = h
+    up[:, :, 1::2] = up[:, :, 0::2]
+    return y, cs
 
 
-def concat_forward(a: np.ndarray, b: np.ndarray, name: str = "concat"):
-    """Channel concatenation; spatial dims must agree."""
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise GeometryError(f"{name}: cannot concat shapes {a.shape} and {b.shape}")
-    return np.concatenate([a, b], axis=1), a.shape[1]
+def upcat_backward(cs: int, gy: np.ndarray):
+    """(skip gradient, gradient of ``h`` summed over the four phases)."""
+    g = gy[:, cs:]
+    return gy[:, :cs], g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2] + g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]
 
 
-def concat_backward(cache, gy: np.ndarray):
-    split = cache
-    return gy[:, :split], gy[:, split:]
+def decoder_conv_oracle(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec"):
+    """``upcat_forward``, then ``conv2d_forward`` over the joined tensor: (output, cache)."""
+    x, cs = upcat_forward(skip, h, name)
+    y, conv_cache = layers.conv2d_forward(x, w, b, name)
+    return y, (cs, conv_cache)
+
+
+def decoder_conv_oracle_backward(cache, gy: np.ndarray):
+    """(skip gradient, ``h`` gradient, weight gradient, bias gradient) through the same chain."""
+    cs, conv_cache = cache
+    gx, gw, gb = layers.conv2d_backward(conv_cache, gy)
+    return (*upcat_backward(cs, gx), gw, gb)
 
 
 def relu_mask_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

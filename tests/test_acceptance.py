@@ -163,15 +163,19 @@ def _fd_layer_checks(seed: int) -> float:
     loss = lambda: float((layers.maxpool2_forward(xp)[0] * gy).sum())
     check(layers.maxpool2_backward(cache, gy), loss, xp)
 
-    # decoder input: skip channels, then a 2x nearest upsample
+    # decoder conv: 3x3 over the skip channels and a 2x nearest upsample
     xa = rng.standard_normal((1, 2, 6, 6))
     xu = rng.standard_normal((1, 3, 3, 3))
-    out, cache = layers.upcat_forward(xa, xu)
+    wd = rng.standard_normal((2, 5, 3, 3))
+    bd = rng.standard_normal(2)
+    out, cache = layers.decoder_conv_forward(xa, xu, wd, bd)
     gy = rng.standard_normal(out.shape)
-    loss = lambda: float((layers.upcat_forward(xa, xu)[0] * gy).sum())
-    ga, gu = layers.upcat_backward(cache, gy)
+    loss = lambda: float((layers.decoder_conv_forward(xa, xu, wd, bd)[0] * gy).sum())
+    ga, gu, gw, gb = layers.decoder_conv_backward(cache, gy)
     check(ga, loss, xa)
     check(gu, loss, xu)
+    check(gw, loss, wd)
+    check(gb, loss, bd)
 
     # sigmoid
     xs = rng.standard_normal((1, 2, 3, 3))

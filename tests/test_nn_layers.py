@@ -22,21 +22,24 @@ _TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])
 
 
 @st.composite
-def _upcat_inputs(draw):
-    """(skip, h, gy) for the decoder input; gy is free or constant on each 2x2 window,
-    so windows of four -0.0 are common."""
+def _decoder_inputs(draw):
+    """(skip, h, w, b, gy) for the decoder conv, low-resolution H and W from 1 to 5.
+
+    Hypothesis draws the shapes, the dtype and a seed; the values come from the
+    seed, half of them tie-prone (signed zeros among them), so a failure shrinks fast.
+    No value is subnormal: below the normal range a relative bound does not hold.
+    """
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    bits = 32 if dtype == np.float32 else 64
-    cells = st.one_of(_TIES, st.floats(-1e6, 1e6, width=bits))
-    b, cs, cu, h, w = draw(st.tuples(*(st.integers(1, n) for n in (2, 3, 3, 4, 4))))
-    skip = draw(hnp.arrays(dtype, (b, cs, 2 * h, 2 * w), elements=cells, fill=st.nothing()))
-    low = draw(hnp.arrays(dtype, (b, cu, h, w), elements=cells, fill=st.nothing()))
-    if draw(st.booleans()):
-        gy = draw(hnp.arrays(dtype, (b, cs + cu, 2 * h, 2 * w), elements=cells, fill=st.nothing()))
-    else:
-        gy = draw(hnp.arrays(dtype, (b, cs + cu, h, w), elements=cells, fill=st.nothing()))
-        gy = gy.repeat(2, axis=2).repeat(2, axis=3)
-    return skip, low, gy
+    bsz, cs, cu, cout, h, w = draw(st.tuples(*(st.integers(1, n) for n in (3, 4, 4, 4, 5, 5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
+
+    def arr(shape):
+        free = rng.uniform(-1e3, 1e3, shape)
+        return np.where(rng.random(shape) < 0.5, rng.choice(ties, shape), free).astype(dtype)
+
+    return (arr((bsz, cs, 2 * h, 2 * w)), arr((bsz, cu, h, w)), arr((cout, cs + cu, 3, 3)), arr((cout,)),
+            arr((bsz, cout, 2 * h, 2 * w)))
 
 
 def fd_check_layer(forward, backward, arrays, rng, extra_grad_arrays=()):
@@ -135,48 +138,61 @@ class TestMaxPool:
         assert relative_error(layers.maxpool2_backward(cache, gy), numeric_gradient(loss, x)) < TOL
 
 
-class TestUpcat:
-    def test_forward_repeats(self):
+class TestDecoderConv:
+    # Rounding tolerance relative to what the chain sums: each value is checked
+    # against the same chain run on magnitudes, which is max|y| where nothing cancels.
+    RTOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
+
+    def test_up_centre_tap_repeats_h(self):
         skip = np.full((1, 1, 4, 4), 9.0)
         h = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        y, cs = layers.upcat_forward(skip, h)
-        assert cs == 1 and y.shape == (1, 2, 4, 4)
-        assert (y[0, 0] == 9.0).all()
-        assert y[0, 1, 0].tolist() == [1.0, 1.0, 2.0, 2.0]
-        assert y[0, 1, 3].tolist() == [3.0, 3.0, 4.0, 4.0]
+        w = np.zeros((1, 2, 3, 3))
+        w[0, 1, 1, 1] = 1.0
+        y, _ = layers.decoder_conv_forward(skip, h, w, np.zeros(1))
+        assert y.shape == (1, 1, 4, 4)
+        assert y[0, 0, 0].tolist() == [1.0, 1.0, 2.0, 2.0]
+        assert y[0, 0, 3].tolist() == [3.0, 3.0, 4.0, 4.0]
 
-    def test_skip_roundtrip(self, rng):
+    def test_skip_centre_tap_passes_skip(self, rng):
         skip, h = rng.standard_normal((1, 2, 6, 6)), rng.standard_normal((1, 4, 3, 3))
-        y, cs = layers.upcat_forward(skip, h)
-        assert y.shape == (1, 6, 6, 6)
-        g_skip, g_h = layers.upcat_backward(cs, y)
-        assert np.array_equal(g_skip, skip) and np.array_equal(g_h, 4 * h)
+        w = np.zeros((2, 6, 3, 3))
+        w[[0, 1], [0, 1], 1, 1] = 1.0
+        y, cache = layers.decoder_conv_forward(skip, h, w, np.zeros(2))
+        assert np.array_equal(y, skip)
+        g_skip, g_h, _, _ = layers.decoder_conv_backward(cache, y)
+        assert np.array_equal(g_skip, skip) and not g_h.any()
 
     def test_mismatch_rejected_with_name(self):
         skip = np.zeros((1, 2, 6, 6))
-        for h_shape in [(2, 3, 3, 3), (1, 3, 3, 4), (1, 3, 2, 3), (1, 3, 6, 6)]:
-            with pytest.raises(GeometryError, match="dec1.cat"):
-                layers.upcat_forward(skip, np.zeros(h_shape), name="dec1.cat")
+        for h_shape in [(2, 3, 3, 3), (1, 3, 3, 4), (1, 3, 2, 3), (1, 3, 6, 6), (3, 3, 3)]:
+            with pytest.raises(GeometryError, match="dec1"):
+                layers.decoder_conv_forward(skip, np.zeros(h_shape), np.zeros((2, 5, 3, 3)), np.zeros(2), name="dec1")
+        with pytest.raises(GeometryError, match="dec1"):
+            layers.decoder_conv_forward(skip, np.zeros((1, 4, 3, 3)), np.zeros((2, 5, 3, 3)), np.zeros(2), name="dec1")
 
     def test_gradient(self, rng):
-        skip, h = rng.standard_normal((2, 2, 6, 4)), rng.standard_normal((2, 3, 3, 2))
-        fd_check_layer(layers.upcat_forward, layers.upcat_backward, (skip, h), rng)
+        for low_w in (1, 2):
+            skip, h = rng.standard_normal((2, 2, 6, 2 * low_w)), rng.standard_normal((2, 3, 3, low_w))
+            w, b = rng.standard_normal((3, 5, 3, 3)), rng.standard_normal(3)
+            fd_check_layer(layers.decoder_conv_forward, layers.decoder_conv_backward, (skip, h, w, b), rng)
 
     @settings(max_examples=200, deadline=None)
-    @given(_upcat_inputs())
-    def test_bytes_match_upsample_concat_chain(self, inputs):
-        skip, h, gy = inputs
-        y, cs = layers.upcat_forward(skip, h)
-        up, up_cache = oracles.upsample2_forward(h)
-        y_ref, cat_cache = oracles.concat_forward(skip, up)
-        assert y.dtype == y_ref.dtype and y.shape == y_ref.shape and y.flags.c_contiguous
-        assert y.tobytes() == y_ref.tobytes()
-        assert y.tobytes() == np.concatenate([skip, h.repeat(2, axis=2).repeat(2, axis=3)], axis=1).tobytes()
-        g_skip, g_h = layers.upcat_backward(cs, gy)
-        g_skip_ref, g_up = oracles.concat_backward(cat_cache, gy)
-        g_h_ref = oracles.upsample2_backward(up_cache, g_up)
-        for g, ref in ((g_skip, g_skip_ref), (g_h, g_h_ref)):
-            assert g.dtype == ref.dtype and g.shape == ref.shape and g.tobytes() == ref.tobytes()
+    @given(_decoder_inputs())
+    def test_matches_upcat_conv_oracle(self, inputs):
+        skip, h, w, b, gy = inputs
+        rtol = self.RTOL[skip.dtype]
+        y, cache = layers.decoder_conv_forward(skip, h, w, b)
+        y_ref, ref_cache = oracles.decoder_conv_oracle(skip, h, w, b)
+        mag = [np.abs(a).astype(np.float64) for a in inputs]
+        y_mag, mag_cache = oracles.decoder_conv_oracle(*mag[:4])
+        assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+        assert np.all(np.abs(y - y_ref) <= rtol * y_mag)
+        grads = layers.decoder_conv_backward(cache, gy)
+        refs = oracles.decoder_conv_oracle_backward(ref_cache, gy)
+        bounds = oracles.decoder_conv_oracle_backward(mag_cache, mag[4])
+        for g, ref, bound in zip(grads, refs, bounds):
+            assert g.dtype == ref.dtype and g.shape == ref.shape
+            assert np.all(np.abs(g - ref) <= rtol * bound)
 
 
 class TestSigmoid:

@@ -5,10 +5,12 @@ import pytest
 
 from c2fseg import UNetSpec, unet_backward, unet_forward
 from c2fseg.errors import GeometryError
+from c2fseg.nn import layers
 from c2fseg.nn.models import UNetModel
 from c2fseg.nn.unet import init_weights, parameter_shapes
 from c2fseg.nn.weights import ModelWeights
 from c2fseg.volume import Slice2D
+import oracles
 from oracles import numeric_gradient, relative_error
 
 
@@ -82,6 +84,21 @@ class TestInferenceWithoutCache:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * largest_cols, f"peak {peak / largest_cols:.2f}x the largest im2col buffer"
+
+
+class TestMatchesUpcatConvNet:
+    @pytest.mark.parametrize("dims", [(128, 128), (160, 160), (64, 256)], ids=["128x128", "160x160", "64x256"])
+    def test_float32_probabilities_within_1e_6(self, monkeypatch, dims):
+        # Unit-interval outputs; float32 keeps about 6e-8 of them, and the two
+        # nets sum each decoder conv in a different order.
+        spec = UNetSpec(depth=3, base_channels=8)
+        weights = init_weights(spec, seed=5)
+        x = np.random.default_rng(1).standard_normal((1, 1, *dims)).astype(np.float32)
+        y, _ = unet_forward(spec, weights, x, cache=False)
+        monkeypatch.setattr(layers, "decoder_conv_forward", oracles.decoder_conv_oracle)
+        y_ref, _ = unet_forward(spec, weights, x, cache=False)
+        assert y.dtype == y_ref.dtype == np.float32
+        assert np.abs(y - y_ref).max() <= 1e-6
 
 
 class TestParameterPlan:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -537,6 +538,26 @@ class TestCaseMemory:
             tracemalloc.stop()
         assert res.verdict.verdict == verdict
         assert peak <= 4 * vol.data.nbytes, f"peak {peak / vol.data.nbytes:.2f}x the input"
+
+    def test_working_volume_freed_before_map_backs(self, monkeypatch):
+        vol, _ = generate_phantom(
+            PhantomSpec(seed=11, dims=(16, 40, 40), spacing=Spacing(4.5, 1.2, 1.2),
+                        n_kidneys=1, semi_axes_mm=((9, 12), (6, 8), (4.5, 5.5)))
+        )
+        work, alive = [], []
+
+        def watched(*args, **kwargs):
+            if kwargs.get("mode") == "nearest":
+                alive.append(work[0]() is not None)
+                return resample_volume(*args, **kwargs)
+            out = resample_volume(*args, **kwargs)
+            work.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(c2fseg.pipeline, "resample_volume", watched)
+        res = run_case(vol, oracle_models(), desk_cfg())
+        assert res.verdict.verdict == "Abnormal"
+        assert alive == [False, False, False]
 
 
 def _discs(h, w, centers, r):

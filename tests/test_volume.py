@@ -80,6 +80,24 @@ class TestContainers:
         assert out.data.flags.c_contiguous and np.array_equal(out.data, view)
         assert peak <= 1.3 * view.nbytes, f"peak {peak / view.nbytes:.2f}x the array"  # the copy and isfinite's mask
 
+    def test_uint8_mask_checked_without_a_mask_size_temporary(self):
+        data = np.zeros((40, 50, 60), dtype=np.uint8)
+        data[10:20, 5:30, 7:50] = 1
+        tracemalloc.start()
+        try:
+            m = Mask3D(data, Spacing(1, 1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m.data, data)
+        assert peak < 0.1 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the mask"
+
+    def test_uint8_mask_names_first_value_above_one(self):
+        data = np.zeros((2, 2, 2), dtype=np.uint8)
+        data[0, 1, 0], data[1, 0, 0] = 7, 3
+        with pytest.raises(ValueError, match=r"found value (np\.uint8\()?7\b"):
+            Mask3D(data, Spacing(1, 1, 1))
+
 
 class TestExtractSlices:
     def test_axial_counts_and_geometry(self, rng):
