@@ -13,7 +13,6 @@ from .components import (
     classify,
     component_stats,
     label_components,
-    remove_small,
 )
 from .config import RunConfig, default_config, load_config, parse_config
 from .errors import FormatError, GeometryError, TrainingDivergedError

@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
         return 2
     cases = _load_cases(Path(args.data))
     pairs = _STAGE_PREP[args.stage](cases, cfg.pipeline)
-    if not pairs:
+    if len(pairs) == 0:
         print("error: no training pairs", file=sys.stderr)
         return 2
     print(f"training {args.stage} model on {len(pairs)} slice pairs ...")

@@ -216,12 +216,3 @@ def classify(stats: list[ComponentStats], th_vn: int) -> AbnormalityVerdict:
         kidney_ids=kidney_ids,
     )
 
-
-def remove_small(lm: LabelMap3D, th_vn: int) -> Mask3D:
-    """Keep only components with at least th_vn voxels; returns a binary mask."""
-    if th_vn <= 0:
-        raise ValueError(f"th_vn must be positive, got {th_vn}")
-    counts = np.bincount(lm.data.ravel(), minlength=lm.n_components + 1)
-    keep = counts >= th_vn
-    keep[0] = False
-    return Mask3D(keep[lm.data].astype(np.uint8), lm.spacing)

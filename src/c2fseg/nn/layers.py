@@ -47,8 +47,6 @@ def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
 
 def _col2im(gcols: np.ndarray, x_shape, k: int, pad: int) -> np.ndarray:
     """Adjoint of ``_im2col`` and the replicate pad: (B, C*k*k, H*W) columns -> (B, C, H, W) gradient."""
-    if pad not in (0, 1):
-        raise ValueError("only pad 0 or 1 supported")
     bsz, c, h, w = x_shape
     gcols = gcols.reshape(bsz, c, k, k, h, w)
     gxp = np.zeros((bsz, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
@@ -70,15 +68,15 @@ def _col2im(gcols: np.ndarray, x_shape, k: int, pad: int) -> np.ndarray:
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "conv"):
-    """Same-size convolution, stride 1. Kernel must be 1x1 or 3x3 (square, odd)."""
+    """Same-size convolution, stride 1. Kernel must be 1x1 or 3x3."""
     if x.ndim != 4:
         raise GeometryError(f"{name}: input must be 4D (B, C, H, W), got shape {x.shape}")
     bsz, cin, h, wid = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin_w != cin:
         raise GeometryError(f"{name}: weight expects {cin_w} input channels, input has {cin}")
-    if kh != kw or kh % 2 == 0:
-        raise ValueError(f"{name}: kernel must be square with odd size, got {kh}x{kw}")
+    if (kh, kw) not in ((1, 1), (3, 3)):
+        raise GeometryError(f"{name}: kernel must be 1x1 or 3x3, got {kh}x{kw}")
     if b.shape != (cout,):
         raise GeometryError(f"{name}: bias shape {b.shape} does not match {cout} output channels")
     pad = kh // 2

@@ -1,4 +1,4 @@
-"""Gradient-descent training of the segmentation net on 2D slice pairs."""
+"""Gradient-descent training of the segmentation net on a stack of 2D (image, label) planes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GeometryError, TrainingDivergedError
-from ..volume import Slice2D
 from .loss import dice_loss, dice_loss_grad
 from .unet import UNetSpec, init_weights, unet_backward, unet_forward
 from .weights import ModelWeights
@@ -30,33 +29,27 @@ class FitParams:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
-def _stack_dataset(dataset: list[tuple[Slice2D, Slice2D]]):
-    if not dataset:
+def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWeights, list[float]]:
+    """Minimize the mean per-sample Dice loss by SGD on an (N, 2, H, W) set.
+
+    ``dataset[k, 0]`` is sample k's image and ``dataset[k, 1]`` its 0/1 label,
+    as ``pipeline.prepare_*_set`` build them. Returns the final weights and
+    the per-epoch mean loss trace. The update steps with the batch-mean
+    gradient; the trace reports the epoch mean of the per-sample losses,
+    i.e. the training objective over the N samples.
+    """
+    if not isinstance(dataset, np.ndarray) or dataset.ndim != 4 or dataset.shape[1] != 2:
+        got = dataset.shape if isinstance(dataset, np.ndarray) else type(dataset).__name__
+        raise GeometryError(f"dataset must be an (N, 2, H, W) array of image and label planes, got {got}")
+    n = len(dataset)
+    if n == 0:
         raise ValueError("dataset is empty")
-    dims = dataset[0][0].dims
-    for img, lab in dataset:
-        if img.dims != dims or lab.dims != dims:
-            raise GeometryError(
-                f"dataset slices are not geometry-uniform: found {img.dims}/{lab.dims}, expected {dims}"
-            )
-    x = np.stack([img.data for img, _ in dataset])[:, None, :, :].astype(np.float32)
-    y = np.stack([lab.data for _, lab in dataset])[:, None, :, :].astype(np.float32)
+    data = dataset.astype(np.float32, copy=False)
+    x, y = data[:, :1], data[:, 1:]
+    if not np.isfinite(x).all():
+        raise ValueError("image slices contain non-finite values")
     if ((y != 0) & (y != 1)).any():
         raise ValueError("label slices must be binary")
-    return x, y
-
-
-def fit(
-    spec: UNetSpec, dataset: list[tuple[Slice2D, Slice2D]], hyper: FitParams
-) -> tuple[ModelWeights, list[float]]:
-    """Minimize the mean per-sample Dice loss by SGD.
-
-    Returns the final weights and the per-epoch mean loss trace. The update
-    steps with the batch-mean gradient; the trace reports the epoch mean of
-    the per-sample losses, i.e. the training objective over the N samples.
-    """
-    x, y = _stack_dataset(dataset)
-    n = x.shape[0]
     rng = np.random.default_rng(hyper.seed)
     params = init_weights(spec, seed=int(rng.integers(0, 2**31 - 1)))
     velocity = {k: np.zeros_like(v) for k, v in params.items()} if hyper.momentum else None
@@ -73,7 +66,7 @@ def fit(
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss)
             loss_sum += batch_loss
-            grads = unet_backward(spec, params, cache, dice_loss_grad(probs, yb))
+            grads = unet_backward(spec, cache, dice_loss_grad(probs, yb))
             scale = hyper.lr / len(sel)
             for name, g in grads.items():
                 if velocity is not None:

@@ -5,7 +5,8 @@ conv + ReLU followed by 2x2 max pooling; the bottleneck is one conv; each
 decoder level applies one 3x3 conv + ReLU over the matching encoder feature
 and a 2x nearest upsample of the level below (``layers.decoder_conv_*``,
 which never forms the upsample); a 1x1 conv + sigmoid gives the per-pixel
-probability. Channel widths double per level from B.
+probability. Channel widths double per level from B. The net takes one
+image channel in and gives one probability channel out.
 """
 
 from __future__ import annotations
@@ -22,20 +23,18 @@ from . import layers
 class UNetSpec:
     depth: int = 3
     base_channels: int = 8
-    in_channels: int = 1
-    out_channels: int = 1
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if min(self.base_channels, self.in_channels, self.out_channels) < 1:
-            raise ValueError("channel counts must be positive")
+        if self.base_channels < 1:
+            raise ValueError(f"base_channels must be positive, got {self.base_channels}")
 
 
 def parameter_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
     """Parameter names and shapes in forward-execution order."""
     shapes: dict[str, tuple[int, ...]] = {}
-    cin = spec.in_channels
+    cin = 1
     for i in range(spec.depth):
         cout = spec.base_channels * (2**i)
         shapes[f"enc{i}.w"] = (cout, cin, 3, 3)
@@ -49,8 +48,8 @@ def parameter_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
         up = spec.base_channels * (2 ** (i + 1))
         shapes[f"dec{i}.w"] = (skip, skip + up, 3, 3)
         shapes[f"dec{i}.b"] = (skip,)
-    shapes["head.w"] = (spec.out_channels, spec.base_channels, 1, 1)
-    shapes["head.b"] = (spec.out_channels,)
+    shapes["head.w"] = (1, spec.base_channels, 1, 1)
+    shapes["head.b"] = (1,)
     return shapes
 
 
@@ -91,8 +90,8 @@ def _get_param(weights, name: str, expected_shape, kind: str) -> np.ndarray:
 def _check_input(spec: UNetSpec, x: np.ndarray) -> None:
     if x.ndim != 4:
         raise GeometryError(f"input must be 4D (B, C, H, W), got shape {x.shape}")
-    if x.shape[1] != spec.in_channels:
-        raise GeometryError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
+    if x.shape[1] != 1:
+        raise GeometryError(f"input has {x.shape[1]} channels, the net takes 1")
     h, w = x.shape[2], x.shape[3]
     for i in range(spec.depth):
         if (h >> i) % 2 or (w >> i) % 2:
@@ -147,7 +146,7 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
     return y, ForwardCache(spec=spec, input_shape=x.shape, output_shape=y.shape, entries=entries)
 
 
-def unet_backward(spec: UNetSpec, weights, cache: ForwardCache, grad_output: np.ndarray):
+def unet_backward(spec: UNetSpec, cache: ForwardCache, grad_output: np.ndarray):
     """Backpropagate a gradient on the probabilities to every parameter."""
     if cache.spec != spec:
         raise GeometryError("cache was produced by a different net spec")

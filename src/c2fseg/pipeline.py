@@ -6,6 +6,10 @@ correct it through sagittal patches when abnormal, then predict each kidney
 from a fixed-size axial window around its centroid and merge. The final mask
 is mapped back onto the input's native grid so evaluation is not flattered
 by the working resolution.
+
+Training-set preparation gives each stage one float32 array of shape
+(N, 2, H, W): sample k's image plane in ``[k, 0]`` and its 0/1 label in
+``[k, 1]``, the input ``nn.train.fit`` takes.
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ class CaseResult:
 
 
 Case = tuple[Volume3D, Mask3D]
-SlicePair = tuple[Slice2D, Slice2D]
 
 
 def _planes(stack: Slice2D, k0: int, k1: int) -> Slice2D:
@@ -93,10 +96,10 @@ def _planes(stack: Slice2D, k0: int, k1: int) -> Slice2D:
     return Slice2D(stack.data[k0 : k1 + 1], stack.pixel_spacing)
 
 
-def _pairs(imgs: Slice2D, labs: Slice2D) -> list[SlicePair]:
-    """One (image, label) training pair per plane of two stacks of one shape."""
-    return [(Slice2D(img, imgs.pixel_spacing), Slice2D(lab, labs.pixel_spacing))
-            for img, lab in zip(imgs.data, labs.data)]
+def _training_set(parts: list[tuple[Slice2D, Slice2D]], dims: tuple[int, int]) -> np.ndarray:
+    """One (N, 2, H, W) float32 array of (image stack, label stack) parts, in order; N may be 0."""
+    stacks = [np.stack([img.data, lab.data], axis=1) for img, lab in parts]
+    return np.concatenate([np.empty((0, 2, *dims), dtype=np.float32), *stacks])
 
 
 def _check_case_geometry(vol: Volume3D, label: Mask3D) -> None:
@@ -106,18 +109,18 @@ def _check_case_geometry(vol: Volume3D, label: Mask3D) -> None:
         )
 
 
-def prepare_coarse_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePair]:
-    """Every axial slice resized to the coarse image size, paired with its label.
+def prepare_coarse_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
+    """Every axial slice resized to the coarse image size, stacked with its label.
 
     Background-only slices are retained: they teach the model to stay quiet.
     """
-    pairs: list[SlicePair] = []
+    parts = []
     for vol, label in cases:
         _check_case_geometry(vol, label)
         imgs, _ = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
         labs, _ = resize_slice(extract_slices(label, "axial"), cfg.coarse_dims, mode="nearest")
-        pairs += _pairs(imgs, labs)
-    return pairs
+        parts.append((imgs, labs))
+    return _training_set(parts, cfg.coarse_dims)
 
 
 def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1):
@@ -132,14 +135,14 @@ def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1):
     return out
 
 
-def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePair]:
+def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """Fixed-pixel-size axial patches around each ground-truth kidney.
 
     One window per component, centred at the component's 3D centroid
     projected to (row, col), applied over the component's slice range.
     Cases without foreground are skipped with a warning.
     """
-    pairs: list[SlicePair] = []
+    parts = []
     for case_idx, (vol, label) in enumerate(cases):
         _check_case_geometry(vol, label)
         windows = _component_windows(label, cfg)
@@ -150,8 +153,8 @@ def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePair]:
         for center, z0, z1 in windows:
             pi, _ = crop_patch(_planes(imgs, z0, z1), center, cfg.fine_dims)
             pl, _ = crop_patch(_planes(labs, z0, z1), center, cfg.fine_dims)
-            pairs += _pairs(pi, pl)
-    return pairs
+            parts.append((pi, pl))
+    return _training_set(parts, cfg.fine_dims)
 
 
 def _global_centroid(mask_data: np.ndarray) -> tuple[float, float, float] | None:
@@ -161,9 +164,9 @@ def _global_centroid(mask_data: np.ndarray) -> tuple[float, float, float] | None
     return tuple(float(c.mean()) for c in coords)
 
 
-def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePair]:
+def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """Sagittal patches around the global foreground centroid's (depth, row)."""
-    pairs: list[SlicePair] = []
+    parts = []
     for case_idx, (vol, label) in enumerate(cases):
         _check_case_geometry(vol, label)
         centroid = _global_centroid(label.data)
@@ -173,8 +176,8 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> list[SlicePa
         center = (int(round(centroid[0])), int(round(centroid[1])))
         pi, _ = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
         pl, _ = crop_patch(extract_slices(label, "sagittal"), center, cfg.abnormal_dims)
-        pairs += _pairs(pi, pl)
-    return pairs
+        parts.append((pi, pl))
+    return _training_set(parts, cfg.abnormal_dims)
 
 
 def _predict(model: SegmentationModel, stack: Slice2D, stage: str) -> Slice2D:

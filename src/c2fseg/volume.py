@@ -92,7 +92,7 @@ class Mask3D:
         by_max = arr.dtype in (np.uint8, np.bool_)  # binary iff max <= 1: a reduction, no mask-size temporary
         if arr.max() > 1 if by_max else ((arr != 0) & (arr != 1)).any():
             bad = arr[(arr != 0) & (arr != 1)].ravel()[0]
-            raise ValueError(f"mask data must be binary, found value {bad!r}")
+            raise ValueError(f"mask data must be binary, found value {bad}")
         object.__setattr__(self, "data", _freeze(arr, np.uint8))
 
     @property

@@ -88,7 +88,7 @@ class TestTrain:
             "train", "--stage", "coarse", "--data", str(tmp_path / "empty"),
             "--config", str(desk_config), "--out", str(tmp_path / "w.c2fw"),
         ])
-        assert code != 0
+        assert code == 2
         assert "no training pairs" in capsys.readouterr().err
 
     def test_trains_and_saves(self, tmp_path, desk_config, capsys):

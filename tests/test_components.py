@@ -13,7 +13,6 @@ from c2fseg import (
     classify,
     component_stats,
     label_components,
-    remove_small,
 )
 from data import random_mask_data
 from oracles import flood_fill_labels, labelings_equivalent
@@ -221,37 +220,3 @@ class TestClassify:
         assert a.verdict == b.verdict
         assert set(a.kidney_ids) == set(b.kidney_ids)
 
-
-class TestRemoveSmall:
-    def test_keeps_only_large(self):
-        m = np.zeros((4, 10, 10))
-        m[0:3, 0:8, 0:5] = 1  # 120 voxels
-        m[3, 9, 9] = 1  # 1 voxel
-        out = remove_small(label_components(mask_of(m)), 50)
-        assert out.foreground_count() == 120
-        assert out.data[3, 9, 9] == 0
-
-    def test_all_below_threshold_gives_empty(self):
-        m = np.zeros((3, 3, 3))
-        m[0, 0, 0] = 1
-        out = remove_small(label_components(mask_of(m)), 10)
-        assert out.foreground_count() == 0
-
-    def test_agrees_with_oracle_filter(self, rng):
-        for _ in range(10):
-            data = random_mask_data(rng, (8, 8, 8), p=0.35)
-            th = int(rng.integers(1, 12))
-            got = remove_small(label_components(mask_of(data)), th)
-            labels = flood_fill_labels(data, 26)
-            counts = np.bincount(labels.ravel())
-            expected = np.zeros_like(data)
-            for lab in range(1, labels.max() + 1):
-                if counts[lab] >= th:
-                    expected[labels == lab] = 1
-            assert np.array_equal(got.data, expected)
-
-    def test_idempotent(self, rng):
-        data = random_mask_data(rng, (8, 8, 8), p=0.4)
-        once = remove_small(label_components(mask_of(data)), 5)
-        twice = remove_small(label_components(once), 5)
-        assert np.array_equal(once.data, twice.data)

@@ -105,6 +105,12 @@ class TestConv2d:
         with pytest.raises(GeometryError, match="enc0"):
             layers.conv2d_forward(x, w, np.zeros(3), name="enc0")
 
+    def test_5x5_kernel_rejected_at_the_forward(self, rng):
+        # the backward's col2im folds only a pad of 0 or 1, so a 5x5 must not get past the forward
+        x = rng.standard_normal((1, 1, 6, 6))
+        with pytest.raises(GeometryError, match="1x1 or 3x3, got 5x5"):
+            layers.conv2d_forward(x, rng.standard_normal((1, 1, 5, 5)), np.zeros(1))
+
 
 class TestReLU:
     def test_forward(self):

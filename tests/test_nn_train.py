@@ -17,7 +17,7 @@ from c2fseg.volume import extract_slices
 
 
 def phantom_slice_pairs(n=10, dims=(32, 32), seed=5):
-    """n axial slice pairs from a noisy phantom, resized to a small square."""
+    """(N, 2, *dims) training set: up to n axial slices of a noisy phantom and their labels, resized."""
     vol, mask = generate_phantom(
         PhantomSpec(
             dims=(12, 48, 48),
@@ -30,12 +30,9 @@ def phantom_slice_pairs(n=10, dims=(32, 32), seed=5):
     )
     picks = sorted(set(int(round(k)) for k in np.linspace(0, 11, n)))
     imgs, labs = extract_slices(vol, "axial"), extract_slices(mask, "axial")
-    pairs = []
-    for k in picks:
-        ri, _ = resize_slice(Slice2D(imgs.data[k], imgs.pixel_spacing), dims, mode="bilinear")
-        rl, _ = resize_slice(Slice2D(labs.data[k], labs.pixel_spacing), dims, mode="nearest")
-        pairs.append((ri, rl))
-    return pairs
+    ri, _ = resize_slice(Slice2D(imgs.data[picks], imgs.pixel_spacing), dims, mode="bilinear")
+    rl, _ = resize_slice(Slice2D(labs.data[picks], labs.pixel_spacing), dims, mode="nearest")
+    return np.stack([ri.data, rl.data], axis=1)
 
 
 class TestFit:
@@ -66,13 +63,29 @@ class TestFit:
         assert trace[-1] < 0.2
 
     def test_empty_dataset_rejected(self):
+        empty = np.zeros((0, 2, 8, 8), dtype=np.float32)
         with pytest.raises(ValueError, match="empty"):
-            fit(UNetSpec(depth=1, base_channels=2), [], FitParams(lr=0.1, epochs=1, batch=1, seed=0))
+            fit(UNetSpec(depth=1, base_channels=2), empty, FitParams(lr=0.1, epochs=1, batch=1, seed=0))
 
-    def test_mixed_geometry_rejected(self):
-        pairs = phantom_slice_pairs(2, dims=(16, 16)) + phantom_slice_pairs(2, dims=(32, 32))
-        with pytest.raises(GeometryError, match="uniform"):
-            fit(UNetSpec(depth=1, base_channels=2), pairs, FitParams(lr=0.1, epochs=1, batch=2, seed=0))
+    def test_wrong_shape_rejected(self):
+        data = phantom_slice_pairs(2, dims=(16, 16))
+        old_pair_list = [(Slice2D(img, (1, 1)), Slice2D(lab, (1, 1))) for img, lab in data]
+        for bad in (old_pair_list, data[:, :1], data[:, 0], np.concatenate([data, data], axis=1)):
+            with pytest.raises(GeometryError, match=r"\(N, 2, H, W\)"):
+                fit(UNetSpec(depth=1, base_channels=2), bad, FitParams(lr=0.1, epochs=1, batch=2, seed=0))
+
+    def test_non_binary_label_rejected(self):
+        data = phantom_slice_pairs(2, dims=(16, 16))
+        data[1, 1, 3, 4] = 0.5
+        with pytest.raises(ValueError, match="label slices must be binary"):
+            fit(UNetSpec(depth=1, base_channels=2), data, FitParams(lr=0.1, epochs=1, batch=2, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        data = phantom_slice_pairs(2, dims=(16, 16))
+        data[0, 0, 5, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(UNetSpec(depth=1, base_channels=2), data, FitParams(lr=0.1, epochs=1, batch=2, seed=0))
 
     def test_divergence_aborts_with_epoch(self, monkeypatch):
         pairs = phantom_slice_pairs(2)

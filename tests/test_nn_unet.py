@@ -133,7 +133,7 @@ class TestBackward:
         x = rng.standard_normal((1, 1, 8, 8))
         y, cache = unet_forward(spec, params, x)
         gy = rng.standard_normal(y.shape)
-        grads = unet_backward(spec, params, cache, gy)
+        grads = unet_backward(spec, cache, gy)
         assert set(grads) == set(params)
         for name in params:
             num = numeric_gradient(lambda: float((unet_forward(spec, params, x)[0] * gy).sum()), params[name])
@@ -143,7 +143,7 @@ class TestBackward:
         spec = UNetSpec(depth=1, base_channels=2)
         params = params64(spec)
         y, cache = unet_forward(spec, params, rng.standard_normal((1, 1, 8, 8)))
-        grads = unet_backward(spec, params, cache, np.zeros_like(y))
+        grads = unet_backward(spec, cache, np.zeros_like(y))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_mismatched_cache_rejected(self, rng):
@@ -152,11 +152,11 @@ class TestBackward:
         params = params64(spec)
         y, cache = unet_forward(spec, params, rng.standard_normal((1, 1, 8, 8)))
         with pytest.raises(GeometryError, match="spec"):
-            unet_backward(other, params64(other), cache, np.zeros_like(y))
+            unet_backward(other, cache, np.zeros_like(y))
 
     def test_mismatched_grad_shape_rejected(self, rng):
         spec = UNetSpec(depth=1, base_channels=2)
         params = params64(spec)
         _, cache = unet_forward(spec, params, rng.standard_normal((1, 1, 8, 8)))
         with pytest.raises(GeometryError, match="grad_output"):
-            unet_backward(spec, params, cache, np.zeros((1, 1, 4, 4)))
+            unet_backward(spec, cache, np.zeros((1, 1, 4, 4)))

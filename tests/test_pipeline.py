@@ -38,7 +38,15 @@ from c2fseg.nn.models import UNetModel
 from c2fseg.nn.unet import UNetSpec, parameter_shapes
 from c2fseg.nn.weights import ModelWeights
 from c2fseg.pipeline import _component_windows
-from oracles import brute_centroid, full_frame_sagittal_oracle, pad_then_crop_oracle
+from oracles import (
+    abnormal_pairs_oracle,
+    brute_centroid,
+    coarse_pairs_oracle,
+    fine_pairs_oracle,
+    full_frame_sagittal_oracle,
+    pad_then_crop_oracle,
+    stack_pairs,
+)
 
 SP = Spacing(3.0, 0.7816, 0.7816)
 
@@ -89,21 +97,60 @@ def phantom():
     return generate_phantom(PhantomSpec(seed=7, **PHANTOM_KW))
 
 
+def edge_kidney_case():
+    """A kidney hugging the left width edge, so its windows need boundary padding."""
+    data = np.zeros((6, 16, 16), dtype=np.uint8)
+    data[2:4, 6:10, 0:3] = 1
+    return Volume3D(data.astype(np.float32), SP), Mask3D(data, SP)
+
+
+def empty_case():
+    return Volume3D(np.zeros((4, 8, 8), dtype=np.float32), SP), Mask3D(np.zeros((4, 8, 8), dtype=np.uint8), SP)
+
+
+TRAINING_CASES = {
+    "two_kidneys": lambda: generate_phantom(PhantomSpec(seed=7, **PHANTOM_KW)),
+    "one_kidney": lambda: generate_phantom(PhantomSpec(seed=3, **{**PHANTOM_KW, "n_kidneys": 1})),
+    "edge_padded": edge_kidney_case,
+    "no_foreground": empty_case,
+}
+PREPARE_ORACLES = [
+    (prepare_coarse_set, coarse_pairs_oracle, "coarse_dims"),
+    (prepare_fine_set, fine_pairs_oracle, "fine_dims"),
+    (prepare_abnormal_set, abnormal_pairs_oracle, "abnormal_dims"),
+]
+
+
+class TestTrainingSetBytes:
+    """Each stage's (N, 2, H, W) set holds the bytes of the per-plane pairs, stacked."""
+
+    @pytest.mark.parametrize("prepare, oracle, dims", PREPARE_ORACLES, ids=["coarse", "fine", "abnormal"])
+    @pytest.mark.parametrize("which", [*TRAINING_CASES, "all_four"])
+    def test_matches_stacked_per_plane_pairs(self, prepare, oracle, dims, which):
+        names = list(TRAINING_CASES) if which == "all_four" else [which]
+        cases = [TRAINING_CASES[n]() for n in names]
+        cfg = desk_cfg()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the skipped no-foreground case warns
+            got = prepare(cases, cfg)
+        expected = stack_pairs(oracle(cases, cfg), getattr(cfg, dims))
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestPrepareCoarseSet:
     def test_pair_count_and_dims(self, phantom):
-        pairs = prepare_coarse_set([phantom], desk_cfg())
-        assert len(pairs) == 24  # one pair per axial slice
-        assert all(img.dims == (32, 32) and lab.dims == (32, 32) for img, lab in pairs)
+        data = prepare_coarse_set([phantom], desk_cfg())
+        assert data.shape == (24, 2, 32, 32)  # one sample per axial slice
+        assert data.dtype == np.float32
 
     def test_labels_stay_binary(self, phantom):
-        pairs = prepare_coarse_set([phantom], desk_cfg())
-        for _, lab in pairs:
-            assert set(np.unique(lab.data)).issubset({0.0, 1.0})
+        data = prepare_coarse_set([phantom], desk_cfg())
+        assert set(np.unique(data[:, 1])).issubset({0.0, 1.0})
 
     def test_background_only_slices_retained(self, phantom):
-        pairs = prepare_coarse_set([phantom], desk_cfg())
-        empties = [lab for _, lab in pairs if lab.data.sum() == 0]
-        assert empties  # phantom kidneys never span all slices
+        data = prepare_coarse_set([phantom], desk_cfg())
+        assert (data[:, 1].sum(axis=(1, 2)) == 0).any()  # phantom kidneys never span all slices
 
     def test_geometry_mismatch_rejected(self, phantom):
         vol, _ = phantom
@@ -152,9 +199,8 @@ class TestPrepareFineSet:
         for st in stats:
             zz = np.nonzero((lm.data == st.id).any(axis=(1, 2)))[0]
             expected += int(zz[-1] - zz[0] + 1)
-        pairs = prepare_fine_set([phantom], desk_cfg())
-        assert len(pairs) == expected
-        assert all(img.dims == (32, 32) for img, _ in pairs)
+        data = prepare_fine_set([phantom], desk_cfg())
+        assert data.shape == (expected, 2, 32, 32)
 
     def test_patch_centers_match_brute_centroid(self, phantom):
         vol, gt = phantom
@@ -164,42 +210,31 @@ class TestPrepareFineSet:
             comp = (lm.data == st.id).astype(np.uint8)
             oracle = brute_centroid(comp)
             assert st.centroid == pytest.approx(oracle)
-        pairs = prepare_fine_set([phantom], cfg)
+        data = prepare_fine_set([phantom], cfg)
         # every label patch contains foreground near its centre for mid-kidney slices
-        mids = [lab for _, lab in pairs if lab.data.sum() > 0]
-        assert mids
+        assert data[:, 1].any()
 
     def test_edge_kidney_patches_zero_padded(self):
-        # kidney hugging the left width edge forces boundary padding
-        data = np.zeros((6, 16, 16), dtype=np.uint8)
-        data[2:4, 6:10, 0:3] = 1
-        gt = Mask3D(data, SP)
-        vol = Volume3D(data.astype(np.float32), SP)
         cfg = desk_cfg(fine_dims=(12, 12), th_vn=1)
-        pairs = prepare_fine_set([(vol, gt)], cfg)
-        assert pairs
-        img0 = pairs[0][0]
-        assert img0.dims == (12, 12)
-        assert np.all(img0.data[:, :4] == 0)  # padded region left of the volume
+        data = prepare_fine_set([edge_kidney_case()], cfg)
+        assert data.shape == (2, 2, 12, 12)
+        assert np.all(data[0, 0, :, :4] == 0)  # padded region left of the volume
 
     def test_no_foreground_case_skipped_with_warning(self):
-        vol = Volume3D(np.zeros((4, 8, 8), dtype=np.float32), SP)
-        gt = Mask3D(np.zeros((4, 8, 8), dtype=np.uint8), SP)
         with pytest.warns(UserWarning, match="no foreground"):
-            pairs = prepare_fine_set([(vol, gt)], desk_cfg())
-        assert pairs == []
+            data = prepare_fine_set([empty_case()], desk_cfg())
+        assert data.shape == (0, 2, 32, 32) and data.dtype == np.float32
 
 
 class TestPrepareAbnormalSet:
     def test_sagittal_slice_count_and_dims(self, phantom):
-        pairs = prepare_abnormal_set([phantom], desk_cfg())
-        assert len(pairs) == 48  # one per sagittal slice (volume width)
-        assert all(img.dims == (16, 32) for img, _ in pairs)
+        data = prepare_abnormal_set([phantom], desk_cfg())
+        assert data.shape == (48, 2, 16, 32)  # one per sagittal slice (volume width)
         vol, gt = phantom
         center = tuple(int(round(x)) for x in brute_centroid(gt.data)[:2])
-        for k, (img, lab) in enumerate(pairs):
-            assert np.array_equal(img.data, pad_then_crop_oracle(vol.data[:, :, k], center, (16, 32)))
-            assert np.array_equal(lab.data, pad_then_crop_oracle(gt.data[:, :, k], center, (16, 32)))
+        for k, (img, lab) in enumerate(data):
+            assert np.array_equal(img, pad_then_crop_oracle(vol.data[:, :, k], center, (16, 32)))
+            assert np.array_equal(lab, pad_then_crop_oracle(gt.data[:, :, k], center, (16, 32)))
 
     def test_physical_extent_of_default_window(self):
         # the production window spans 64 x 3 mm deep and 256 x 0.7816 mm high
@@ -211,8 +246,8 @@ class TestPrepareAbnormalSet:
 
     def test_single_kidney_case_still_yields_patches(self):
         vol, gt = generate_phantom(PhantomSpec(seed=3, **{**PHANTOM_KW, "n_kidneys": 1}))
-        pairs = prepare_abnormal_set([(vol, gt)], desk_cfg())
-        assert len(pairs) == 48
+        data = prepare_abnormal_set([(vol, gt)], desk_cfg())
+        assert data.shape == (48, 2, 16, 32)
 
 
 class TestPredictCoarse:

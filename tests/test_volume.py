@@ -45,7 +45,7 @@ class TestContainers:
     def test_mask_rejects_nonbinary(self, bad):
         data = np.zeros((2, 2, 2))
         data[1, 1, 1] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"found value {float(bad)}$"):
             Mask3D(data, Spacing(1, 1, 1))
 
     def test_immutability(self, rng):
@@ -95,7 +95,7 @@ class TestContainers:
     def test_uint8_mask_names_first_value_above_one(self):
         data = np.zeros((2, 2, 2), dtype=np.uint8)
         data[0, 1, 0], data[1, 0, 0] = 7, 3
-        with pytest.raises(ValueError, match=r"found value (np\.uint8\()?7\b"):
+        with pytest.raises(ValueError, match=r"found value 7\b"):
             Mask3D(data, Spacing(1, 1, 1))
 
 
