@@ -55,7 +55,6 @@ from .pipeline import (
 )
 from .volume import (
     Mask3D,
-    Slice2D,
     Spacing,
     Volume3D,
     binarize,

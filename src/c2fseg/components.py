@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Mask3D, Spacing, voxel_volume_ml
+from .volume import Mask3D, Spacing, _freeze, voxel_volume_ml
 
 Connectivity = int  # 6 or 26
 
@@ -43,12 +43,10 @@ class LabelMap3D:
     n_components: int
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int32)
+        arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise ValueError(f"label map must be 3D, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _freeze(arr, np.int32))
 
     @property
     def dims(self) -> tuple[int, int, int]:

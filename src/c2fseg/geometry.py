@@ -31,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GeometryError
-from .volume import AnyVolume, Mask3D, Slice2D, Spacing, Volume3D
+from .volume import AnyVolume, Mask3D, Spacing, Volume3D
 
 InterpMode = Literal["trilinear", "nearest"]
 ResizeMode = Literal["bilinear", "nearest"]
@@ -43,7 +43,6 @@ class ResizeRecord:
 
     original_dims: tuple[int, int]
     target_dims: tuple[int, int]
-    original_pixel_spacing: tuple[float, float]
 
     def __post_init__(self):
         if min(self.original_dims) < 1 or min(self.target_dims) < 1:
@@ -185,60 +184,61 @@ def resample_volume(
     return Volume3D(out, target)
 
 
+def _slice_array(s) -> np.ndarray:
+    """``s`` as an array, if it is a non-empty (H, W) plane or (N, H, W) stack."""
+    arr = np.asarray(s)
+    if arr.ndim not in (2, 3) or arr.size == 0:
+        raise GeometryError(f"slice data must be a non-empty 2D plane or 3D stack, got shape {arr.shape}")
+    return arr
+
+
 def resize_slice(
-    s: Slice2D, target_dims: tuple[int, int], mode: ResizeMode = "bilinear"
-) -> tuple[Slice2D, ResizeRecord]:
-    """Resize a slice or stack to a fixed image size; pixel size rescales by the dim ratio.
+    s: np.ndarray, target_dims: tuple[int, int], mode: ResizeMode = "bilinear"
+) -> tuple[np.ndarray, ResizeRecord]:
+    """Resize a plane or stack to a fixed image size.
 
     Use ``mode="nearest"`` for label slices so they stay binary.
     """
+    s = _slice_array(s)
     if mode not in ("bilinear", "nearest"):
         raise ValueError(f"unknown resize mode {mode!r}")
     tr, tc = int(target_dims[0]), int(target_dims[1])
     if tr < 1 or tc < 1:
         raise ValueError(f"target dims must be positive, got {target_dims}")
-    rec = ResizeRecord(s.dims, (tr, tc), s.pixel_spacing)
-    new_spacing = (
-        s.pixel_spacing[0] * s.dims[0] / tr,
-        s.pixel_spacing[1] * s.dims[1] / tc,
-    )
-    if (tr, tc) == s.dims:
-        return Slice2D(s.data, s.pixel_spacing), rec
-    ratios = (s.dims[0] / tr, s.dims[1] / tc)
-    out = _resample_axes(s.data, (tr, tc), ratios, linear=(mode == "bilinear"))
-    return Slice2D(out, new_spacing), rec
+    rec = ResizeRecord(s.shape[-2:], (tr, tc))
+    if (tr, tc) == s.shape[-2:]:
+        return s, rec
+    ratios = (s.shape[-2] / tr, s.shape[-1] / tc)
+    return _resample_axes(s, (tr, tc), ratios, linear=(mode == "bilinear")), rec
 
 
-def unresize(p: Slice2D, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> Slice2D:
+def unresize(p: np.ndarray, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> np.ndarray:
     """Invert a resize: map a prediction back to the recorded original size."""
+    p = _slice_array(p)
     if mode not in ("bilinear", "nearest"):
         raise ValueError(f"unknown resize mode {mode!r}")
-    if p.dims != rec.target_dims:
+    if p.shape[-2:] != rec.target_dims:
         raise GeometryError(
-            f"prediction dims {p.dims} do not match resize record target {rec.target_dims}"
+            f"prediction dims {p.shape[-2:]} do not match resize record target {rec.target_dims}"
         )
     if rec.original_dims == rec.target_dims:
-        return Slice2D(p.data, rec.original_pixel_spacing)
+        return p
     ratios = (
         rec.target_dims[0] / rec.original_dims[0],
         rec.target_dims[1] / rec.original_dims[1],
     )
-    out = _resample_axes(p.data, rec.original_dims, ratios, linear=(mode == "bilinear"))
-    return Slice2D(out, rec.original_pixel_spacing)
+    return _resample_axes(p, rec.original_dims, ratios, linear=(mode == "bilinear"))
 
 
 def crop_patch(
-    s: Slice2D, center: tuple[int, int], patch_dims: tuple[int, int]
-) -> tuple[Slice2D, CropRecord]:
-    """Cut a fixed-size window centred on a pixel of every plane; out-of-bounds area is zero.
-
-    Pixel spacing is deliberately left unchanged (fixed physical pixel size
-    is the point of this transform).
-    """
-    rows, cols = s.dims
+    s: np.ndarray, center: tuple[int, int], patch_dims: tuple[int, int]
+) -> tuple[np.ndarray, CropRecord]:
+    """Cut a fixed-size float32 window centred on a pixel of every plane; out-of-bounds area is zero."""
+    s = _slice_array(s)
+    rows, cols = s.shape[-2:]
     cr, cc = int(center[0]), int(center[1])
     if not (0 <= cr < rows and 0 <= cc < cols):
-        raise GeometryError(f"center {center} outside source dims {s.dims}")
+        raise GeometryError(f"center {center} outside source dims {(rows, cols)}")
     pr, pc = int(patch_dims[0]), int(patch_dims[1])
     if pr < 1 or pc < 1:
         raise ValueError(f"patch dims must be positive, got {patch_dims}")
@@ -250,28 +250,25 @@ def crop_patch(
     bottom = max(0, r0 + pr - rows)
     right = max(0, c0 + pc - cols)
 
-    patch = np.zeros(s.data.shape[:-2] + (pr, pc), dtype=np.float32)
-    inside = s.data[..., r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right]
-    patch[..., top : pr - bottom, left : pc - right] = inside
-
-    rec = CropRecord((cr, cc), (pr, pc), (rows, cols), (top, bottom, left, right))
-    return Slice2D(patch, s.pixel_spacing), rec
+    patch = np.zeros(s.shape[:-2] + (pr, pc), dtype=np.float32)
+    patch[..., top : pr - bottom, left : pc - right] = s[..., r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right]
+    return patch, CropRecord((cr, cc), (pr, pc), (rows, cols), (top, bottom, left, right))
 
 
-def uncrop_patch(p: Slice2D, rec: CropRecord) -> Slice2D:
-    """Invert a crop: place patch values back, zero everywhere else.
+def uncrop_patch(p: np.ndarray, rec: CropRecord) -> np.ndarray:
+    """Invert a crop: place patch values back into a float32 frame, zero everywhere else.
 
     Patch pixels that were boundary padding are discarded.
     """
-    if p.dims != rec.patch_dims:
+    p = _slice_array(p)
+    if p.shape[-2:] != rec.patch_dims:
         raise GeometryError(
-            f"patch dims {p.dims} do not match crop record patch dims {rec.patch_dims}"
+            f"patch dims {p.shape[-2:]} do not match crop record patch dims {rec.patch_dims}"
         )
     pr, pc = rec.patch_dims
     top, bottom, left, right = rec.pad
     r0 = rec.center[0] - pr // 2
     c0 = rec.center[1] - pc // 2
-    out = np.zeros(p.data.shape[:-2] + tuple(rec.source_dims), dtype=np.float32)
-    inside = p.data[..., top : pr - bottom, left : pc - right]
-    out[..., r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right] = inside
-    return Slice2D(out, p.pixel_spacing)
+    out = np.zeros(p.shape[:-2] + tuple(rec.source_dims), dtype=np.float32)
+    out[..., r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right] = p[..., top : pr - bottom, left : pc - right]
+    return out

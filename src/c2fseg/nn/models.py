@@ -1,9 +1,9 @@
 """Pluggable per-slice segmentation models.
 
-Anything with ``predict(Slice2D)`` returning a float array of the slice's
-dims, with values in [0, 1], plugs into the pipeline, which checks each
-output. ThresholdModel is an analytic stand-in so the pipeline can be
-exercised (and tested exactly) without any training.
+Anything with ``predict(plane)`` that takes one read-only float32 (H, W)
+array and returns probabilities in [0, 1] of its shape plugs into the
+pipeline, which checks each output. ThresholdModel is an analytic stand-in
+so the pipeline can be exercised (and tested exactly) without any training.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..volume import Slice2D
 from .unet import UNetSpec, unet_forward
 from .weights import ModelWeights
 
 
 @runtime_checkable
 class SegmentationModel(Protocol):
-    def predict(self, s: Slice2D) -> np.ndarray: ...
+    def predict(self, plane: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,8 @@ class ThresholdModel:
 
     level: float
 
-    def predict(self, s: Slice2D) -> np.ndarray:
-        return (s.data >= self.level).astype(np.float32)
+    def predict(self, plane: np.ndarray) -> np.ndarray:
+        return (plane >= self.level).astype(np.float32)
 
 
 class UNetModel:
@@ -43,7 +42,7 @@ class UNetModel:
         self.spec = spec
         self.weights = weights
 
-    def predict(self, s: Slice2D) -> np.ndarray:
-        x = s.data[None, None, :, :].astype(np.float32)
+    def predict(self, plane: np.ndarray) -> np.ndarray:
+        x = plane[None, None, :, :].astype(np.float32)
         probs, _ = unet_forward(self.spec, self.weights, x, cache=False)
         return probs[0, 0]

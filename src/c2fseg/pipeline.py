@@ -32,7 +32,6 @@ from .geometry import crop_patch, resample_volume, resize_slice, uncrop_patch, u
 from .nn.models import SegmentationModel
 from .volume import (
     Mask3D,
-    Slice2D,
     Spacing,
     Volume3D,
     binarize,
@@ -91,14 +90,9 @@ class CaseResult:
 Case = tuple[Volume3D, Mask3D]
 
 
-def _planes(stack: Slice2D, k0: int, k1: int) -> Slice2D:
-    """Planes ``k0`` to ``k1`` (inclusive) of a stack."""
-    return Slice2D(stack.data[k0 : k1 + 1], stack.pixel_spacing)
-
-
-def _training_set(parts: list[tuple[Slice2D, Slice2D]], dims: tuple[int, int]) -> np.ndarray:
+def _training_set(parts: list[tuple[np.ndarray, np.ndarray]], dims: tuple[int, int]) -> np.ndarray:
     """One (N, 2, H, W) float32 array of (image stack, label stack) parts, in order; N may be 0."""
-    stacks = [np.stack([img.data, lab.data], axis=1) for img, lab in parts]
+    stacks = [np.stack([img, lab], axis=1) for img, lab in parts]
     return np.concatenate([np.empty((0, 2, *dims), dtype=np.float32), *stacks])
 
 
@@ -151,8 +145,8 @@ def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
             continue
         imgs, labs = extract_slices(vol, "axial"), extract_slices(label, "axial")
         for center, z0, z1 in windows:
-            pi, _ = crop_patch(_planes(imgs, z0, z1), center, cfg.fine_dims)
-            pl, _ = crop_patch(_planes(labs, z0, z1), center, cfg.fine_dims)
+            pi, _ = crop_patch(imgs[z0 : z1 + 1], center, cfg.fine_dims)
+            pl, _ = crop_patch(labs[z0 : z1 + 1], center, cfg.fine_dims)
             parts.append((pi, pl))
     return _training_set(parts, cfg.fine_dims)
 
@@ -180,17 +174,22 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     return _training_set(parts, cfg.abnormal_dims)
 
 
-def _predict(model: SegmentationModel, stack: Slice2D, stage: str) -> Slice2D:
-    """Run one stage's model on each plane of a stack; the one place model output is checked."""
-    out = np.empty(stack.data.shape, dtype=np.float32)
-    for k, plane in enumerate(stack.data):
-        p = np.asarray(model.predict(Slice2D(plane, stack.pixel_spacing)), dtype=np.float32)
-        if p.shape != stack.dims:
-            raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {stack.dims}")
+def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndarray:
+    """Run one stage's model on each plane of a stack; the one place model output is checked.
+
+    Each model gets a read-only float32 (H, W) view of one plane.
+    """
+    planes = np.asarray(stack, dtype=np.float32).view()
+    planes.flags.writeable = False
+    out = np.empty(planes.shape, dtype=np.float32)
+    for k, plane in enumerate(planes):
+        p = np.asarray(model.predict(plane), dtype=np.float32)
+        if p.shape != plane.shape:
+            raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {plane.shape}")
         if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
             raise ValueError(f"{stage} model returned values that are not probabilities in [0, 1]")
         out[k] = p
-    return Slice2D(out, stack.pixel_spacing)
+    return out
 
 
 _FLAGS: ContextVar[list[str] | None] = ContextVar("c2fseg_flags", default=None)
@@ -218,17 +217,15 @@ def _sagittal_correction(
 ) -> np.ndarray:
     """The abnormal model's uint8 mask over the sagittal window at (depth, row) ``center``.
 
-    The window is cropped from a view of the volume, and only its in-volume
-    part is thresholded back: the zero padding is below any threshold in
-    (0, 1), so the rest of the mask stays 0.
+    The window is cropped from the sagittal view of the volume, and only its
+    in-volume part is thresholded back: the zero padding is below any
+    threshold in (0, 1), so the rest of the mask stays 0.
     """
     (pr, pc), (nd, nh, _) = cfg.abnormal_dims, vol.dims
     r0, c0 = center[0] - pr // 2, center[1] - pc // 2
     d0, d1, h0, h1 = max(0, r0), min(nd, r0 + pr), max(0, c0), min(nh, c0 + pc)
-    inside = Slice2D(vol.data[d0:d1, h0:h1].transpose(2, 0, 1), (vol.spacing.d, vol.spacing.h))
-    patch, _ = crop_patch(inside, (center[0] - d0, center[1] - h0), cfg.abnormal_dims)
-    del inside  # a copy of the window; freed before the forwards
-    probs = _predict(model, patch, "abnormal").data[:, d0 - r0 : d1 - r0, h0 - c0 : h1 - c0]
+    patch, _ = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
+    probs = _predict(model, patch, "abnormal")[:, d0 - r0 : d1 - r0, h0 - c0 : h1 - c0]
     out = np.zeros(vol.dims, dtype=np.uint8)
     out[d0:d1, h0:h1] = (probs >= cfg.prob_threshold).transpose(1, 2, 0)
     return out
@@ -282,9 +279,9 @@ def predict_fine(vol: Volume3D, m: Mask3D, models: StageModels, cfg: PipelineCon
     for center, z0, z1 in windows:
         z0 = max(0, z0 - cfg.fine_slice_margin)
         z1 = min(nd - 1, z1 + cfg.fine_slice_margin)
-        patch, rec = crop_patch(_planes(imgs, z0, z1), center, cfg.fine_dims)
+        patch, rec = crop_patch(imgs[z0 : z1 + 1], center, cfg.fine_dims)
         back = uncrop_patch(_predict(models.fine, patch, "fine"), rec)
-        out[z0 : z1 + 1] |= back.data >= cfg.prob_threshold
+        out[z0 : z1 + 1] |= back >= cfg.prob_threshold
     return Mask3D(out, vol.spacing)
 
 
@@ -321,12 +318,16 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
     def to_native(mask: Mask3D) -> Mask3D:
         return resample_volume(mask, vol.spacing, mode="nearest", target_dims=vol.dims)
 
+    t0 = time.perf_counter()
     coarse = to_native(s_c)
+    guidance = coarse if m is s_c else to_native(m)  # Normal: the guidance is the coarse mask
+    fine = to_native(s_f)
+    timings["map_back"] = time.perf_counter() - t0
     return CaseResult(
         coarse_mask=coarse,
         verdict=verdict,
-        guidance=coarse if m is s_c else to_native(m),  # Normal: the guidance is the coarse mask
-        fine_mask=to_native(s_f),
+        guidance=guidance,
+        fine_mask=fine,
         timings=timings,
         flags=tuple(flags),
     )

@@ -108,50 +108,19 @@ def _check_plane(plane: str) -> None:
         raise ValueError(f"plane must be one of {_PLANES}, got {plane!r}")
 
 
-@dataclass(frozen=True)
-class Slice2D:
-    """One 2D plane ``(H, W)``, or a stack ``(N, H, W)`` of planes sharing one pixel spacing.
-
-    ``pixel_spacing`` is (mm per row step, mm per column step); ``dims`` is ``(H, W)``.
-    """
-
-    data: np.ndarray
-    pixel_spacing: tuple[float, float]
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim not in (2, 3) or min(arr.shape) < 1:
-            raise GeometryError(f"slice data must be a non-empty 2D plane or 3D stack, got shape {arr.shape}")
-        arr = _freeze(arr, np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("slice data contains non-finite values")
-        ps = tuple(float(s) for s in self.pixel_spacing)
-        if len(ps) != 2 or any(not (np.isfinite(s) and s > 0) for s in ps):
-            raise ValueError(f"pixel_spacing must be two positive floats, got {self.pixel_spacing!r}")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "pixel_spacing", ps)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.data.shape[-2:]
-
-
 AnyVolume = Union[Volume3D, Mask3D]
 
 
-def extract_slices(vol: AnyVolume, plane: Plane) -> Slice2D:
-    """A volume's planes along an anatomical plane, in order, as one stack.
+def extract_slices(vol: AnyVolume, plane: Plane) -> np.ndarray:
+    """A volume's planes along an anatomical plane, in order, as one read-only stack.
 
-    Axial gives (D, H, W) with pixel spacing (h, w); sagittal gives (W, D, H) with (d, h).
+    Axial gives (D, H, W), sagittal (W, D, H); both are views of ``vol.data``, not copies.
     """
     _check_plane(plane)
-    d, h, w = vol.spacing.as_tuple()
-    if plane == "axial":
-        return Slice2D(vol.data, (h, w))
-    return Slice2D(vol.data.transpose(2, 0, 1), (d, h))
+    return vol.data if plane == "axial" else vol.data.transpose(2, 0, 1)
 
 
-def compose_slices(stack: Slice2D, plane: Plane, dims: tuple[int, int, int], spacing: Spacing) -> Volume3D:
+def compose_slices(stack: np.ndarray, plane: Plane, dims: tuple[int, int, int], spacing: Spacing) -> Volume3D:
     """Reassemble a stack of planes into a 3D float32 volume of ``dims``.
 
     ``compose_slices(extract_slices(v), ...)`` reproduces ``v.data`` bit-exactly.
@@ -159,11 +128,9 @@ def compose_slices(stack: Slice2D, plane: Plane, dims: tuple[int, int, int], spa
     _check_plane(plane)
     nd, nh, nw = dims
     expected = (nd, nh, nw) if plane == "axial" else (nw, nd, nh)
-    if stack.data.shape != expected:
-        raise GeometryError(
-            f"{plane} composition of dims {dims} needs a stack of shape {expected}, got {stack.data.shape}"
-        )
-    return Volume3D(stack.data if plane == "axial" else stack.data.transpose(1, 2, 0), spacing)
+    if stack.shape != expected:
+        raise GeometryError(f"{plane} composition of dims {dims} needs a stack of shape {expected}, got {stack.shape}")
+    return Volume3D(stack if plane == "axial" else stack.transpose(1, 2, 0), spacing)
 
 
 def voxel_volume_ml(spacing: Spacing, n_voxels: int) -> float:

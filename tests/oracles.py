@@ -15,7 +15,6 @@ from c2fseg.components import component_stats, label_components
 from c2fseg.errors import GeometryError
 from c2fseg.geometry import resize_slice
 from c2fseg.nn import layers
-from c2fseg.volume import Slice2D
 
 
 def trilinear_oracle(data: np.ndarray, out_dims, step_ratios) -> np.ndarray:
@@ -267,42 +266,40 @@ def decoder_conv_oracle_backward(cache, gy: np.ndarray):
 
 
 # The training sets as the package built them before they were one array:
-# one (image, label) ``Slice2D`` pair per plane, each plane cut or resized
+# one (image, label) pair of planes per sample, each plane cut or resized
 # on its own, then checked for one shape and stacked. ``prepare_*_set``
 # must give the bytes of ``stack_pairs`` over these lists. Resizing and the
 # component windows use the package's ``resize_slice`` and labeling, which
 # are checked apart against ``corner_blend_oracle`` and ``flood_fill_labels``.
 
 
-def stack_pairs(pairs: list[tuple[Slice2D, Slice2D]], dims) -> np.ndarray:
+def stack_pairs(pairs: list[tuple[np.ndarray, np.ndarray]], dims) -> np.ndarray:
     """(N, 2, H, W) float32: the images, then the labels, of pairs that all have ``dims``."""
     for img, lab in pairs:
-        if img.dims != dims or lab.dims != dims:
-            raise GeometryError(f"pair dims {img.dims}/{lab.dims}, expected {dims}")
+        if img.shape != tuple(dims) or lab.shape != tuple(dims):
+            raise GeometryError(f"pair dims {img.shape}/{lab.shape}, expected {dims}")
     if not pairs:
         return np.empty((0, 2, *dims), dtype=np.float32)
-    x = np.stack([img.data for img, _ in pairs])[:, None]
-    y = np.stack([lab.data for _, lab in pairs])[:, None]
+    x = np.stack([img for img, _ in pairs])[:, None]
+    y = np.stack([lab for _, lab in pairs])[:, None]
     return np.concatenate([x, y], axis=1).astype(np.float32)
 
 
-def coarse_pairs_oracle(cases, cfg) -> list[tuple[Slice2D, Slice2D]]:
+def coarse_pairs_oracle(cases, cfg) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each axial plane resized alone: bilinear for the image, nearest for the label."""
     pairs = []
     for vol, label in cases:
-        ps = (vol.spacing.h, vol.spacing.w)
         for k in range(vol.dims[0]):
-            img, _ = resize_slice(Slice2D(vol.data[k], ps), cfg.coarse_dims, mode="bilinear")
-            lab, _ = resize_slice(Slice2D(label.data[k], ps), cfg.coarse_dims, mode="nearest")
+            img, _ = resize_slice(vol.data[k], cfg.coarse_dims, mode="bilinear")
+            lab, _ = resize_slice(label.data[k], cfg.coarse_dims, mode="nearest")
             pairs.append((img, lab))
     return pairs
 
 
-def fine_pairs_oracle(cases, cfg) -> list[tuple[Slice2D, Slice2D]]:
+def fine_pairs_oracle(cases, cfg) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per component, biggest first: the zero-padded axial window at its centroid, plane by plane over its slices."""
     pairs = []
     for vol, label in cases:
-        ps = (vol.spacing.h, vol.spacing.w)
         lm = label_components(label, cfg.connectivity)
         for st in component_stats(lm):
             center = (int(round(st.centroid[1])), int(round(st.centroid[2])))
@@ -310,22 +307,21 @@ def fine_pairs_oracle(cases, cfg) -> list[tuple[Slice2D, Slice2D]]:
             for k in range(zz[0], zz[-1] + 1):
                 img = pad_then_crop_oracle(vol.data[k], center, cfg.fine_dims)
                 lab = pad_then_crop_oracle(label.data[k], center, cfg.fine_dims)
-                pairs.append((Slice2D(img, ps), Slice2D(lab, ps)))
+                pairs.append((img, lab))
     return pairs
 
 
-def abnormal_pairs_oracle(cases, cfg) -> list[tuple[Slice2D, Slice2D]]:
+def abnormal_pairs_oracle(cases, cfg) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every sagittal plane's zero-padded window at the foreground centroid's (depth, row)."""
     pairs = []
     for vol, label in cases:
         if not label.data.any():
             continue
         center = tuple(int(round(c)) for c in brute_centroid(label.data)[:2])
-        ps = (vol.spacing.d, vol.spacing.h)
         for k in range(vol.dims[2]):
             img = pad_then_crop_oracle(vol.data[:, :, k], center, cfg.abnormal_dims)
             lab = pad_then_crop_oracle(label.data[:, :, k], center, cfg.abnormal_dims)
-            pairs.append((Slice2D(img, ps), Slice2D(lab, ps)))
+            pairs.append((img, lab))
     return pairs
 
 

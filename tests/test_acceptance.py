@@ -51,7 +51,7 @@ class HalfBlindOracle:
     """Threshold oracle blinded to the right lateral half of every slice."""
 
     def predict(self, s):
-        p = (s.data >= 0.5).astype(np.float32)
+        p = (s >= 0.5).astype(np.float32)
         p[:, p.shape[1] // 2 :] = 0.0
         return p
 
@@ -241,7 +241,7 @@ def test_criterion_7_transform_and_file_round_trips(tmp_path):
     # 1000 random crop windows, boundary-padded ones included
     for _ in range(1000):
         rows, cols = rng.integers(4, 20, size=2)
-        s = c.Slice2D((rng.uniform(size=(rows, cols)) < 0.5).astype(np.float32), (1, 1))
+        s = (rng.uniform(size=(rows, cols)) < 0.5).astype(np.float32)
         center = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
         pdims = (int(rng.integers(1, 14)), int(rng.integers(1, 14)))
         patch, rec = c.crop_patch(s, center, pdims)
@@ -251,8 +251,8 @@ def test_criterion_7_transform_and_file_round_trips(tmp_path):
         rr0, rr1 = max(0, r0), min(int(rows), r0 + pdims[0])
         cc0, cc1 = max(0, c0), min(int(cols), c0 + pdims[1])
         if rr0 < rr1 and cc0 < cc1:
-            expected[rr0:rr1, cc0:cc1] = s.data[rr0:rr1, cc0:cc1]
-        assert np.array_equal(back.data, expected)
+            expected[rr0:rr1, cc0:cc1] = s[rr0:rr1, cc0:cc1]
+        assert np.array_equal(back, expected)
 
     # extract/compose bit-exact on both planes
     for plane in ("axial", "sagittal"):

@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,8 @@ class TestPredictAndEval:
         report = json.loads((pred / "case0000_report.json").read_text())
         assert report["case_id"] == "case0000"
         assert report["verdict"] in ("Normal", "Abnormal")
+        timing = r"\[resample=[\d.]+s coarse=[\d.]+s guidance=[\d.]+s fine=[\d.]+s map_back=[\d.]+s\]"
+        assert re.search(timing, capsys.readouterr().out)
 
     def predict_args(self, tmp_path, desk_config, trained_weights, out):
         return [

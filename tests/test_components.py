@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from c2fseg import (
     ComponentStats,
+    LabelMap3D,
     Mask3D,
     Spacing,
     classify,
@@ -124,6 +125,17 @@ class TestLabelComponents:
             tracemalloc.stop()
         assert lm.n_components == 2
         assert peak <= 1.5 * out_bytes, f"peak {peak / out_bytes:.2f}x the int32 output"
+
+
+class TestLabelMap3D:
+    def test_frozen_to_read_only_contiguous_int32(self):
+        lm = LabelMap3D(np.arange(24, dtype=np.int64).reshape(2, 3, 4).transpose(0, 2, 1), Spacing(1, 1, 1), 23)
+        assert lm.data.dtype == np.int32 and lm.data.flags.c_contiguous and not lm.data.flags.writeable
+        assert lm.dims == (2, 4, 3) and lm.data[1, 3, 2] == 23
+
+    def test_rejects_non_3d(self):
+        with pytest.raises(ValueError, match=r"^label map must be 3D, got shape \(4, 4\)$"):
+            LabelMap3D(np.zeros((4, 4)), Spacing(1, 1, 1), 0)
 
 
 class TestComponentStats:

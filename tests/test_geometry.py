@@ -10,7 +10,7 @@ from c2fseg import (
     CropRecord,
     GeometryError,
     Mask3D,
-    Slice2D,
+    ResizeRecord,
     Spacing,
     Volume3D,
     crop_patch,
@@ -23,8 +23,8 @@ from data import random_mask_data, random_volume_data
 from oracles import corner_blend_oracle, pad_then_crop_oracle, trilinear_oracle
 
 
-def make_slice(data, ps=(1.0, 1.0)):
-    return Slice2D(np.asarray(data, dtype=np.float32), ps)
+def make_slice(data):
+    return np.asarray(data, dtype=np.float32)
 
 
 class TestResampleVolume:
@@ -98,24 +98,18 @@ class TestResizeSlice:
     def test_identity(self, rng):
         s = make_slice(rng.uniform(size=(7, 9)))
         out, rec = resize_slice(s, (7, 9))
-        assert np.array_equal(out.data, s.data)
+        assert np.array_equal(out, s)
         assert rec.original_dims == (7, 9) and rec.target_dims == (7, 9)
-
-    def test_pixel_spacing_rescales_by_dim_ratio(self, rng):
-        s = make_slice(rng.uniform(size=(512, 512)), ps=(0.7816, 0.7816))
-        out, _ = resize_slice(s, (128, 128))
-        assert out.dims == (128, 128)
-        assert out.pixel_spacing[0] == pytest.approx(0.7816 * 512 / 128)
 
     def test_constant_preserved(self):
         s = make_slice(np.full((10, 6), 3.25))
         out, _ = resize_slice(s, (4, 15))
-        assert np.all(out.data == np.float32(3.25))
+        assert np.all(out == np.float32(3.25))
 
     def test_nearest_keeps_labels_binary(self, rng):
         s = make_slice((rng.uniform(size=(9, 9)) < 0.5).astype(np.float32))
         out, _ = resize_slice(s, (5, 5), mode="nearest")
-        assert set(np.unique(out.data)).issubset({0.0, 1.0})
+        assert set(np.unique(out)).issubset({0.0, 1.0})
 
     def test_unknown_mode_rejected(self, rng):
         s = make_slice(rng.uniform(size=(8, 8)))
@@ -135,17 +129,16 @@ class TestUnresize:
             unresize(bad, rec)
 
     def test_restores_geometry(self, rng):
-        s = make_slice(rng.uniform(size=(10, 12)), ps=(0.5, 0.25))
+        s = make_slice(rng.uniform(size=(10, 12)))
         small, rec = resize_slice(s, (5, 6))
         back = unresize(small, rec)
-        assert back.dims == (10, 12)
-        assert back.pixel_spacing == (0.5, 0.25)
+        assert back.shape == (10, 12)
 
     def test_constant_roundtrip_exact(self):
         s = make_slice(np.full((12, 12), 0.625))
         small, rec = resize_slice(s, (6, 6))
         back = unresize(small, rec)
-        assert np.all(back.data == np.float32(0.625))
+        assert np.all(back == np.float32(0.625))
 
     def test_square_mask_roundtrip_dsc(self):
         # 12x12 centred square in 32x32, nearest both ways through 16x16.
@@ -155,32 +148,58 @@ class TestUnresize:
         s = make_slice(mask)
         small, rec = resize_slice(s, (16, 16), mode="nearest")
         back = unresize(small, rec, mode="nearest")
-        inter = float((back.data * mask).sum())
-        dice = 2 * inter / float(back.data.sum() + mask.sum())
+        inter = float((back * mask).sum())
+        dice = 2 * inter / float(back.sum() + mask.sum())
         assert dice >= 0.8
         assert dice == pytest.approx(0.8402777777777778)  # frozen from the oracle count
 
     def test_mm_sizes_match_reference_pipeline(self, rng):
-        s = make_slice(rng.uniform(size=(512, 512)), ps=(0.7816, 0.7816))
+        s = make_slice(rng.uniform(size=(512, 512)))
         small, rec = resize_slice(s, (128, 128))
-        assert unresize(small, rec).dims == (512, 512)
+        assert unresize(small, rec).shape == (512, 512)
+
+
+class TestSliceArrays:
+    """The four slice transforms take a non-empty (H, W) plane or (N, H, W) stack, and nothing else."""
+
+    TRANSFORMS = {
+        "resize_slice": lambda a: resize_slice(a, (2, 2)),
+        "unresize": lambda a: unresize(a, ResizeRecord((2, 2), (2, 2))),
+        "crop_patch": lambda a: crop_patch(a, (0, 0), (2, 2)),
+        "uncrop_patch": lambda a: uncrop_patch(a, CropRecord((1, 1), (2, 2), (2, 2), (0, 0, 0, 0))),
+    }
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 2, 2), (0, 2, 2), (2, 0)],
+                             ids=["1d", "4d", "empty_stack", "empty_plane"])
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_other_shapes_rejected(self, name, shape):
+        with pytest.raises(GeometryError, match=r"non-empty 2D plane or 3D stack, got shape"):
+            self.TRANSFORMS[name](np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 7)], ids=["plane", "stack"])
+    def test_equal_dims_hand_back_the_input_values(self, rng, mode, shape):
+        a = rng.standard_normal(shape).astype(np.float32)
+        a.flat[::4] = -0.0
+        same, rec = resize_slice(a, (5, 7), mode=mode)
+        assert same.shape == a.shape and same.tobytes() == a.tobytes()
+        back = unresize(a, rec, mode=mode)
+        assert back.shape == a.shape and back.tobytes() == a.tobytes()
 
 
 class TestInversesKeepType:
-    """Both inverses hand back a Slice2D at the source dims."""
+    """Both inverses hand back an ndarray at the source dims."""
 
-    @pytest.mark.parametrize("cls", [Slice2D])
     @pytest.mark.parametrize("target", [(4, 6), (8, 12)], ids=["resized", "same_dims"])
-    def test_unresize(self, rng, cls, target):
+    def test_unresize(self, rng, target):
         small, rec = resize_slice(make_slice(rng.uniform(size=(8, 12))), target)
-        back = unresize(cls(small.data, small.pixel_spacing), rec)
-        assert type(back) is cls and back.dims == (8, 12)
+        back = unresize(small, rec)
+        assert type(back) is np.ndarray and back.shape == (8, 12)
 
-    @pytest.mark.parametrize("cls", [Slice2D])
-    def test_uncrop_patch(self, rng, cls):
+    def test_uncrop_patch(self, rng):
         patch, rec = crop_patch(make_slice(rng.uniform(size=(8, 12))), (1, 10), (6, 6))
-        back = uncrop_patch(cls(patch.data, patch.pixel_spacing), rec)
-        assert type(back) is cls and back.dims == (8, 12)
+        back = uncrop_patch(patch, rec)
+        assert type(back) is np.ndarray and back.shape == (8, 12)
 
 
 # Finite float32 values, with signed zeros and the extremes drawn often.
@@ -228,19 +247,19 @@ class TestSeparableMatchesCornerBlend:
         s = make_slice(data.draw(hnp.arrays(np.float32, dims, elements=_F32, fill=st.nothing())))
         small, rec = resize_slice(s, target, mode=mode)
         ratios = (dims[0] / target[0], dims[1] / target[1])
-        expected = s.data if target == dims else corner_blend_oracle(s.data, target, ratios, linear)
-        assert small.data.tobytes() == expected.tobytes()
+        expected = s if target == dims else corner_blend_oracle(s, target, ratios, linear)
+        assert small.tobytes() == expected.tobytes()
 
         # probabilities, signed zeros included, or any finite values
         cells = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0.0, 1.0, width=32)) if prob else _F32
         p = make_slice(data.draw(hnp.arrays(np.float32, target, elements=cells, fill=st.nothing())))
         back = unresize(p, rec, mode=mode)
         if target == dims:
-            expected = p.data
+            expected = p
         else:
             inv = (target[0] / dims[0], target[1] / dims[1])
-            expected = corner_blend_oracle(p.data, dims, inv, linear)
-        assert back.data.tobytes() == expected.tobytes()
+            expected = corner_blend_oracle(p, dims, inv, linear)
+        assert back.tobytes() == expected.tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), case=st.sampled_from(["one input plane", "one output plane", "upsampled depth"]),
@@ -282,57 +301,54 @@ class TestStacksMatchPlanes:
     """Each slice transform does to an (N, H, W) stack what it does to every plane, byte for byte."""
 
     @staticmethod
-    def stack(data, dims, ps):
+    def stack(data, dims):
         n = data.draw(st.integers(1, 4))
-        return Slice2D(data.draw(hnp.arrays(np.float32, (n, *dims), elements=_F32, fill=st.nothing())), ps)
+        return data.draw(hnp.arrays(np.float32, (n, *dims), elements=_F32, fill=st.nothing()))
 
     @staticmethod
     def check(stack_out, plane_outs):
-        assert all(p.pixel_spacing == stack_out.pixel_spacing for p in plane_outs)
-        assert stack_out.data.tobytes() == np.stack([p.data for p in plane_outs]).tobytes()
+        assert stack_out.tobytes() == np.stack(plane_outs).tobytes()
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), mode=st.sampled_from(["bilinear", "nearest"]), ps=st.tuples(_MM, _MM))
-    def test_resize_and_unresize(self, data, mode, ps):
+    @given(data=st.data(), mode=st.sampled_from(["bilinear", "nearest"]))
+    def test_resize_and_unresize(self, data, mode):
         dims, target = data.draw(_dims(2, hi=9)), data.draw(_dims(2, hi=9))
-        stack = self.stack(data, dims, ps)
+        stack = self.stack(data, dims)
         small, rec = resize_slice(stack, target, mode=mode)
-        planes = [resize_slice(Slice2D(p, ps), target, mode=mode) for p in stack.data]
+        planes = [resize_slice(p, target, mode=mode) for p in stack]
         assert all(r == rec for _, r in planes)
         self.check(small, [p for p, _ in planes])
-        probs = self.stack(data, target, small.pixel_spacing)
-        self.check(unresize(probs, rec, mode=mode), [unresize(Slice2D(p, probs.pixel_spacing), rec, mode=mode)
-                                                     for p in probs.data])
+        probs = self.stack(data, target)
+        self.check(unresize(probs, rec, mode=mode), [unresize(p, rec, mode=mode) for p in probs])
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), ps=st.tuples(_MM, _MM))
-    def test_crop_and_uncrop(self, data, ps):
+    @given(data=st.data())
+    def test_crop_and_uncrop(self, data):
         rows, cols = data.draw(_dims(2, hi=9))
         center = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
         patch_dims = data.draw(_dims(2, hi=12))  # often larger than the source: padded on some side
-        stack = self.stack(data, (rows, cols), ps)
+        stack = self.stack(data, (rows, cols))
         patch, rec = crop_patch(stack, center, patch_dims)
-        planes = [crop_patch(Slice2D(p, ps), center, patch_dims) for p in stack.data]
+        planes = [crop_patch(p, center, patch_dims) for p in stack]
         assert all(r == rec for _, r in planes)
         self.check(patch, [p for p, _ in planes])
-        probs = self.stack(data, patch_dims, ps)
-        self.check(uncrop_patch(probs, rec), [uncrop_patch(Slice2D(p, ps), rec) for p in probs.data])
+        probs = self.stack(data, patch_dims)
+        self.check(uncrop_patch(probs, rec), [uncrop_patch(p, rec) for p in probs])
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_signed_zeros_and_padding(self, n):
         plane = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0]], dtype=np.float32)
-        stack = Slice2D(np.stack([plane * (k + 1) for k in range(n)]), (0.5, 2.0))
+        stack = np.stack([plane * (k + 1) for k in range(n)])
         for mode in ("bilinear", "nearest"):
             small, rec = resize_slice(stack, (3, 5), mode=mode)
-            self.check(small, [resize_slice(Slice2D(p, (0.5, 2.0)), (3, 5), mode=mode)[0] for p in stack.data])
+            self.check(small, [resize_slice(p, (3, 5), mode=mode)[0] for p in stack])
             if mode == "nearest":  # copies -0.0 through; bilinear's lerp turns it into +0.0
-                assert np.signbit(small.data).any()
-            self.check(unresize(small, rec, mode=mode), [unresize(Slice2D(p, small.pixel_spacing), rec, mode=mode)
-                                                         for p in small.data])
+                assert np.signbit(small).any()
+            self.check(unresize(small, rec, mode=mode), [unresize(p, rec, mode=mode) for p in small])
         patch, rec = crop_patch(stack, (0, 2), (4, 4))
         assert rec.pad == (2, 0, 0, 1)
-        self.check(patch, [crop_patch(Slice2D(p, (0.5, 2.0)), (0, 2), (4, 4))[0] for p in stack.data])
-        self.check(uncrop_patch(patch, rec), [uncrop_patch(Slice2D(p, (0.5, 2.0)), rec) for p in patch.data])
+        self.check(patch, [crop_patch(p, (0, 2), (4, 4))[0] for p in stack])
+        self.check(uncrop_patch(patch, rec), [uncrop_patch(p, rec) for p in patch])
 
 
 class TestResampleMemory:
@@ -366,20 +382,20 @@ class TestCropPatch:
     def test_reference_window_arithmetic(self, rng):
         s = make_slice(rng.uniform(size=(512, 512)))
         patch, rec = crop_patch(s, (256, 256), (160, 160))
-        assert np.array_equal(patch.data, s.data[176:336, 176:336])
+        assert np.array_equal(patch, s[176:336, 176:336])
         assert rec.pad == (0, 0, 0, 0)
 
     def test_corner_crop_matches_pad_oracle(self, rng):
         s = make_slice(rng.uniform(size=(8, 8)))
         patch, rec = crop_patch(s, (0, 0), (4, 4))
         assert rec.pad == (2, 0, 2, 0)
-        expected = pad_then_crop_oracle(s.data, (0, 0), (4, 4))
-        assert np.array_equal(patch.data, expected)
+        expected = pad_then_crop_oracle(s, (0, 0), (4, 4))
+        assert np.array_equal(patch, expected)
 
     def test_full_window_is_identity(self, rng):
         s = make_slice(rng.uniform(size=(8, 8)))
         patch, rec = crop_patch(s, (4, 4), (8, 8))
-        assert np.array_equal(patch.data, s.data)
+        assert np.array_equal(patch, s)
         assert rec.pad == (0, 0, 0, 0)
 
     def test_random_windows_match_oracle(self, rng):
@@ -389,12 +405,7 @@ class TestCropPatch:
             center = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
             pd = (int(rng.integers(1, 10)), int(rng.integers(1, 10)))
             patch, _ = crop_patch(s, center, pd)
-            assert np.array_equal(patch.data, pad_then_crop_oracle(s.data, center, pd))
-
-    def test_pixel_spacing_unchanged(self, rng):
-        s = make_slice(rng.uniform(size=(16, 16)), ps=(0.5, 2.0))
-        patch, _ = crop_patch(s, (8, 8), (4, 4))
-        assert patch.pixel_spacing == (0.5, 2.0)
+            assert np.array_equal(patch, pad_then_crop_oracle(s, center, pd))
 
     def test_center_outside_rejected(self, rng):
         s = make_slice(rng.uniform(size=(8, 8)))
@@ -407,15 +418,15 @@ class TestUncropPatch:
         patch = make_slice(np.ones((4, 4)))
         rec = CropRecord((4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
         out = uncrop_patch(patch, rec)
-        assert out.data.sum() == 16
-        assert np.array_equal(out.data[2:6, 2:6], np.ones((4, 4), dtype=np.float32))
+        assert out.sum() == 16
+        assert np.array_equal(out[2:6, 2:6], np.ones((4, 4), dtype=np.float32))
 
     def test_padded_pixels_discarded(self, rng):
         s = make_slice(rng.uniform(1.0, 2.0, size=(6, 6)))
         patch, rec = crop_patch(s, (0, 5), (4, 4))
-        marked = Slice2D(np.where(patch.data == 0, 9.0, patch.data), patch.pixel_spacing)
+        marked = np.where(patch == 0, 9.0, patch)
         out = uncrop_patch(marked, rec)
-        assert not np.any(out.data == 9.0)
+        assert not np.any(out == 9.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -435,8 +446,8 @@ class TestUncropPatch:
         rr0, rr1 = max(0, r0), min(16, r0 + pr)
         cc0, cc1 = max(0, c0), min(16, c0 + pc)
         if rr0 < rr1 and cc0 < cc1:
-            expected[rr0:rr1, cc0:cc1] = s.data[rr0:rr1, cc0:cc1]
-        assert np.array_equal(out.data, expected)
+            expected[rr0:rr1, cc0:cc1] = s[rr0:rr1, cc0:cc1]
+        assert np.array_equal(out, expected)
 
     def test_dims_mismatch_rejected(self):
         rec = CropRecord((4, 4), (4, 4), (8, 8), (0, 0, 0, 0))

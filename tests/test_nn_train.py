@@ -4,7 +4,6 @@ import pytest
 from c2fseg import (
     FitParams,
     PhantomSpec,
-    Slice2D,
     Spacing,
     ThresholdModel,
     UNetSpec,
@@ -30,9 +29,9 @@ def phantom_slice_pairs(n=10, dims=(32, 32), seed=5):
     )
     picks = sorted(set(int(round(k)) for k in np.linspace(0, 11, n)))
     imgs, labs = extract_slices(vol, "axial"), extract_slices(mask, "axial")
-    ri, _ = resize_slice(Slice2D(imgs.data[picks], imgs.pixel_spacing), dims, mode="bilinear")
-    rl, _ = resize_slice(Slice2D(labs.data[picks], labs.pixel_spacing), dims, mode="nearest")
-    return np.stack([ri.data, rl.data], axis=1)
+    ri, _ = resize_slice(imgs[picks], dims, mode="bilinear")
+    rl, _ = resize_slice(labs[picks], dims, mode="nearest")
+    return np.stack([ri, rl], axis=1)
 
 
 class TestFit:
@@ -69,7 +68,7 @@ class TestFit:
 
     def test_wrong_shape_rejected(self):
         data = phantom_slice_pairs(2, dims=(16, 16))
-        old_pair_list = [(Slice2D(img, (1, 1)), Slice2D(lab, (1, 1))) for img, lab in data]
+        old_pair_list = [(img, lab) for img, lab in data]
         for bad in (old_pair_list, data[:, :1], data[:, 0], np.concatenate([data, data], axis=1)):
             with pytest.raises(GeometryError, match=r"\(N, 2, H, W\)"):
                 fit(UNetSpec(depth=1, base_channels=2), bad, FitParams(lr=0.1, epochs=1, batch=2, seed=0))
@@ -117,13 +116,13 @@ class TestFit:
 
 class TestThresholdModel:
     def test_thresholds_at_level(self):
-        s = Slice2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1))
+        s = np.array([[0.2, 0.9]], dtype=np.float32)
         assert ThresholdModel(0.5).predict(s).tolist() == [[0.0, 1.0]]
 
     def test_level_below_min_gives_all_ones(self):
-        s = Slice2D(np.array([[0.2, 0.9]], dtype=np.float32), (1, 1))
+        s = np.array([[0.2, 0.9]], dtype=np.float32)
         assert ThresholdModel(0.1).predict(s).tolist() == [[1.0, 1.0]]
 
     def test_boundary_inclusive(self):
-        s = Slice2D(np.full((2, 2), 0.5, dtype=np.float32), (1, 1))
+        s = np.full((2, 2), 0.5, dtype=np.float32)
         assert ThresholdModel(0.5).predict(s).sum() == 4

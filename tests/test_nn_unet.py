@@ -9,7 +9,6 @@ from c2fseg.nn import layers
 from c2fseg.nn.models import UNetModel
 from c2fseg.nn.unet import init_weights, parameter_shapes
 from c2fseg.nn.weights import ModelWeights
-from c2fseg.volume import Slice2D
 import oracles
 from oracles import numeric_gradient, relative_error
 
@@ -67,7 +66,7 @@ class TestInferenceWithoutCache:
         x = rng.standard_normal((1, 1, 64, 96)).astype(np.float32)
         y_train, cache = unet_forward(spec, weights, x)
         y_infer, no_cache = unet_forward(spec, weights, x, cache=False)
-        p = UNetModel(spec, weights).predict(Slice2D(x[0, 0], (1.0, 1.0)))
+        p = UNetModel(spec, weights).predict(x[0, 0])
         assert cache is not None and no_cache is None
         assert y_infer.tobytes() == y_train.tobytes()
         assert p.tobytes() == y_train[0, 0].tobytes()

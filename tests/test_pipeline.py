@@ -16,7 +16,6 @@ from c2fseg import (
     Mask3D,
     PhantomSpec,
     PipelineConfig,
-    Slice2D,
     Spacing,
     StageModels,
     ThresholdModel,
@@ -82,7 +81,7 @@ class HalfBlindModel:
         self.level = level
 
     def predict(self, s):
-        p = (s.data >= self.level).astype(np.float32)
+        p = (s >= self.level).astype(np.float32)
         p[:, p.shape[1] // 2 :] = 0.0
         return p
 
@@ -313,7 +312,7 @@ class InvertedModel:
     """1 - intensity: predicts 1.0 on the zero padding, which the map-back must drop."""
 
     def predict(self, s):
-        return (1.0 - s.data).astype(np.float32)
+        return (1.0 - s).astype(np.float32)
 
 
 def guidance_against_oracle(vol_data, coarse_data, window, model, threshold):
@@ -325,7 +324,7 @@ def guidance_against_oracle(vol_data, coarse_data, window, model, threshold):
         m, verdict = build_guidance(vol, s_c, StageModels(RaisingModel(), model, RaisingModel()), cfg)
     assert verdict.verdict == "Abnormal"
     expected = full_frame_sagittal_oracle(
-        vol.data, s_c.data, window, lambda p: model.predict(Slice2D(p, (SP.d, SP.h))), threshold
+        vol.data, s_c.data, window, model.predict, threshold
     )
     assert m.data.tobytes() == expected.tobytes()
     flagged = [w for w in caught if str(w.message) == _DETECTION_FAILURE]
@@ -440,19 +439,41 @@ def run_stage(stage, model, phantom):
 
 
 class PlaneModel:
-    """Threshold oracle that accepts only a single 2D slice and counts its calls."""
+    """Threshold oracle that accepts only one read-only float32 2D plane and counts its calls."""
 
     def __init__(self):
         self.calls = 0
 
     def predict(self, s):
-        assert s.data.ndim == 2 and s.data.shape == s.dims
+        assert type(s) is np.ndarray and s.ndim == 2 and s.dtype == np.float32
+        assert not s.flags.writeable
         self.calls += 1
-        return (s.data >= 0.5).astype(np.float32)
+        return (s >= 0.5).astype(np.float32)
+
+
+class WritingModel:
+    """Tries to zero its input plane in place before predicting it."""
+
+    def predict(self, s):
+        s[...] = 0.0
+        return np.zeros(s.shape, dtype=np.float32)
 
 
 class TestModelsSeeSinglePlanes:
-    """Stages run on stacks, but every model call gets one 2D slice."""
+    """Stages run on stacks, but every model call gets one read-only 2D plane."""
+
+    @pytest.mark.parametrize("stage", ["coarse", "abnormal", "fine"])
+    def test_writing_into_the_input_raises(self, phantom, stage):
+        vol, _ = phantom
+        before = vol.data.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            run_stage(stage, WritingModel(), phantom)
+        assert np.array_equal(vol.data, before)
+
+    def test_the_callers_stack_stays_writeable(self):
+        stack = np.full((2, 3, 4), 0.75, dtype=np.float32)
+        out = c2fseg.pipeline._predict(PlaneModel(), stack, "coarse")
+        assert stack.flags.writeable and np.array_equal(out, np.ones((2, 3, 4), dtype=np.float32))
 
     @pytest.mark.parametrize("stage", ["coarse", "abnormal", "fine"])
     def test_one_call_per_plane(self, phantom, stage):
@@ -475,13 +496,13 @@ class TestModelOutputChecks:
 
     @pytest.mark.parametrize("stage", ["coarse", "abnormal", "fine"])
     def test_wrong_dims_name_the_stage(self, phantom, stage):
-        model = SimpleNamespace(predict=lambda s: np.zeros((s.dims[0], s.dims[1] + 1), dtype=np.float32))
+        model = SimpleNamespace(predict=lambda s: np.zeros((s.shape[0], s.shape[1] + 1), dtype=np.float32))
         with pytest.raises(GeometryError, match=f"^{stage} model returned dims"):
             run_stage(stage, model, phantom)
 
     @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf, -1e-6, 1.0 + 1e-6])
     def test_non_probabilities_rejected(self, phantom, bad):
-        model = SimpleNamespace(predict=lambda s: np.where(np.eye(*s.dims, dtype=bool), bad, 0.5))  # one bad pixel
+        model = SimpleNamespace(predict=lambda s: np.where(np.eye(*s.shape, dtype=bool), bad, 0.5))  # one bad pixel
         for stage in ("coarse", "abnormal", "fine"):
             with pytest.raises(ValueError, match=f"^{stage} model returned values that are not probabilities"):
                 run_stage(stage, model, phantom)
@@ -506,7 +527,7 @@ class TestRunCase:
     def test_timings_recorded(self, phantom):
         vol, _ = phantom
         res = run_case(vol, oracle_models(), desk_cfg())
-        assert {"coarse", "guidance", "fine"} <= set(res.timings)
+        assert set(res.timings) == {"resample", "coarse", "guidance", "fine", "map_back"}
         assert all(v >= 0 for v in res.timings.values())
 
     def test_native_spacing_restored(self):

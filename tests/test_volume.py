@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from c2fseg import (
     GeometryError,
     Mask3D,
-    Slice2D,
     Spacing,
     Volume3D,
     binarize,
@@ -53,22 +52,7 @@ class TestContainers:
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 1.0
 
-    def test_slice_is_read_only_float32(self):
-        s = Slice2D(np.array([[0.0, 0.5], [1.0, 0.25]]), (0.5, 2))
-        assert s.data.dtype == np.float32 and not s.data.flags.writeable
-        assert (s.dims, s.pixel_spacing) == ((2, 2), (0.5, 2.0))
-
-    def test_stack_dims_are_the_plane_dims(self):
-        s = Slice2D(np.zeros((3, 2, 5)), (0.5, 2))
-        assert s.data.shape == (3, 2, 5) and s.dims == (2, 5)
-
-    @pytest.mark.parametrize("shape", [(4,), (0, 2, 2), (1, 2, 2, 2)])
-    def test_slice_rejects_other_shapes(self, shape):
-        with pytest.raises(GeometryError):
-            Slice2D(np.zeros(shape), (1, 1))
-
-    @pytest.mark.parametrize("make", [lambda a: Volume3D(a, Spacing(1, 1, 1)), lambda a: Slice2D(a, (1, 1))],
-                             ids=["Volume3D", "Slice2D"])
+    @pytest.mark.parametrize("make", [lambda a: Volume3D(a, Spacing(1, 1, 1))], ids=["Volume3D"])
     def test_transposed_input_is_copied_once(self, make):
         view = np.zeros((40, 50, 60), dtype=np.float32).transpose(2, 0, 1)
         tracemalloc.start()
@@ -103,24 +87,32 @@ class TestExtractSlices:
     def test_axial_counts_and_geometry(self, rng):
         v = Volume3D(random_volume_data(rng, (4, 6, 8)), Spacing(3, 2, 1))
         stack = extract_slices(v, "axial")
-        assert stack.data.shape == (4, 6, 8) and stack.dims == (6, 8)
-        assert stack.pixel_spacing == (2.0, 1.0)
-        assert all(np.array_equal(stack.data[k], v.data[k]) for k in range(4))
+        assert stack.shape == (4, 6, 8)
+        assert all(np.array_equal(stack[k], v.data[k]) for k in range(4))
 
     def test_sagittal_counts_and_geometry(self, rng):
         v = Volume3D(random_volume_data(rng, (4, 6, 8)), Spacing(3, 2, 1))
         stack = extract_slices(v, "sagittal")
-        assert stack.data.shape == (8, 4, 6) and stack.dims == (4, 6)
-        assert stack.pixel_spacing == (3.0, 2.0)
-        assert all(np.array_equal(stack.data[k], v.data[:, :, k]) for k in range(8))
-        assert stack.data.flags.c_contiguous and not stack.data.flags.writeable
+        assert stack.shape == (8, 4, 6)
+        assert all(np.array_equal(stack[k], v.data[:, :, k]) for k in range(8))
+
+    @pytest.mark.parametrize("plane", ["axial", "sagittal"])
+    @pytest.mark.parametrize("make", [lambda a: Volume3D(a, Spacing(3, 2, 1)),
+                                      lambda a: Mask3D(a > 0, Spacing(3, 2, 1))], ids=["Volume3D", "Mask3D"])
+    def test_stack_is_a_read_only_view_of_the_volume(self, rng, make, plane):
+        v = make(random_volume_data(rng, (4, 6, 8)))
+        stack = extract_slices(v, plane)
+        assert np.shares_memory(stack, v.data) and stack.dtype == v.data.dtype
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1
 
     def test_voxel_relocation(self):
         data = np.zeros((4, 6, 8), dtype=np.float32)
         data[2, 3, 5] = 7.0
         v = Volume3D(data, Spacing(1, 1, 1))
-        assert extract_slices(v, "axial").data[2, 3, 5] == 7.0
-        assert extract_slices(v, "sagittal").data[5, 2, 3] == 7.0
+        assert extract_slices(v, "axial")[2, 3, 5] == 7.0
+        assert extract_slices(v, "sagittal")[5, 2, 3] == 7.0
 
 
 class TestComposeSlices:
@@ -146,18 +138,18 @@ class TestComposeSlices:
         assert np.array_equal(binarize(out).data, m.data)
 
     def test_prob_maps_compose(self):
-        maps = Slice2D(0.25 * np.arange(3, dtype=np.float32)[:, None, None] * np.ones((3, 4, 4)), (1, 1))
+        maps = 0.25 * np.arange(3, dtype=np.float32)[:, None, None] * np.ones((3, 4, 4), dtype=np.float32)
         out = compose_slices(maps, "axial", (3, 4, 4), Spacing(1, 1, 1))
         assert out.dims == (3, 4, 4)
         assert np.allclose(out.data[2], 0.5)
 
     def test_count_mismatch_rejected(self):
-        stack = Slice2D(np.zeros((2, 4, 4), dtype=np.float32), (1, 1))
+        stack = np.zeros((2, 4, 4), dtype=np.float32)
         with pytest.raises(GeometryError, match=r"needs a stack of shape \(3, 4, 4\), got \(2, 4, 4\)"):
             compose_slices(stack, "axial", (3, 4, 4), Spacing(1, 1, 1))
 
     def test_dims_mismatch_rejected(self):
-        stack = Slice2D(np.zeros((3, 4, 5), dtype=np.float32), (1, 1))
+        stack = np.zeros((3, 4, 5), dtype=np.float32)
         with pytest.raises(GeometryError, match=r"needs a stack of shape \(4, 3, 4\), got \(3, 4, 5\)"):
             compose_slices(stack, "sagittal", (3, 4, 4), Spacing(1, 1, 1))
 
