@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, GeometryError
+from .components import label_components
+from .errors import GeometryError
 from .pipeline import CaseResult, PipelineConfig, StageModels, run_case
 from .volume import Mask3D, Spacing, Volume3D
 
@@ -29,6 +30,10 @@ AxisRange = tuple[float, float]
 
 # Lateral kidney centres as fractions of the width axis.
 _SIDE_FRACTIONS = (0.28, 0.72)
+
+# Flat intensities of kidney and background voxels, before any noise.
+_KIDNEY_INTENSITY = 1.0
+_BACKGROUND_INTENSITY = 0.0
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,6 @@ class PhantomSpec:
     spacing: Spacing
     n_kidneys: int = 2
     semi_axes_mm: tuple[AxisRange, AxisRange, AxisRange] = ((27.0, 30.0), (15.5, 17.0), (11.7, 13.0))
-    kidney_intensity: float = 1.0
-    background_intensity: float = 0.0
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -52,8 +55,6 @@ class PhantomSpec:
         for lo, hi in self.semi_axes_mm:
             if not (0 < lo <= hi):
                 raise ValueError(f"invalid semi-axis range ({lo}, {hi})")
-        if self.kidney_intensity == self.background_intensity:
-            raise ValueError("kidney and background intensities must be distinct")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
 
@@ -63,18 +64,6 @@ def _ellipsoid_mask(dims, center_vox, radii_vox) -> np.ndarray:
     yy = (np.arange(dims[1], dtype=np.float64)[None, :, None] - center_vox[1]) / radii_vox[1]
     xx = (np.arange(dims[2], dtype=np.float64)[None, None, :] - center_vox[2]) / radii_vox[2]
     return (zz * zz + yy * yy + xx * xx) <= 1.0
-
-
-def _dilate26(m: np.ndarray) -> np.ndarray:
-    """One step of 26-neighbourhood dilation."""
-    out = m.copy()
-    padded = np.pad(m, 1)
-    d, h, w = m.shape
-    for dz in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                out |= padded[1 + dz : 1 + dz + d, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-    return out
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, Mask3D]:
@@ -109,14 +98,15 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, Mask3D]:
         kidneys.append(_ellipsoid_mask(spec.dims, center, radii_vox))
 
     # Touching kidneys would fuse into one connected component, so reject
-    # adjacency (26-neighbourhood), not just intersection.
-    if len(kidneys) == 2 and (_dilate26(kidneys[0]) & kidneys[1]).any():
+    # adjacency (26-neighbourhood), not just intersection. Each digitized
+    # ellipsoid is one component, so two of them fuse iff they touch.
+    if len(kidneys) == 2 and label_components(Mask3D(kidneys[0] | kidneys[1], spec.spacing), 26).n_components < 2:
         raise ValueError("ellipsoids overlap or touch; shrink the semi-axis ranges or widen the volume")
     for k in kidneys:
         mask |= k.astype(np.uint8)
 
-    contrast = spec.kidney_intensity - spec.background_intensity
-    data = np.full(spec.dims, spec.background_intensity, dtype=np.float32)
+    contrast = _KIDNEY_INTENSITY - _BACKGROUND_INTENSITY
+    data = np.full(spec.dims, _BACKGROUND_INTENSITY, dtype=np.float32)
     data += contrast * mask
     if spec.noise_sigma > 0:
         data += spec.noise_sigma * rng.standard_normal(spec.dims).astype(np.float32)
@@ -169,11 +159,11 @@ class EvalReport:
 def score_cases(
     cases: Iterable[tuple],
     score_case: Callable[..., CaseScore],
-    errors: tuple[type[Exception], ...],
 ) -> EvalReport:
     """Score cases in the given order with ``score_case(*case)``; ``case[0]`` is the id.
 
-    A case that raises one of ``errors`` becomes a ``(case_id, message)``
+    A case that raises an ``OSError`` or a ``ValueError`` (which includes
+    ``FormatError`` and ``GeometryError``) becomes a ``(case_id, message)``
     failure row; any other exception propagates. Each stage is summarized
     over the scores it has, and its summary is empty when there are none.
     """
@@ -182,7 +172,7 @@ def score_cases(
     for case in cases:
         try:
             scores.append(score_case(*case))
-        except errors as exc:
+        except (OSError, ValueError) as exc:
             failures.append((case[0], str(exc)))
     coarse = [s.coarse_dsc for s in scores if s.coarse_dsc is not None]
     fine = [s.fine_dsc for s in scores]
@@ -198,10 +188,11 @@ def evaluate_split(
 ) -> EvalReport:
     """Run the full pipeline on labelled cases and score both stages.
 
-    Per-case failures (bad input: ``FormatError``, ``GeometryError`` or
-    ``ValueError``) are recorded, warned about and excluded from the
-    summaries instead of aborting the batch; any other exception is a fault
-    and propagates. Output rows are ordered by case id.
+    Per-case failures (an ``OSError``, or bad input: a ``ValueError``,
+    which includes ``FormatError`` and ``GeometryError``) are recorded,
+    warned about and excluded from the summaries instead of aborting the
+    batch; any other exception is a fault and propagates. Output rows are
+    ordered by case id.
     """
     results: dict[str, CaseResult] = {}
 
@@ -211,9 +202,7 @@ def evaluate_split(
         res = results[case_id] = run_case(vol, models, cfg)
         return CaseScore(case_id, dsc(res.coarse_mask, gt), dsc(res.fine_mask, gt), res.verdict.verdict)
 
-    report = score_cases(
-        sorted(cases, key=lambda c: c[0]), score, (FormatError, GeometryError, ValueError)
-    )
+    report = score_cases(sorted(cases, key=lambda c: c[0]), score)
     for case_id, message in report.failures:
         warnings.warn(f"case {case_id} failed: {message}")
     return replace(report, results=results)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import CaseScore, PhantomSpec, dsc, generate_phantom, score_cases
 from .config import RunConfig, default_config, load_config
-from .errors import FormatError, GeometryError, TrainingDivergedError
+from .errors import FormatError, TrainingDivergedError
 from .fileio import read_nifti, read_volume, write_volume
 from .nn.models import UNetModel
 from .nn.train import fit
@@ -200,7 +200,6 @@ def cmd_eval(args) -> int:
     report = score_cases(
         ((p.name[: -len("_mask.rvol")], p, pred_dir) for p in gt_files),
         _score_prediction,
-        (OSError, FormatError, GeometryError, ValueError),
     )
 
     lines = []

@@ -44,39 +44,49 @@ class ResizeRecord:
     original_dims: tuple[int, int]
     target_dims: tuple[int, int]
 
-    def __post_init__(self):
-        if min(self.original_dims) < 1 or min(self.target_dims) < 1:
-            raise ValueError("resize record dims must be positive")
-
 
 @dataclass(frozen=True)
 class CropRecord:
-    """What a crop did: window placement plus any boundary zero-padding.
+    """Where a fixed-size window sits on its source: the one owner of the window arithmetic.
 
-    ``pad`` is (top, bottom, left, right) pixel counts that fell outside the
-    source and were zero-filled in the patch.
+    The window starts at ``center - patch_dims // 2``. The centre must lie
+    inside the source, so the window always overlaps it; ``pad`` and
+    ``windows`` describe the overlap.
     """
 
     center: tuple[int, int]
     patch_dims: tuple[int, int]
     source_dims: tuple[int, int]
-    pad: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if min(self.patch_dims) < 1:
-            raise ValueError("patch dims must be positive")
-        pr, pc = self.patch_dims
-        top, bottom, left, right = self.pad
-        r0 = self.center[0] - pr // 2
-        c0 = self.center[1] - pc // 2
-        ok = (
-            top == max(0, -r0)
-            and left == max(0, -c0)
-            and bottom == max(0, r0 + pr - self.source_dims[0])
-            and right == max(0, c0 + pc - self.source_dims[1])
-        )
-        if not ok:
-            raise ValueError("pad inconsistent with center/patch_dims/source_dims")
+        cr, cc = int(self.center[0]), int(self.center[1])
+        rows, cols = int(self.source_dims[0]), int(self.source_dims[1])
+        if not (0 <= cr < rows and 0 <= cc < cols):
+            raise GeometryError(f"center {self.center} outside source dims {(rows, cols)}")
+        pr, pc = int(self.patch_dims[0]), int(self.patch_dims[1])
+        if pr < 1 or pc < 1:
+            raise ValueError(f"patch dims must be positive, got {self.patch_dims}")
+        object.__setattr__(self, "center", (cr, cc))
+        object.__setattr__(self, "patch_dims", (pr, pc))
+        object.__setattr__(self, "source_dims", (rows, cols))
+
+    @property
+    def _start(self) -> tuple[int, int]:
+        """The window's top-left pixel on the source grid; negative where it starts outside."""
+        return self.center[0] - self.patch_dims[0] // 2, self.center[1] - self.patch_dims[1] // 2
+
+    @property
+    def pad(self) -> tuple[int, int, int, int]:
+        """(top, bottom, left, right) pixel counts of the window outside the source, zero in the patch."""
+        (r0, c0), (pr, pc), (rows, cols) = self._start, self.patch_dims, self.source_dims
+        return max(0, -r0), max(0, r0 + pr - rows), max(0, -c0), max(0, c0 + pc - cols)
+
+    @property
+    def windows(self) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+        """The (rows, cols) slices of the window's in-source part: in the source, then in the patch."""
+        (r0, c0), (pr, pc), (top, bottom, left, right) = self._start, self.patch_dims, self.pad
+        source = (slice(r0 + top, r0 + pr - bottom), slice(c0 + left, c0 + pc - right))
+        return source, (slice(top, pr - bottom), slice(left, pc - right))
 
 
 def _axis(n_src: int, n_out: int, step_ratio: float, linear: bool):
@@ -213,21 +223,13 @@ def resize_slice(
 
 
 def unresize(p: np.ndarray, rec: ResizeRecord, mode: ResizeMode = "bilinear") -> np.ndarray:
-    """Invert a resize: map a prediction back to the recorded original size."""
+    """Invert a resize: resize a prediction back to the recorded original size."""
     p = _slice_array(p)
-    if mode not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown resize mode {mode!r}")
     if p.shape[-2:] != rec.target_dims:
         raise GeometryError(
             f"prediction dims {p.shape[-2:]} do not match resize record target {rec.target_dims}"
         )
-    if rec.original_dims == rec.target_dims:
-        return p
-    ratios = (
-        rec.target_dims[0] / rec.original_dims[0],
-        rec.target_dims[1] / rec.original_dims[1],
-    )
-    return _resample_axes(p, rec.original_dims, ratios, linear=(mode == "bilinear"))
+    return resize_slice(p, rec.original_dims, mode)[0]
 
 
 def crop_patch(
@@ -235,24 +237,11 @@ def crop_patch(
 ) -> tuple[np.ndarray, CropRecord]:
     """Cut a fixed-size float32 window centred on a pixel of every plane; out-of-bounds area is zero."""
     s = _slice_array(s)
-    rows, cols = s.shape[-2:]
-    cr, cc = int(center[0]), int(center[1])
-    if not (0 <= cr < rows and 0 <= cc < cols):
-        raise GeometryError(f"center {center} outside source dims {(rows, cols)}")
-    pr, pc = int(patch_dims[0]), int(patch_dims[1])
-    if pr < 1 or pc < 1:
-        raise ValueError(f"patch dims must be positive, got {patch_dims}")
-
-    r0 = cr - pr // 2
-    c0 = cc - pc // 2
-    top = max(0, -r0)
-    left = max(0, -c0)
-    bottom = max(0, r0 + pr - rows)
-    right = max(0, c0 + pc - cols)
-
-    patch = np.zeros(s.shape[:-2] + (pr, pc), dtype=np.float32)
-    patch[..., top : pr - bottom, left : pc - right] = s[..., r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right]
-    return patch, CropRecord((cr, cc), (pr, pc), (rows, cols), (top, bottom, left, right))
+    rec = CropRecord(center, patch_dims, s.shape[-2:])
+    (rows, cols), (prows, pcols) = rec.windows
+    patch = np.zeros(s.shape[:-2] + rec.patch_dims, dtype=np.float32)
+    patch[..., prows, pcols] = s[..., rows, cols]
+    return patch, rec
 
 
 def uncrop_patch(p: np.ndarray, rec: CropRecord) -> np.ndarray:
@@ -265,10 +254,7 @@ def uncrop_patch(p: np.ndarray, rec: CropRecord) -> np.ndarray:
         raise GeometryError(
             f"patch dims {p.shape[-2:]} do not match crop record patch dims {rec.patch_dims}"
         )
-    pr, pc = rec.patch_dims
-    top, bottom, left, right = rec.pad
-    r0 = rec.center[0] - pr // 2
-    c0 = rec.center[1] - pc // 2
-    out = np.zeros(p.shape[:-2] + tuple(rec.source_dims), dtype=np.float32)
-    out[..., r0 + top : r0 + pr - bottom, c0 + left : c0 + pc - right] = p[..., top : pr - bottom, left : pc - right]
+    (rows, cols), (prows, pcols) = rec.windows
+    out = np.zeros(p.shape[:-2] + rec.source_dims, dtype=np.float32)
+    out[..., rows, cols] = p[..., prows, pcols]
     return out

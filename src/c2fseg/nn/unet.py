@@ -70,7 +70,6 @@ def init_weights(spec: UNetSpec, seed: int) -> dict[str, np.ndarray]:
 @dataclass
 class ForwardCache:
     spec: UNetSpec
-    input_shape: tuple[int, ...]
     output_shape: tuple[int, ...]
     entries: dict
 
@@ -143,7 +142,7 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
     y = keep("head.sig", layers.sigmoid_forward(h))
     if not cache:
         return y, None
-    return y, ForwardCache(spec=spec, input_shape=x.shape, output_shape=y.shape, entries=entries)
+    return y, ForwardCache(spec=spec, output_shape=y.shape, entries=entries)
 
 
 def unet_backward(spec: UNetSpec, cache: ForwardCache, grad_output: np.ndarray):

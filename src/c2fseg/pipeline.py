@@ -221,13 +221,11 @@ def _sagittal_correction(
     in-volume part is thresholded back: the zero padding is below any
     threshold in (0, 1), so the rest of the mask stays 0.
     """
-    (pr, pc), (nd, nh, _) = cfg.abnormal_dims, vol.dims
-    r0, c0 = center[0] - pr // 2, center[1] - pc // 2
-    d0, d1, h0, h1 = max(0, r0), min(nd, r0 + pr), max(0, c0), min(nh, c0 + pc)
-    patch, _ = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
-    probs = _predict(model, patch, "abnormal")[:, d0 - r0 : d1 - r0, h0 - c0 : h1 - c0]
+    patch, rec = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
+    probs = _predict(model, patch, "abnormal")
+    (depths, rows), (pdepths, prows) = rec.windows
     out = np.zeros(vol.dims, dtype=np.uint8)
-    out[d0:d1, h0:h1] = (probs >= cfg.prob_threshold).transpose(1, 2, 0)
+    out.transpose(2, 0, 1)[:, depths, rows] = probs[:, pdepths, prows] >= cfg.prob_threshold
     return out
 
 

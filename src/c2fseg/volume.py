@@ -6,7 +6,10 @@ Axis order is fixed as (depth, height, width). Axial slices are
 floats regardless of source dtype; mask voxels are strictly {0, 1}.
 
 All containers are immutable after construction (the backing numpy arrays
-are marked read-only), so they can be shared freely across threads.
+are marked read-only), so they can be shared freely across threads. A
+constructor takes ownership of an input array that needs no copy (already
+C-contiguous and of the container's dtype) and marks it read-only; pass a
+copy to keep writing to it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class Spacing:
 
 
 def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
-    """A read-only C-contiguous array of ``dtype``, copied at most once."""
+    """A read-only C-contiguous array of ``dtype``: a copy if one is needed, else ``arr`` itself made read-only."""
     arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr

@@ -111,6 +111,26 @@ def pad_then_crop_oracle(data: np.ndarray, center, patch_dims) -> np.ndarray:
     return padded[r0 : r0 + pr, c0 : c0 + pc].copy()
 
 
+def crop_window_oracle(center, patch_dims, source_dims):
+    """A crop window's placement written out longhand.
+
+    Returns the (top, bottom, left, right) zero padding, then the (rows,
+    cols) slices of the window's in-source part on the source and on the
+    patch.
+    """
+    pr, pc = patch_dims
+    rows, cols = source_dims
+    r0 = center[0] - pr // 2
+    c0 = center[1] - pc // 2
+    top = max(0, -r0)
+    left = max(0, -c0)
+    bottom = max(0, r0 + pr - rows)
+    right = max(0, c0 + pc - cols)
+    source = (slice(r0 + top, r0 + pr - bottom), slice(c0 + left, c0 + pc - right))
+    patch = (slice(top, pr - bottom), slice(left, pc - right))
+    return (top, bottom, left, right), source, patch
+
+
 def full_frame_sagittal_oracle(vol_data: np.ndarray, coarse_data: np.ndarray, window, predict, threshold: float):
     """The Abnormal correction through full-frame sagittal stacks.
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from c2fseg import (
     Spacing,
     StageModels,
     ThresholdModel,
+    bench,
     classify,
     component_stats,
     dsc,
@@ -80,6 +83,33 @@ class TestGeneratePhantom:
         )
         with pytest.raises(ValueError, match="overlap|fit"):
             generate_phantom(spec)
+
+    @pytest.mark.parametrize("seed, kind", [(0, "overlap"), (1, "touch"), (6, "apart")])
+    def test_kidneys_that_touch_are_rejected(self, monkeypatch, seed, kind):
+        # With 8 mm lateral semi-axes, seed 0 draws overlapping ellipsoids, seed
+        # 1 ellipsoids that touch only at 26-neighbours and seed 6 separate ones.
+        drawn = []
+        ellipsoid = bench._ellipsoid_mask
+
+        def recording(*args):
+            drawn.append(ellipsoid(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(bench, "_ellipsoid_mask", recording)
+        spec = PhantomSpec(**{**PHANTOM_KW, "semi_axes_mm": ((9, 12), (6, 8), (8, 8))}, seed=seed)
+        if kind == "apart":
+            _, mask = generate_phantom(spec)
+            assert label_components(mask, 26).n_components == 2
+        else:
+            with pytest.raises(ValueError, match="^ellipsoids overlap or touch; shrink the semi-axis ranges"):
+                generate_phantom(spec)
+        k0, k1 = drawn
+        near = np.zeros_like(k0)  # k0 grown by one voxel in all 26 directions
+        padded = np.pad(k0, 1)
+        for dz, dy, dx in itertools.product(range(3), repeat=3):
+            near |= padded[dz : dz + k0.shape[0], dy : dy + k0.shape[1], dx : dx + k0.shape[2]]
+        assert (k0 & k1).any() == (kind == "overlap")
+        assert (near & k1).any() == (kind != "apart")
 
     def test_oversized_ellipsoid_rejected(self):
         spec = PhantomSpec(
@@ -205,6 +235,17 @@ class TestEvaluateSplit:
             report = evaluate_split(cases, self.oracle_models(), self.cfg())
         assert [s.case_id for s in report.scores] == ["good"]
         assert report.failures and report.failures[0][0] == "bad"
+
+    def test_os_error_in_a_model_is_a_failure_row(self):
+        class Unreadable:
+            def predict(self, s):
+                raise OSError("weights went missing")
+
+        m = ThresholdModel(0.5)
+        cases = [("c0", *generate_phantom(PhantomSpec(seed=0, **PHANTOM_KW)))]
+        with pytest.warns(UserWarning, match="weights went missing"):
+            report = evaluate_split(cases, StageModels(coarse=Unreadable(), abnormal=m, fine=m), self.cfg())
+        assert report.failures == [("c0", "weights went missing")] and not report.scores
 
     def test_programming_error_propagates(self):
         class Broken:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from c2fseg import (
     unresize,
 )
 from data import random_mask_data, random_volume_data
-from oracles import corner_blend_oracle, pad_then_crop_oracle, trilinear_oracle
+from oracles import corner_blend_oracle, crop_window_oracle, pad_then_crop_oracle, trilinear_oracle
 
 
 def make_slice(data):
@@ -166,7 +167,7 @@ class TestSliceArrays:
         "resize_slice": lambda a: resize_slice(a, (2, 2)),
         "unresize": lambda a: unresize(a, ResizeRecord((2, 2), (2, 2))),
         "crop_patch": lambda a: crop_patch(a, (0, 0), (2, 2)),
-        "uncrop_patch": lambda a: uncrop_patch(a, CropRecord((1, 1), (2, 2), (2, 2), (0, 0, 0, 0))),
+        "uncrop_patch": lambda a: uncrop_patch(a, CropRecord((1, 1), (2, 2), (2, 2))),
     }
 
     @pytest.mark.parametrize("shape", [(4,), (1, 2, 2, 2), (0, 2, 2), (2, 0)],
@@ -351,6 +352,57 @@ class TestStacksMatchPlanes:
         self.check(uncrop_patch(patch, rec), [uncrop_patch(p, rec) for p in patch])
 
 
+class TestRecordsOwnTheirArithmetic:
+    """A crop record alone places its window, and unresize is a resize back to the recorded dims."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_crop_record_matches_longhand_window(self, data):
+        source_dims = data.draw(_dims(2, hi=12))
+        center = tuple(data.draw(st.integers(0, n - 1)) for n in source_dims)
+        patch_dims = data.draw(_dims(2, hi=30))  # often larger than the source: padded on both sides
+        rec = CropRecord(center, patch_dims, source_dims)
+        pad, source, inside = crop_window_oracle(center, patch_dims, source_dims)
+        assert rec.pad == pad
+        assert rec.windows == (source, inside)
+
+        s = data.draw(hnp.arrays(np.float32, source_dims, elements=_F32, fill=st.nothing()))
+        patch, crop_rec = crop_patch(s, center, patch_dims)
+        assert crop_rec == rec
+        assert patch.tobytes() == pad_then_crop_oracle(s, center, patch_dims).tobytes()
+        expected = np.zeros(source_dims, dtype=np.float32)
+        expected[source] = s[source]
+        assert uncrop_patch(patch, rec).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make", [lambda c, p: CropRecord(c, p, (8, 8)),
+                                      lambda c, p: crop_patch(np.zeros((8, 8), dtype=np.float32), c, p)],
+                             ids=["record", "crop_patch"])
+    def test_bad_windows_rejected(self, make):
+        for center in [(8, 0), (0, 8), (-1, 3)]:
+            with pytest.raises(GeometryError, match=f"^{re.escape(f'center {center} outside source dims (8, 8)')}$"):
+                make(center, (4, 4))
+        for dims in [(0, 4), (4, -1)]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'patch dims must be positive, got {dims}')}$") as exc:
+                make((4, 4), dims)
+            assert type(exc.value) is ValueError
+
+    def test_crop_record_casts_to_int(self):
+        rec = CropRecord((np.int64(3), 2.0), [4, np.int32(5)], np.array([8, 9]))
+        plain = CropRecord((3, 2), (4, 5), (8, 9))
+        assert rec == plain and hash(rec) == hash(plain)
+        assert all(type(v) is int for v in rec.center + rec.patch_dims + rec.source_dims)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["bilinear", "nearest"]), n=st.sampled_from([None, 1, 3]))
+    def test_unresize_is_a_resize_back(self, data, mode, n):
+        dims, target = data.draw(_dims(2, hi=9)), data.draw(_dims(2, hi=9))
+        _, rec = resize_slice(np.zeros(dims, dtype=np.float32), target, mode=mode)
+        cells = st.one_of(st.sampled_from([-0.0, -0.0, 0.0, 1.0]), _F32)
+        shape = target if n is None else (n, *target)
+        p = data.draw(hnp.arrays(np.float32, shape, elements=cells, fill=st.nothing()))
+        assert unresize(p, rec, mode).tobytes() == resize_slice(p, rec.original_dims, mode)[0].tobytes()
+
+
 class TestResampleMemory:
     def test_trilinear_peak_within_8x_input(self):
         rng = np.random.default_rng(0)
@@ -416,7 +468,7 @@ class TestCropPatch:
 class TestUncropPatch:
     def test_all_ones_patch_placement(self):
         patch = make_slice(np.ones((4, 4)))
-        rec = CropRecord((4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
+        rec = CropRecord((4, 4), (4, 4), (8, 8))
         out = uncrop_patch(patch, rec)
         assert out.sum() == 16
         assert np.array_equal(out[2:6, 2:6], np.ones((4, 4), dtype=np.float32))
@@ -450,10 +502,6 @@ class TestUncropPatch:
         assert np.array_equal(out, expected)
 
     def test_dims_mismatch_rejected(self):
-        rec = CropRecord((4, 4), (4, 4), (8, 8), (0, 0, 0, 0))
+        rec = CropRecord((4, 4), (4, 4), (8, 8))
         with pytest.raises(GeometryError):
             uncrop_patch(make_slice(np.zeros((3, 3))), rec)
-
-    def test_record_validates_pad(self):
-        with pytest.raises(ValueError, match="pad"):
-            CropRecord((4, 4), (4, 4), (8, 8), (1, 0, 0, 0))

@@ -52,6 +52,20 @@ class TestContainers:
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 1.0
 
+    def test_constructor_owns_an_input_that_needs_no_copy(self, rng):
+        # float32 C-contiguous input: kept as is, so the caller's own array turns read-only
+        owned = random_volume_data(rng, (2, 3, 4)).astype(np.float32)
+        v = Volume3D(owned, Spacing(1, 1, 1))
+        assert np.shares_memory(v.data, owned) and not owned.flags.writeable
+        # float64 input: converted into a copy, and the caller's array is left alone
+        kept = random_volume_data(rng, (2, 3, 4)).astype(np.float64)
+        before = kept.copy()
+        v = Volume3D(kept, Spacing(1, 1, 1))
+        assert not np.shares_memory(v.data, kept) and kept.flags.writeable
+        assert np.array_equal(kept, before)
+        kept[0, 0, 0] += 1.0
+        assert v.data[0, 0, 0] == np.float32(before[0, 0, 0])
+
     @pytest.mark.parametrize("make", [lambda a: Volume3D(a, Spacing(1, 1, 1))], ids=["Volume3D"])
     def test_transposed_input_is_copied_once(self, make):
         view = np.zeros((40, 50, 60), dtype=np.float32).transpose(2, 0, 1)
