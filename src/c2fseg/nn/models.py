@@ -19,6 +19,16 @@ from .weights import ModelWeights
 
 @runtime_checkable
 class SegmentationModel(Protocol):
+    """One stage's model: ``predict`` maps one read-only float32 (H, W) plane to probabilities.
+
+    The pipeline may call ``predict`` from several threads at once, each on a
+    distinct plane of the same stack, so a model must be safe for that;
+    ThresholdModel and UNetModel are. If the first plane of a stack predicts
+    in under a millisecond, the rest of the stack runs serially on the
+    caller's thread. Restricting the process to one CPU (``taskset -c 0``)
+    makes every stack run serially.
+    """
+
     def predict(self, plane: np.ndarray) -> np.ndarray: ...
 
 

@@ -14,6 +14,7 @@ Training-set preparation gives each stage one float32 array of shape
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from contextvars import ContextVar
@@ -174,21 +175,71 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     return _training_set(parts, cfg.abnormal_dims)
 
 
+# A stack whose first plane predicts faster than this runs serially: a thread
+# would cost more than the planes it takes over.
+_SERIAL_PLANE_S = 1e-3
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> np.ndarray:
+    p = np.asarray(model.predict(plane), dtype=np.float32)
+    if p.shape != plane.shape:
+        raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {plane.shape}")
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
+        raise ValueError(f"{stage} model returned values that are not probabilities in [0, 1]")
+    return p
+
+
 def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndarray:
     """Run one stage's model on each plane of a stack; the one place model output is checked.
 
-    Each model gets a read-only float32 (H, W) view of one plane.
+    Each model gets a read-only float32 (H, W) view of one plane. Plane 0 runs
+    on the caller's thread. If it took at least ``_SERIAL_PLANE_S``, planes
+    1..N-1 are split into one contiguous chunk per usable CPU: the caller's
+    thread runs the first chunk and one worker thread runs each other one.
+    Every plane is predicted on its own, so the output does not depend on
+    the split, and the error raised is the one for the lowest-index bad plane.
     """
     planes = np.asarray(stack, dtype=np.float32).view()
     planes.flags.writeable = False
     out = np.empty(planes.shape, dtype=np.float32)
-    for k, plane in enumerate(planes):
-        p = np.asarray(model.predict(plane), dtype=np.float32)
-        if p.shape != plane.shape:
-            raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {plane.shape}")
-        if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
-            raise ValueError(f"{stage} model returned values that are not probabilities in [0, 1]")
-        out[k] = p
+    n = len(planes)  # at least 1: containers and windows have positive dims
+    t0 = time.perf_counter()
+    out[0] = _predict_plane(model, planes[0], stage)
+    workers = min(_usable_cpus(), n - 1) if time.perf_counter() - t0 >= _SERIAL_PLANE_S else 1
+    if workers <= 1:
+        for k in range(1, n):
+            out[k] = _predict_plane(model, planes[k], stage)
+        return out
+
+    from concurrent.futures import ThreadPoolExecutor  # only here: the import costs several ms
+
+    bounds = [1 + (n - 1) * j // workers for j in range(workers + 1)]
+    failed = [False] * workers  # slot j is written only by chunk j's thread
+
+    def run_chunk(j: int) -> None:
+        try:
+            for k in range(bounds[j], bounds[j + 1]):
+                if any(failed[:j]):  # a lower-index plane already failed; its error wins
+                    return
+                out[k] = _predict_plane(model, planes[k], stage)
+        except BaseException:
+            failed[j] = True
+            raise
+
+    # A pool per call: with one shared pool, a run_case running on that pool's own
+    # threads could wait forever for chunks queued behind it.
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(run_chunk, j) for j in range(1, workers)]
+        run_chunk(0)
+        for f in futures:  # in chunk order, so the first failed chunk's error is raised
+            f.result()
     return out
 
 

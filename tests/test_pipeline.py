@@ -1,3 +1,6 @@
+import concurrent.futures
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -439,15 +442,19 @@ def run_stage(stage, model, phantom):
 
 
 class PlaneModel:
-    """Threshold oracle that accepts only one read-only float32 2D plane and counts its calls."""
+    """Threshold oracle that accepts only one read-only float32 2D plane and counts its calls.
+
+    The count is kept under a lock, since ``_predict`` may call from several threads."""
 
     def __init__(self):
         self.calls = 0
+        self._lock = threading.Lock()
 
     def predict(self, s):
         assert type(s) is np.ndarray and s.ndim == 2 and s.dtype == np.float32
         assert not s.flags.writeable
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return (s >= 0.5).astype(np.float32)
 
 
@@ -632,28 +639,30 @@ _EMPTY_GUIDANCE = "empty guidance mask: fine stage produced an empty result"
 _DETECTION_FAILURE = "detection failure: empty coarse mask and empty corrected mask"
 
 
+DEGENERATE_CASES = [
+    # one slice holding two discs of 377 voxels each
+    (_discs(48, 64, [(24, 16), (24, 48)], 11)[None], 2, "Normal", 754, ()),
+    # smaller than the fine (32x32) and abnormal (16x32) windows
+    (np.ones((3, 10, 12)), 1, "Abnormal", 360, ()),
+    # one component that touches every face of the volume
+    (np.ones((4, 20, 20)), 1, "Abnormal", 1600, ()),
+    # three components, each above th_vn
+    (_three_blocks(), 3, "Abnormal", 4608, ()),
+    (np.zeros((1, 1, 1)), 0, "Abnormal", 0, (_DETECTION_FAILURE, _EMPTY_GUIDANCE)),
+    (np.ones((1, 1, 1)), 0, "Abnormal", 0, (_EMPTY_GUIDANCE,)),
+]
+DEGENERATE_IDS = [
+    "one-slice", "smaller-than-windows", "fills-every-face", "three-components", "voxel-empty", "voxel-full"
+]
+
+
 class TestDegenerateGeometry:
     """Volumes at the edges of the cascade's geometry, on the desk config with threshold models.
 
     Each volume is on the normalized grid, so the resample is the identity;
     the counts and flags pin what the cascade gives."""
 
-    @pytest.mark.parametrize(
-        "data, n_kidney, verdict, fine_count, flags",
-        [
-            # one slice holding two discs of 377 voxels each
-            (_discs(48, 64, [(24, 16), (24, 48)], 11)[None], 2, "Normal", 754, ()),
-            # smaller than the fine (32x32) and abnormal (16x32) windows
-            (np.ones((3, 10, 12)), 1, "Abnormal", 360, ()),
-            # one component that touches every face of the volume
-            (np.ones((4, 20, 20)), 1, "Abnormal", 1600, ()),
-            # three components, each above th_vn
-            (_three_blocks(), 3, "Abnormal", 4608, ()),
-            (np.zeros((1, 1, 1)), 0, "Abnormal", 0, (_DETECTION_FAILURE, _EMPTY_GUIDANCE)),
-            (np.ones((1, 1, 1)), 0, "Abnormal", 0, (_EMPTY_GUIDANCE,)),
-        ],
-        ids=["one-slice", "smaller-than-windows", "fills-every-face", "three-components", "voxel-empty", "voxel-full"],
-    )
+    @pytest.mark.parametrize("data, n_kidney, verdict, fine_count, flags", DEGENERATE_CASES, ids=DEGENERATE_IDS)
     def test_defined_result(self, data, n_kidney, verdict, fine_count, flags):
         vol = Volume3D(data.astype(np.float32), SP)
         res = run_case(vol, oracle_models(), desk_cfg())
@@ -679,35 +688,223 @@ def threshold_unet(spec: UNetSpec, seed: int, level: float = 0.5) -> UNetModel:
     return UNetModel(spec, ModelWeights(params))
 
 
+# Sleeps past ``_predict``'s serial gate, so that a stack takes the threaded branch.
+SLOW_S = 2 * c2fseg.pipeline._SERIAL_PLANE_S
+
+
+class SlowModel:
+    """Wraps a model so that each predict sleeps ``SLOW_S`` first; records the threads it ran on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()
+
+    def predict(self, s):
+        self.threads.add(threading.get_ident())
+        time.sleep(SLOW_S)
+        return self.inner.predict(s)
+
+
+def slow_models(models: StageModels) -> StageModels:
+    return StageModels(SlowModel(models.coarse), SlowModel(models.abnormal), SlowModel(models.fine))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``_predict`` see n usable CPUs."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(c2fseg.pipeline.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cpus
+
+
+def assert_same_results(a, b):
+    assert (a.verdict, a.flags) == (b.verdict, b.flags)
+    for name in ("coarse_mask", "guidance", "fine_mask"):
+        assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes()
+
+
 class TestSharedUNetModels:
-    def test_two_threads_match_a_serial_run(self, phantom):
+    def test_two_threads_match_a_serial_run(self, phantom, cpus):
+        self.check_two_threads(phantom, cpus, slow=False)
+
+    def test_nested_threads_match_a_serial_run(self, phantom, cpus):
+        """Past the gate, each of the two concurrent run_case calls fans its stacks out to threads too."""
+        self.check_two_threads(phantom, cpus, slow=True)
+
+    @staticmethod
+    def check_two_threads(phantom, cpus, slow):
         spec = UNetSpec(depth=2, base_channels=4)
         models = StageModels(*(threshold_unet(spec, seed) for seed in (1, 2, 3)))
         one_kidney, _ = generate_phantom(PhantomSpec(seed=8, **{**PHANTOM_KW, "n_kidneys": 1}))
         empty = Volume3D(np.zeros(PHANTOM_KW["dims"], dtype=np.float32), SP)
-        vols = [phantom[0], one_kidney, empty] * 4
+        vols = [phantom[0], one_kidney, empty] * (2 if slow else 4)
         cfg = desk_cfg()
-        serial = [run_case(v, models, cfg) for v in vols]
-        assert [r.verdict.verdict for r in serial[:3]] == ["Normal", "Abnormal", "Abnormal"]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda v: run_case(v, models, cfg), vols))
-        for a, b in zip(serial, threaded):
-            assert (a.verdict, a.flags) == (b.verdict, b.flags)
-            for name in ("coarse_mask", "guidance", "fine_mask"):
-                assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+        cpus(1)
+        serial = [run_case(v, models, cfg) for v in vols[:3]]
+        assert [r.verdict.verdict for r in serial] == ["Normal", "Abnormal", "Abnormal"]
+        cpus(2)
+        used = slow_models(models) if slow else models
+        pool = ThreadPoolExecutor(max_workers=2)
+        try:
+            futures = [pool.submit(run_case, v, used, cfg) for v in vols]
+            done, _ = concurrent.futures.wait(futures, timeout=120)
+            assert len(done) == len(futures), "concurrent run_case calls did not finish"
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        for k, f in enumerate(futures):
+            assert_same_results(f.result(), serial[k % 3])
+        if slow:
+            assert len(used.coarse.threads) > 2  # the two callers and at least one plane worker
 
 
 class TestFlagsAcrossThreads:
-    def test_each_case_gets_its_own_flags(self):
+    def test_each_case_gets_its_own_flags(self, cpus):
+        self.check_flags(cpus, slow=False, repeats=100)
+
+    def test_each_case_gets_its_own_flags_with_nested_threads(self, cpus):
+        self.check_flags(cpus, slow=True, repeats=3)
+
+    @staticmethod
+    def check_flags(cpus, slow, repeats):
         cfg = PipelineConfig(coarse_dims=(64, 64), fine_dims=(48, 48), abnormal_dims=(32, 64), th_vn=800)
         sp = cfg.normalized_spacing
         normal, _ = generate_phantom(
             PhantomSpec(dims=(64, 96, 96), spacing=sp, semi_axes_mm=((15, 21), (9, 12), (9, 12)), seed=1)
         )
         empty = Volume3D(np.zeros(normal.dims, dtype=np.float32), sp)
+        models = slow_models(oracle_models()) if slow else oracle_models()
+        cpus(3)
         with warnings.catch_warnings(record=True) as leaked:
             warnings.simplefilter("always")
             with ThreadPoolExecutor(max_workers=2) as pool:
-                flags = list(pool.map(lambda v: run_case(v, oracle_models(), cfg).flags, [empty, normal] * 100))
-        assert flags == [(_DETECTION_FAILURE, _EMPTY_GUIDANCE), ()] * 100
+                flags = list(pool.map(lambda v: run_case(v, models, cfg).flags, [empty, normal] * repeats))
+        assert flags == [(_DETECTION_FAILURE, _EMPTY_GUIDANCE), ()] * repeats
         assert [str(w.message) for w in leaked] == []
+
+
+class IndexedModel:
+    """For a stack whose plane k is filled with the value k: sleeps ``SLOW_S`` (or
+    ``delays[k]``), then returns a NaN plane or one of the wrong dims where ``bad[k]``
+    says so and zeros elsewhere. Counts its calls."""
+
+    def __init__(self, bad: dict, delays: dict | None = None):
+        self.bad, self.delays = bad, delays or {}
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def predict(self, s):
+        k = int(s[0, 0])
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.delays.get(k, SLOW_S))
+        if self.bad.get(k) == "nan":
+            return np.full(s.shape, np.nan, dtype=np.float32)
+        if self.bad.get(k) == "shape":
+            return np.zeros((s.shape[0] + 1, s.shape[1]), dtype=np.float32)
+        return np.zeros(s.shape, dtype=np.float32)
+
+
+def indexed_stack(n: int) -> np.ndarray:
+    return np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None], (n, 4, 4))
+
+
+class TestThreadedPredict:
+    """Past the gate a stack's planes run on one thread per usable CPU; the output
+    bytes and the error raised are those of the serial loop."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_planes", [1, 2, 3, 7])
+    def test_bytes_across_worker_counts(self, rng, cpus, n_cpus, n_planes):
+        stack = rng.uniform(size=(n_planes, 9, 11)).astype(np.float32)
+        want = np.stack([InvertedModel().predict(p) for p in stack])
+        model = SlowModel(InvertedModel())
+        cpus(n_cpus)
+        got = c2fseg.pipeline._predict(model, stack, "coarse")
+        assert got.tobytes() == want.tobytes()
+        assert len(model.threads) == max(1, min(n_cpus, n_planes - 1))  # planes 1.. split into chunks
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("data", [case[0] for case in DEGENERATE_CASES], ids=DEGENERATE_IDS)
+    def test_degenerate_volumes(self, cpus, data, n_cpus):
+        vol = Volume3D(data.astype(np.float32), SP)
+        want = run_case(vol, oracle_models(), desk_cfg())
+        cpus(n_cpus)
+        assert_same_results(run_case(vol, slow_models(oracle_models()), desk_cfg()), want)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_kidneys, verdict", [(2, "Normal"), (1, "Abnormal")])
+    def test_threshold_unet_case(self, cpus, n_cpus, n_kidneys, verdict):
+        models = StageModels(*(threshold_unet(UNetSpec(depth=2, base_channels=4), seed) for seed in (1, 2, 3)))
+        vol, _ = generate_phantom(PhantomSpec(seed=8, **{**PHANTOM_KW, "n_kidneys": n_kidneys}))
+        cpus(1)
+        want = run_case(vol, models, desk_cfg())
+        assert want.verdict.verdict == verdict
+        cpus(n_cpus)
+        assert_same_results(run_case(vol, slow_models(models), desk_cfg()), want)
+
+    def test_a_fast_model_starts_no_thread(self, monkeypatch, cpus, phantom):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        cpus(3)
+        vol, _ = phantom
+        models = StageModels(coarse=HalfBlindModel(), abnormal=ThresholdModel(0.5), fine=ThresholdModel(0.5))
+        assert run_case(vol, models, desk_cfg()).verdict.verdict == "Abnormal"  # all three stages ran
+        with pytest.raises(AssertionError, match="thread pool"):  # the patch is where _predict looks
+            c2fseg.pipeline._predict(SlowModel(ThresholdModel(0.5)), vol.data[:3], "coarse")
+
+    def test_cpu_count_without_affinity(self, monkeypatch, rng):
+        monkeypatch.delattr(c2fseg.pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(c2fseg.pipeline.os, "cpu_count", lambda: 2)
+        stack = rng.uniform(size=(5, 4, 4)).astype(np.float32)
+        model = SlowModel(ThresholdModel(0.5))
+        got = c2fseg.pipeline._predict(model, stack, "fine")
+        assert got.tobytes() == (stack >= 0.5).astype(np.float32).tobytes()
+        assert len(model.threads) == 2
+
+    # With 3 CPUs a 10-plane stack runs planes 1-3 on the caller's thread, 4-6 and 7-9 on
+    # two workers. The plane just before the lower bad plane answers 50 ms late, so its
+    # chunk reaches the bad plane only after the higher one has failed.
+    @pytest.mark.parametrize("n_cpus", [1, 3])
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            ({5: "nan", 8: "shape"}, ValueError, "^fine model returned values that are not probabilities"),
+            ({5: "shape", 8: "nan"}, GeometryError, r"^fine model returned dims \(5, 4\)"),
+            ({2: "nan", 5: "shape"}, ValueError, "^fine model returned values that are not probabilities"),
+        ],
+        ids=["nan-before-shape", "shape-before-nan", "callers-chunk-first"],
+    )
+    def test_lowest_bad_plane_raises(self, cpus, n_cpus, bad, error, match):
+        model = IndexedModel(bad, delays={min(bad) - 1: 0.05})
+        cpus(n_cpus)
+        with pytest.raises(error, match=match):
+            c2fseg.pipeline._predict(model, indexed_stack(10), "fine")
+
+    def test_later_chunks_stop_after_an_error(self, cpus):
+        model = IndexedModel({1: "nan"})
+        cpus(3)
+        with pytest.raises(ValueError, match="not probabilities"):
+            c2fseg.pipeline._predict(model, indexed_stack(61), "fine")
+        assert model.calls < 20  # the two worker chunks hold 40 planes
+
+    def test_writing_on_a_worker_thread_raises(self, cpus):
+        caller = threading.get_ident()
+        on_worker = []
+
+        class WorkerWriter:
+            def predict(self, s):
+                time.sleep(SLOW_S)
+                if threading.get_ident() != caller:
+                    on_worker.append(True)
+                    return WritingModel().predict(s)
+                return np.zeros(s.shape, dtype=np.float32)
+
+        stack = np.full((4, 3, 3), 0.75, dtype=np.float32)
+        cpus(2)
+        with pytest.raises(ValueError, match="read-only"):
+            c2fseg.pipeline._predict(WorkerWriter(), stack, "abnormal")
+        assert on_worker and stack.flags.writeable and (stack == 0.75).all()
