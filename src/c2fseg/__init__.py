@@ -9,7 +9,6 @@ from .bench import CaseScore, EvalReport, PhantomSpec, dsc, evaluate_split, gene
 from .components import (
     AbnormalityVerdict,
     ComponentStats,
-    LabelMap3D,
     classify,
     component_stats,
     label_components,
@@ -54,6 +53,7 @@ from .pipeline import (
     run_case,
 )
 from .volume import (
+    LabelMap3D,
     Mask3D,
     Spacing,
     Volume3D,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .components import label_components
-from .errors import GeometryError
 from .pipeline import CaseResult, PipelineConfig, StageModels, run_case
 from .volume import Mask3D, Spacing, Volume3D
 
@@ -115,10 +114,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, Mask3D]:
 
 def dsc(a: Mask3D, b: Mask3D) -> float:
     """Volumetric Dice overlap 2|A&B| / (|A|+|B|); 1.0 when both masks are empty."""
-    if a.dims != b.dims or a.spacing != b.spacing:
-        raise GeometryError(f"mask geometries differ: {a.dims}/{a.spacing} vs {b.dims}/{b.spacing}")
-    na = int(a.data.sum(dtype=np.int64))
-    nb = int(b.data.sum(dtype=np.int64))
+    a.check_grid(b, "second dsc mask")
+    na, nb = a.foreground_count(), b.foreground_count()
     if na + nb == 0:
         return 1.0
     inter = int((a.data & b.data).sum(dtype=np.int64))
@@ -197,8 +194,7 @@ def evaluate_split(
     results: dict[str, CaseResult] = {}
 
     def score(case_id: str, vol: Volume3D, gt: Mask3D) -> CaseScore:
-        if gt.dims != vol.dims or gt.spacing != vol.spacing:
-            raise GeometryError(f"ground truth geometry {gt.dims} does not match volume {vol.dims}")
+        vol.check_grid(gt, "ground truth")
         res = results[case_id] = run_case(vol, models, cfg)
         return CaseScore(case_id, dsc(res.coarse_mask, gt), dsc(res.fine_mask, gt), res.verdict.verdict)
 

@@ -38,6 +38,19 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
+def _checked(parse, ok, need: str):
+    """An argparse type that parses with ``parse`` and rejects a value ``ok`` refuses."""
+
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {need}, got {text}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value: 'x'"
+    return check
+
+
 def _load_cases(data_dir: Path):
     cases = []
     for vol_path in sorted(data_dir.glob("*_volume.rvol")):
@@ -244,10 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom-gen", help="generate synthetic phantom volume/mask pairs")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_checked(int, lambda n: n >= 1, "be at least 1"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--single-kidney-fraction", type=float, default=0.0)
+    p.add_argument(
+        "--single-kidney-fraction", type=_checked(float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"), default=0.0
+    )
     p.add_argument("--dims", type=_parse_dims, default=(64, 96, 96))
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--config", default=None)

@@ -25,32 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Mask3D, Spacing, _freeze, voxel_volume_ml
+from .volume import LabelMap3D, Mask3D, voxel_volume_ml
 
 Connectivity = int  # 6 or 26
 
 # Prior-row neighbours of a run as (dz, dy) row offsets, and the column slack
 # with which runs on those rows touch: 1 lets 26-connectivity join diagonals.
 _PRIOR_ROWS = {6: (((0, -1), (-1, 0)), 0), 26: (((0, -1), (-1, -1), (-1, 0), (-1, 1)), 1)}
-
-
-@dataclass(frozen=True)
-class LabelMap3D:
-    """Per-voxel component ids; 0 is background, ids 1..n_components contiguous."""
-
-    data: np.ndarray
-    spacing: Spacing
-    n_components: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3:
-            raise ValueError(f"label map must be 3D, got shape {arr.shape}")
-        object.__setattr__(self, "data", _freeze(arr, np.int32))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 @dataclass(frozen=True)

@@ -33,17 +33,13 @@ class RunConfig:
             raise ValueError(f"nifti_depth_axis must be 'slowest' or 'fastest', got {axis!r}")
 
 
+# RunConfig settings section -> the prefix of its fields' config keys.
+_PREFIXES = {"pipeline": "", "unet": "unet_", "train": ""}
+
 # config key -> (RunConfig section, field); section "" is RunConfig itself.
-# The pipeline keys are the PipelineConfig field names.
 _KEYS = {
-    **{f.name: ("pipeline", f.name) for f in fields(PipelineConfig)},
-    "unet_depth": ("unet", "depth"),
-    "unet_base_channels": ("unet", "base_channels"),
-    "lr": ("train", "lr"),
-    "epochs": ("train", "epochs"),
-    "batch": ("train", "batch"),
-    "momentum": ("train", "momentum"),
-    "seed": ("train", "seed"),
+    **{f"{prefix}{f.name}": (section, f.name) for section, prefix in _PREFIXES.items()
+       for f in fields(getattr(RunConfig, section))},
     "nifti_depth_axis": ("", "nifti_depth_axis"),
 }
 
@@ -71,7 +67,7 @@ def default_config() -> RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     base = RunConfig()
-    sections: dict[str, dict] = {"pipeline": {}, "unet": {}, "train": {}, "": {}}
+    sections: dict[str, dict] = {s: {} for s in (*_PREFIXES, "")}
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

@@ -31,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GeometryError
-from .volume import AnyVolume, Mask3D, Spacing, Volume3D
+from .volume import AnyVolume, Mask3D, Spacing
 
 InterpMode = Literal["trilinear", "nearest"]
 ResizeMode = Literal["bilinear", "nearest"]
@@ -189,9 +189,7 @@ def resample_volume(
 
     ratios = tuple(t / s for s, t in zip(src, dst))
     out = _resample_axes(vol.data, out_dims, ratios, linear=(mode == "trilinear"))
-    if is_mask:
-        return Mask3D(out, target)
-    return Volume3D(out, target)
+    return type(vol)(out, target)
 
 
 def _slice_array(s) -> np.ndarray:

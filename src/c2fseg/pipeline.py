@@ -97,13 +97,6 @@ def _training_set(parts: list[tuple[np.ndarray, np.ndarray]], dims: tuple[int, i
     return np.concatenate([np.empty((0, 2, *dims), dtype=np.float32), *stacks])
 
 
-def _check_case_geometry(vol: Volume3D, label: Mask3D) -> None:
-    if vol.dims != label.dims or vol.spacing != label.spacing:
-        raise GeometryError(
-            f"volume geometry {vol.dims}/{vol.spacing} does not match label {label.dims}/{label.spacing}"
-        )
-
-
 def prepare_coarse_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """Every axial slice resized to the coarse image size, stacked with its label.
 
@@ -111,7 +104,7 @@ def prepare_coarse_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """
     parts = []
     for vol, label in cases:
-        _check_case_geometry(vol, label)
+        vol.check_grid(label, "label")
         imgs, _ = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
         labs, _ = resize_slice(extract_slices(label, "axial"), cfg.coarse_dims, mode="nearest")
         parts.append((imgs, labs))
@@ -139,7 +132,7 @@ def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """
     parts = []
     for case_idx, (vol, label) in enumerate(cases):
-        _check_case_geometry(vol, label)
+        vol.check_grid(label, "label")
         windows = _component_windows(label, cfg)
         if not windows:
             warnings.warn(f"case {case_idx}: no foreground components, skipped")
@@ -163,7 +156,7 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """Sagittal patches around the global foreground centroid's (depth, row)."""
     parts = []
     for case_idx, (vol, label) in enumerate(cases):
-        _check_case_geometry(vol, label)
+        vol.check_grid(label, "label")
         centroid = _global_centroid(label.data)
         if centroid is None:
             warnings.warn(f"case {case_idx}: no foreground, skipped")
@@ -290,8 +283,7 @@ def build_guidance(
     the coarse mask's global centroid (volume centre if the mask is empty),
     thresholds the patches and writes their in-volume part into an empty mask.
     """
-    if s_c.dims != vol.dims or s_c.spacing != vol.spacing:
-        raise GeometryError("coarse mask geometry does not match the volume")
+    vol.check_grid(s_c, "coarse mask")
     verdict = classify(component_stats(label_components(s_c, cfg.connectivity)), cfg.th_vn)
     if verdict.is_normal:
         return s_c, verdict
@@ -315,8 +307,7 @@ def predict_fine(vol: Volume3D, m: Mask3D, models: StageModels, cfg: PipelineCon
     by ``fine_slice_margin`` slices each way. Voxels outside every window
     are background by construction.
     """
-    if m.dims != vol.dims or m.spacing != vol.spacing:
-        raise GeometryError("guidance mask geometry does not match the volume")
+    vol.check_grid(m, "guidance mask")
     windows = _component_windows(m, cfg, min_count=cfg.th_vn)
     out = np.zeros(vol.dims, dtype=np.uint8)
     if not windows:

@@ -1,9 +1,12 @@
-"""Volumetric data model: 3D scalar grids with physical voxel spacing.
+"""Volumetric data model: 3D grids with physical voxel spacing.
 
 Axis order is fixed as (depth, height, width). Axial slices are
 (height, width) planes indexed by depth; sagittal slices are
-(depth, height) planes indexed by width. Intensities are held as 32-bit
-floats regardless of source dtype; mask voxels are strictly {0, 1}.
+(depth, height) planes indexed by width. Three containers share one base
+that checks for 3D data with positive dims and gives each ``check_grid``,
+the one same-dims-and-spacing test: ``Volume3D`` (float32 intensities of
+any source dtype), ``Mask3D`` (voxels strictly in {0, 1}) and
+``LabelMap3D`` (int32 component ids).
 
 All containers are immutable after construction (the backing numpy arrays
 are marked read-only), so they can be shared freely across threads. A
@@ -15,7 +18,7 @@ copy to keep writing to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import ClassVar, Literal, Union
 
 import numpy as np
 
@@ -57,53 +60,70 @@ def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Volume3D:
-    """A (D, H, W) grid of float32 intensities with physical spacing."""
+class _Grid:
+    """A read-only (D, H, W) array with spacing; each subclass's ``_own(arr)`` checks ``arr`` and freezes it."""
 
     data: np.ndarray
     spacing: Spacing
+    _names: ClassVar[tuple[str, str]]  # how errors name the data and its dims
 
     def __post_init__(self):
         arr = np.asarray(self.data)
         if arr.ndim != 3:
-            raise GeometryError(f"volume data must be 3D, got shape {arr.shape}")
+            raise GeometryError(f"{self._names[0]} must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
-            raise GeometryError(f"volume dims must be positive, got {arr.shape}")
-        arr = _freeze(arr, np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("volume data contains non-finite values")
-        object.__setattr__(self, "data", arr)
+            raise GeometryError(f"{self._names[1]} must be positive, got {arr.shape}")
+        object.__setattr__(self, "data", self._own(arr))
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
+    def check_grid(self, other: _Grid, what: str) -> None:
+        """Raise ``GeometryError`` naming ``what`` unless ``other`` has this grid's dims and spacing."""
+        if other.dims != self.dims or other.spacing != self.spacing:
+            raise GeometryError(f"{what} grid {other.dims}/{other.spacing} does not match {self.dims}/{self.spacing}")
+
 
 @dataclass(frozen=True)
-class Mask3D:
+class Volume3D(_Grid):
+    """A (D, H, W) grid of float32 intensities with physical spacing."""
+
+    _names = ("volume data", "volume dims")
+
+    def _own(self, arr):
+        arr = _freeze(arr, np.float32)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("volume data contains non-finite values")
+        return arr
+
+
+@dataclass(frozen=True)
+class Mask3D(_Grid):
     """A (D, H, W) grid of binary labels (uint8, values 0 or 1)."""
 
-    data: np.ndarray
-    spacing: Spacing
+    _names = ("mask data", "mask dims")
 
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3:
-            raise GeometryError(f"mask data must be 3D, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise GeometryError(f"mask dims must be positive, got {arr.shape}")
+    def _own(self, arr):
         by_max = arr.dtype in (np.uint8, np.bool_)  # binary iff max <= 1: a reduction, no mask-size temporary
         if arr.max() > 1 if by_max else ((arr != 0) & (arr != 1)).any():
             bad = arr[(arr != 0) & (arr != 1)].ravel()[0]
             raise ValueError(f"mask data must be binary, found value {bad}")
-        object.__setattr__(self, "data", _freeze(arr, np.uint8))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return _freeze(arr, np.uint8)
 
     def foreground_count(self) -> int:
         return int(self.data.sum(dtype=np.int64))
+
+
+@dataclass(frozen=True)
+class LabelMap3D(_Grid):
+    """Per-voxel component ids; 0 is background, ids 1..n_components contiguous."""
+
+    n_components: int
+    _names = ("label map", "label map dims")
+
+    def _own(self, arr):
+        return _freeze(arr, np.int32)
 
 
 def _check_plane(plane: str) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from c2fseg import Mask3D, Spacing, Volume3D, read_volume, write_volume
-from c2fseg.cli import main
+from c2fseg.cli import build_parser, main
 
 DESK_CONFIG = """
 normalized_spacing = 3.0, 1.5, 1.5
@@ -66,6 +66,26 @@ class TestPhantomGen:
         for i in range(3):
             mask = read_volume(tmp_path / "s" / f"case{i:04d}_mask.rvol")
             assert label_components(mask).n_components == 1
+
+    @pytest.mark.parametrize("extra, error", [
+        (["--count", "0"], "argument --count: must be at least 1, got 0"),
+        (["--count", "-1"], "argument --count: must be at least 1, got -1"),
+        (["--count", "x"], "argument --count: invalid int value: 'x'"),
+        (["--single-kidney-fraction", "-0.1"], "argument --single-kidney-fraction: must lie in [0, 1], got -0.1"),
+        (["--single-kidney-fraction", "1.5"], "argument --single-kidney-fraction: must lie in [0, 1], got 1.5"),
+        (["--single-kidney-fraction", "nan"], "argument --single-kidney-fraction: must lie in [0, 1], got nan"),
+    ])
+    def test_bad_count_or_fraction_is_a_usage_error(self, tmp_path, capsys, extra, error):
+        with pytest.raises(SystemExit) as exc:
+            main(gen_args(tmp_path / "d") + extra)  # the last --count given wins
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "1"])
+    def test_count_one_and_the_fraction_bounds_are_accepted(self, tmp_path, fraction):
+        args = build_parser().parse_args(gen_args(tmp_path / "d", count=1) + ["--single-kidney-fraction", fraction])
+        assert args.count == 1 and args.single_kidney_fraction == float(fraction)
 
 
 def write_tiny_cases(data_dir, n=2):

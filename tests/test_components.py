@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import c2fseg.components
+import c2fseg.volume
 from c2fseg import (
     ComponentStats,
     LabelMap3D,
@@ -136,6 +138,9 @@ class TestLabelMap3D:
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError, match=r"^label map must be 3D, got shape \(4, 4\)$"):
             LabelMap3D(np.zeros((4, 4)), Spacing(1, 1, 1), 0)
+
+    def test_one_class_under_every_import_path(self):
+        assert LabelMap3D is c2fseg.components.LabelMap3D is c2fseg.volume.LabelMap3D
 
 
 class TestComponentStats:

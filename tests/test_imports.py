@@ -1,0 +1,54 @@
+"""Import hygiene of the package, checked with the standard library's ``ast``.
+
+Every module other than a package ``__init__.py`` uses each name it
+imports, and no module reaches into another c2fseg module for a private
+(``_``-prefixed) name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import c2fseg
+
+PACKAGE = Path(c2fseg.__file__).parent
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def module_id(path: Path) -> str:
+    return path.relative_to(PACKAGE.parent).as_posix()
+
+
+def imported_names(tree: ast.Module):
+    """Each name an import statement binds, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def is_package_import(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "c2fseg"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=module_id)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(name for name in imported_names(tree) if name not in used)
+    assert not unused, f"{module_id(path)} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
+def test_no_private_name_is_imported_from_another_module(path):
+    tree = ast.parse(path.read_text())
+    private = sorted(
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and is_package_import(node)
+        for name in (alias.name for alias in node.names)
+        if name.startswith("_")
+    )
+    assert not private, f"{module_id(path)} imports private names: {private}"

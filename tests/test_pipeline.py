@@ -1,4 +1,5 @@
 import concurrent.futures
+import re
 import threading
 import time
 import tracemalloc
@@ -25,6 +26,7 @@ from c2fseg import (
     Volume3D,
     build_guidance,
     dsc,
+    evaluate_split,
     generate_phantom,
     label_components,
     predict_coarse,
@@ -513,6 +515,49 @@ class TestModelOutputChecks:
         for stage in ("coarse", "abnormal", "fine"):
             with pytest.raises(ValueError, match=f"^{stage} model returned values that are not probabilities"):
                 run_stage(stage, model, phantom)
+
+
+RAISING_MODELS = StageModels(coarse=RaisingModel(), abnormal=RaisingModel(), fine=RaisingModel())
+
+# Each site that needs two inputs on one grid: a call taking (volume, other) and how its error names `other`.
+GRID_SITES = {
+    "prepare_coarse_set": (lambda v, m: prepare_coarse_set([(v, m)], desk_cfg()), "label"),
+    "prepare_fine_set": (lambda v, m: prepare_fine_set([(v, m)], desk_cfg()), "label"),
+    "prepare_abnormal_set": (lambda v, m: prepare_abnormal_set([(v, m)], desk_cfg()), "label"),
+    "build_guidance": (lambda v, m: build_guidance(v, m, RAISING_MODELS, desk_cfg()), "coarse mask"),
+    "predict_fine": (lambda v, m: predict_fine(v, m, RAISING_MODELS, desk_cfg()), "guidance mask"),
+    "dsc": (lambda v, m: dsc(Mask3D(v.data > 0, v.spacing), m), "second dsc mask"),
+}
+
+# A mask off the (4, 8, 8) grid at SP in one respect only.
+GRID_MISMATCHES = {
+    "dims_only": lambda: Mask3D(np.zeros((4, 8, 9), dtype=np.uint8), SP),
+    "spacing_only": lambda: Mask3D(np.zeros((4, 8, 8), dtype=np.uint8), Spacing(SP.d, SP.h, 0.8)),
+}
+
+
+def grid_message(what: str, vol: Volume3D, other: Mask3D) -> str:
+    return f"{what} grid {other.dims}/{other.spacing} does not match {vol.dims}/{vol.spacing}"
+
+
+class TestSameGridSites:
+    """Every site that pairs a volume with a mask rejects a mask off its grid before any model runs."""
+
+    @pytest.mark.parametrize("mismatch", sorted(GRID_MISMATCHES))
+    @pytest.mark.parametrize("site", sorted(GRID_SITES))
+    def test_mismatch_raises_naming_the_site(self, site, mismatch):
+        call, what = GRID_SITES[site]
+        vol, other = Volume3D(np.zeros((4, 8, 8), dtype=np.float32), SP), GRID_MISMATCHES[mismatch]()
+        with pytest.raises(GeometryError, match=f"^{re.escape(grid_message(what, vol, other))}$"):
+            call(vol, other)
+
+    @pytest.mark.parametrize("mismatch", sorted(GRID_MISMATCHES))
+    def test_evaluate_split_records_a_failure_row(self, mismatch):
+        vol, gt = Volume3D(np.zeros((4, 8, 8), dtype=np.float32), SP), GRID_MISMATCHES[mismatch]()
+        with pytest.warns(UserWarning, match="^case c0 failed: ground truth grid"):
+            report = evaluate_split([("c0", vol, gt)], RAISING_MODELS, desk_cfg())
+        assert not report.scores and not report.results
+        assert report.failures == [("c0", grid_message("ground truth", vol, gt))]
 
 
 class TestRunCase:

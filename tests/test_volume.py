@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from c2fseg import (
     GeometryError,
+    LabelMap3D,
     Mask3D,
     Spacing,
     Volume3D,
@@ -95,6 +96,32 @@ class TestContainers:
         data[0, 1, 0], data[1, 0, 0] = 7, 3
         with pytest.raises(ValueError, match=r"found value 7\b"):
             Mask3D(data, Spacing(1, 1, 1))
+
+
+CONTAINERS = {
+    "Volume3D": (Volume3D, "volume data", "volume dims"),
+    "Mask3D": (Mask3D, "mask data", "mask dims"),
+    "LabelMap3D": (lambda a, sp: LabelMap3D(a, sp, 0), "label map", "label map dims"),
+}
+
+
+class TestGrid:
+    """The checks every container shares: 3D, positive dims, and ``check_grid`` (its mismatch errors: test_pipeline)."""
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    def test_shape_checks_are_geometry_errors_in_order(self, kind):
+        make, data_noun, dims_noun = CONTAINERS[kind]
+        with pytest.raises(GeometryError, match=rf"^{data_noun} must be 3D, got shape \(0, 2\)$"):
+            make(np.zeros((0, 2)), Spacing(1, 1, 1))  # not 3D is reported before zero size
+        with pytest.raises(GeometryError, match=rf"^{dims_noun} must be positive, got \(2, 0, 3\)$"):
+            make(np.zeros((2, 0, 3)), Spacing(1, 1, 1))
+
+    def test_check_grid_accepts_any_container_on_the_same_grid(self):
+        sp = Spacing(3, 2, 1)
+        grids = [make(np.zeros((2, 3, 4)), sp) for make, _, _ in CONTAINERS.values()]
+        for a in grids:
+            for b in grids:
+                assert a.check_grid(b, "other") is None
 
 
 class TestExtractSlices:
