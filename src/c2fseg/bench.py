@@ -54,8 +54,8 @@ class PhantomSpec:
         for lo, hi in self.semi_axes_mm:
             if not (0 < lo <= hi):
                 raise ValueError(f"invalid semi-axis range ({lo}, {hi})")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
 
 def _ellipsoid_mask(dims, center_vox, radii_vox) -> np.ndarray:

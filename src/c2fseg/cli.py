@@ -31,13 +31,6 @@ from .pipeline import (
 from .volume import Mask3D, Volume3D
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected D,H,W, got {text!r}")
-    return tuple(parts)
-
-
 def _checked(parse, ok, need: str):
     """An argparse type that parses with ``parse`` and rejects a value ``ok`` refuses."""
 
@@ -256,15 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def dims(text: str) -> tuple[int, ...]:  # argparse names it in "invalid dims value: 'x'"
+        return tuple(int(part) for part in text.split(","))
+
     p = sub.add_parser("phantom-gen", help="generate synthetic phantom volume/mask pairs")
     p.add_argument("--count", type=_checked(int, lambda n: n >= 1, "be at least 1"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, "be non-negative"), required=True)
     p.add_argument(
         "--single-kidney-fraction", type=_checked(float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"), default=0.0
     )
-    p.add_argument("--dims", type=_parse_dims, default=(64, 96, 96))
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument(
+        "--dims", type=_checked(dims, lambda d: len(d) == 3 and min(d) >= 1, "be three positive ints D,H,W"),
+        default=(64, 96, 96),
+    )
+    p.add_argument(
+        "--noise", type=_checked(float, lambda x: 0.0 <= x < np.inf, "be finite and non-negative"), default=0.0
+    )
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_phantom_gen)
 

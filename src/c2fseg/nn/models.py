@@ -13,7 +13,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .unet import UNetSpec, unet_forward
+from .unet import UNetSpec, check_weights, unet_forward
 from .weights import ModelWeights
 
 
@@ -46,9 +46,11 @@ class UNetModel:
     """A trained net behind the SegmentationModel interface.
 
     Weights are immutable, so one instance may serve concurrent predict calls.
+    Construction raises GeometryError if the weights do not fit ``spec``.
     """
 
     def __init__(self, spec: UNetSpec, weights: ModelWeights):
+        check_weights(spec, weights)
         self.spec = spec
         self.weights = weights
 

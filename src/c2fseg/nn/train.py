@@ -27,6 +27,8 @@ class FitParams:
             raise ValueError(f"invalid hyperparameters {self!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWeights, list[float]]:

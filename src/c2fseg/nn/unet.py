@@ -74,16 +74,16 @@ class ForwardCache:
     entries: dict
 
 
-def _get_param(weights, name: str, expected_shape, kind: str) -> np.ndarray:
-    try:
-        p = weights[name]
-    except KeyError:
-        raise GeometryError(f"missing parameter {name!r} for layer {name.split('.')[0]!r}") from None
-    if tuple(p.shape) != tuple(expected_shape):
-        raise GeometryError(
-            f"layer {name.split('.')[0]!r}: {kind} shape {tuple(p.shape)} does not match spec shape {tuple(expected_shape)}"
-        )
-    return p
+def check_weights(spec: UNetSpec, weights) -> None:
+    """Raise GeometryError naming the layer of the first parameter of ``spec`` that is missing or misshapen."""
+    for name, shape in parameter_shapes(spec).items():
+        layer = name.split(".")[0]
+        if name not in weights:
+            raise GeometryError(f"missing parameter {name!r} for layer {layer!r}")
+        got = tuple(weights[name].shape)
+        if got != shape:
+            kind = "bias" if name.endswith(".b") else "weight"
+            raise GeometryError(f"layer {layer!r}: {kind} shape {got} does not match spec shape {shape}")
 
 
 def _check_input(spec: UNetSpec, x: np.ndarray) -> None:
@@ -109,7 +109,7 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
     either way.
     """
     _check_input(spec, x)
-    shapes = parameter_shapes(spec)
+    check_weights(spec, weights)
     entries: dict = {}
 
     def keep(key, result):
@@ -121,24 +121,18 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
     skips = []
     h = x
     for i in range(spec.depth):
-        w = _get_param(weights, f"enc{i}.w", shapes[f"enc{i}.w"], "weight")
-        b = _get_param(weights, f"enc{i}.b", shapes[f"enc{i}.b"], "bias")
+        w, b = weights[f"enc{i}.w"], weights[f"enc{i}.b"]
         h = keep(f"enc{i}.conv", layers.conv2d_forward(h, w, b, name=f"enc{i}"))
         h = keep(f"enc{i}.relu", layers.relu_forward(h))
         skips.append(h)
         h = keep(f"enc{i}.pool", layers.maxpool2_forward(h, name=f"enc{i}.pool"))
-    w = _get_param(weights, "mid.w", shapes["mid.w"], "weight")
-    b = _get_param(weights, "mid.b", shapes["mid.b"], "bias")
-    h = keep("mid.conv", layers.conv2d_forward(h, w, b, name="mid"))
+    h = keep("mid.conv", layers.conv2d_forward(h, weights["mid.w"], weights["mid.b"], name="mid"))
     h = keep("mid.relu", layers.relu_forward(h))
     for i in reversed(range(spec.depth)):
-        w = _get_param(weights, f"dec{i}.w", shapes[f"dec{i}.w"], "weight")
-        b = _get_param(weights, f"dec{i}.b", shapes[f"dec{i}.b"], "bias")
+        w, b = weights[f"dec{i}.w"], weights[f"dec{i}.b"]
         h = keep(f"dec{i}.conv", layers.decoder_conv_forward(skips[i], h, w, b, name=f"dec{i}"))
         h = keep(f"dec{i}.relu", layers.relu_forward(h))
-    w = _get_param(weights, "head.w", shapes["head.w"], "weight")
-    b = _get_param(weights, "head.b", shapes["head.b"], "bias")
-    h = keep("head.conv", layers.conv2d_forward(h, w, b, name="head"))
+    h = keep("head.conv", layers.conv2d_forward(h, weights["head.w"], weights["head.b"], name="head"))
     y = keep("head.sig", layers.sigmoid_forward(h))
     if not cache:
         return y, None

@@ -91,35 +91,29 @@ def load_weights(source) -> ModelWeights:
     if version != VERSION:
         raise FormatError(f"unsupported weight file version {version}")
 
-    off = 12
-    end = len(raw) - 4  # body ends where the CRC trailer starts
+    view = memoryview(raw)
+    off, end = 12, len(raw) - 4  # the body ends where the CRC trailer starts
+
+    def take(n: int) -> memoryview:
+        """The next ``n`` body bytes of parameter ``k``, without copying them."""
+        nonlocal off
+        if off + n > end:
+            raise FormatError(f"truncated at parameter {k}")
+        off += n
+        return view[off - n : off]
+
     params: dict[str, np.ndarray] = {}
     for k in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        name_bytes = take(name_len)
+        (rank,) = take(1)
         try:
-            if off + 2 > end:
-                raise FormatError(f"truncated at parameter {k}")
-            (name_len,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            if off + name_len + 1 > end:
-                raise FormatError(f"truncated at parameter {k}")
-            try:
-                name = raw[off : off + name_len].decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise FormatError(f"parameter {k} name is not UTF-8: {e}") from None
-            off += name_len
-            rank = raw[off]
-            off += 1
-            if off + 4 * rank > end:
-                raise FormatError(f"truncated at parameter {k}")
-            dims = struct.unpack_from(f"<{rank}I", raw, off)
-            off += 4 * rank
-            n = math.prod(dims)  # Python ints: dims from the file cannot overflow it
-            if off + 4 * n > end:
-                raise FormatError(f"truncated at parameter {k}")
-            data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-            off += 4 * n
-        except struct.error:
-            raise FormatError(f"truncated at parameter {k}") from None
+            name = str(name_bytes, "utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"parameter {k} name is not UTF-8: {e}") from None
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        n = math.prod(dims)  # Python ints: dims from the file cannot overflow it
+        data = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims)
         if name in params:
             raise FormatError(f"duplicate parameter name {name!r}")
         params[name] = data.copy()
@@ -128,7 +122,7 @@ def load_weights(source) -> ModelWeights:
     if off != end:
         raise FormatError(f"{end - off} unexpected trailing bytes before checksum")
     (stored_crc,) = struct.unpack_from("<I", raw, end)
-    actual_crc = zlib.crc32(raw[:end]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(view[:end]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
     try:

@@ -119,6 +119,11 @@ class TestGeneratePhantom:
         with pytest.raises(ValueError, match="fit"):
             generate_phantom(spec)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match=f"^noise_sigma must be finite and non-negative, got {sigma}$"):
+            PhantomSpec(noise_sigma=sigma, seed=0, **PHANTOM_KW)
+
 
 class TestDsc:
     def mask(self, data):

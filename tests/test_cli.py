@@ -74,6 +74,13 @@ class TestPhantomGen:
         (["--single-kidney-fraction", "-0.1"], "argument --single-kidney-fraction: must lie in [0, 1], got -0.1"),
         (["--single-kidney-fraction", "1.5"], "argument --single-kidney-fraction: must lie in [0, 1], got 1.5"),
         (["--single-kidney-fraction", "nan"], "argument --single-kidney-fraction: must lie in [0, 1], got nan"),
+        (["--dims", "a,b,c"], "argument --dims: invalid dims value: 'a,b,c'"),
+        (["--dims", "0,4,4"], "argument --dims: must be three positive ints D,H,W, got 0,4,4"),
+        (["--dims", "8,24"], "argument --dims: must be three positive ints D,H,W, got 8,24"),
+        (["--noise", "-1"], "argument --noise: must be finite and non-negative, got -1"),
+        (["--noise", "nan"], "argument --noise: must be finite and non-negative, got nan"),
+        (["--noise", "inf"], "argument --noise: must be finite and non-negative, got inf"),
+        (["--seed", "-1"], "argument --seed: must be non-negative, got -1"),
     ])
     def test_bad_count_or_fraction_is_a_usage_error(self, tmp_path, capsys, extra, error):
         with pytest.raises(SystemExit) as exc:
@@ -132,6 +139,18 @@ class TestTrain:
         ])
         assert code != 0
         assert "divisible" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(DESK_CONFIG.replace("seed = 7", "seed = -1"))
+        write_tiny_cases(tmp_path / "data")
+        code = main([
+            "train", "--stage", "coarse", "--data", str(tmp_path / "data"),
+            "--config", str(cfg), "--out", str(tmp_path / "w.c2fw"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "w.c2fw").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_is_an_error_line(self, tmp_path, capsys):
@@ -301,6 +320,29 @@ class TestPredictAndEval:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_weights_that_do_not_fit_the_net_fail_before_any_stage(self, tmp_path, desk_config, capsys, monkeypatch):
+        from c2fseg import ModelWeights, UNetSpec, cli, save_weights
+        from c2fseg.nn.unet import init_weights
+
+        def no_run_case(*args, **kwargs):
+            raise AssertionError("run_case ran with weights that do not fit the net")
+
+        monkeypatch.setattr(cli, "run_case", no_run_case)
+        write_tiny_cases(tmp_path / "data", n=1)
+        params = init_weights(UNetSpec(depth=1, base_channels=2), seed=0)
+        save_weights(ModelWeights(params), tmp_path / "good.c2fw")
+        del params["head.b"]
+        save_weights(ModelWeights(params), tmp_path / "bad.c2fw")
+        code = main([
+            "predict", "--input", str(tmp_path / "data" / "case0000_volume.rvol"),
+            "--coarse", str(tmp_path / "good.c2fw"), "--abnormal", str(tmp_path / "good.c2fw"),
+            "--fine", str(tmp_path / "bad.c2fw"),
+            "--config", str(desk_config), "--out", str(tmp_path / "o.rvol"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing parameter 'head.b' for layer 'head'\n"
+        assert not (tmp_path / "o.rvol").exists()
 
     def test_missing_input_exits_nonzero(self, tmp_path, desk_config, capsys):
         code = main([

@@ -1,11 +1,15 @@
-"""Import hygiene of the package, checked with the standard library's ``ast``.
+"""Import hygiene of the package.
 
-Every module other than a package ``__init__.py`` uses each name it
-imports, and no module reaches into another c2fseg module for a private
-(``_``-prefixed) name.
+Checked with the standard library's ``ast``: every module other than a
+package ``__init__.py`` uses each name it imports, and no module reaches
+into another c2fseg module for a private (``_``-prefixed) name. Checked in
+a fresh interpreter: importing the package leaves out what it loads lazily.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,17 @@ def test_no_private_name_is_imported_from_another_module(path):
         if name.startswith("_")
     )
     assert not private, f"{module_id(path)} imports private names: {private}"
+
+
+def test_importing_the_package_does_not_load_concurrent_futures(tmp_path):
+    """The pipeline imports it only where a stack fans out to threads: the import costs several ms of start-up."""
+    # As the CLI-run criterion does: the directory holding the c2fseg under test goes first on PYTHONPATH.
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(PACKAGE.resolve().parent) + (os.pathsep + inherited if inherited else "")
+    probe = "import sys, c2fseg; print(c2fseg.__file__); print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    child_pkg, loaded = proc.stdout.splitlines()
+    assert Path(child_pkg).resolve().parent == PACKAGE.resolve()
+    assert loaded == "[]", f"import c2fseg loaded {loaded}"

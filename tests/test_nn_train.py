@@ -107,6 +107,8 @@ class TestFit:
             FitParams(lr=0.1, epochs=1, batch=0, seed=0)
         with pytest.raises(ValueError):
             FitParams(lr=0.1, epochs=1, batch=1, seed=0, momentum=1.0)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            FitParams(seed=-1)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_lr_rejected(self, lr):

@@ -58,6 +58,38 @@ class TestForward:
         with pytest.raises(GeometryError, match="head"):
             unet_forward(spec, p, rng.standard_normal((1, 1, 8, 8)))
 
+    def test_whole_weight_set_checked_before_any_layer_runs(self, rng, monkeypatch):
+        spec = UNetSpec(depth=1, base_channels=2)
+        p = params64(spec)
+        del p["head.b"]
+
+        def no_conv(*args, **kwargs):
+            raise AssertionError("a layer ran before the weights were checked")
+
+        monkeypatch.setattr(layers, "conv2d_forward", no_conv)
+        with pytest.raises(GeometryError, match="missing parameter 'head.b' for layer 'head'"):
+            unet_forward(spec, p, rng.standard_normal((1, 1, 8, 8)))
+
+
+class TestModelConstruction:
+    def test_missing_parameter_rejected_naming_layer(self):
+        spec = UNetSpec(depth=1, base_channels=2)
+        p = init_weights(spec, 0)
+        del p["head.b"]
+        with pytest.raises(GeometryError, match="missing parameter 'head.b' for layer 'head'"):
+            UNetModel(spec, ModelWeights(p))
+
+    @pytest.mark.parametrize("name, shape, match", [
+        ("mid.w", (3, 3, 3, 3), r"layer 'mid': weight shape \(3, 3, 3, 3\) does not match spec shape \(4, 2, 3, 3\)"),
+        ("enc0.b", (3,), r"layer 'enc0': bias shape \(3,\) does not match spec shape \(2,\)"),
+    ], ids=["weight", "bias"])
+    def test_misshapen_parameter_rejected_naming_layer(self, name, shape, match):
+        spec = UNetSpec(depth=1, base_channels=2)
+        p = init_weights(spec, 0)
+        p[name] = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(GeometryError, match=match):
+            UNetModel(spec, ModelWeights(p))
+
 
 class TestInferenceWithoutCache:
     def test_same_bytes_as_training_forward(self, rng):

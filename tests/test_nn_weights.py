@@ -80,6 +80,21 @@ class TestRejection:
         with pytest.raises(FormatError, match="truncated at parameter 0"):
             load_weights(path)
 
+    def test_every_cut_names_the_first_parameter_it_reaches_into(self, weights, tmp_path):
+        path = tmp_path / "w.c2fw"
+        save_weights(weights, path)
+        raw = path.read_bytes()
+        ends, off = [], 12  # where each parameter's bytes end
+        for name, arr in weights.items():
+            off += 2 + len(name.encode()) + 1 + 4 * arr.ndim + 4 * arr.size
+            ends.append(off)
+        assert len(ends) == 3 and ends[-1] == len(raw) - 4
+        for cut in range(12, len(raw)):
+            path.write_bytes(raw[:cut])  # its last 4 bytes are read as the checksum
+            k = next(i for i, end in enumerate(ends) if end > cut - 4)
+            with pytest.raises(FormatError, match=rf"^truncated at parameter {k}$"):
+                load_weights(path)
+
     def test_crc_corruption(self, weights, tmp_path):
         path = tmp_path / "w.c2fw"
         save_weights(weights, path)
