@@ -11,6 +11,14 @@ Forwards do no work that only the backward needs: ReLU caches its output
 backward finds each window's first maximum from them). A caller that drops
 the cache pays for nothing but the output. Max pooling and the decoder
 conv's up half work on the four stride-2 phase views ``x[:, :, r::2, c::2]``.
+
+The per-sample bulk of the convs, the decoder conv and the max-pool backward
+runs through ``parallel.split_batch``: inside ``fit`` one contiguous chunk of
+the batch per usable CPU, anywhere else the whole batch on the calling
+thread. A chunk calls only numpy and this module's private helpers, and
+writes only its own samples' rows of preallocated outputs. Sums over the
+batch run after every chunk, on the calling thread, so every result has the
+bytes of a whole-batch run.
 """
 
 from __future__ import annotations
@@ -18,19 +26,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeometryError
+from ..parallel import split_batch
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, out_h: int, out_w: int) -> np.ndarray:
-    """(B, C, Hp, Wp) padded input -> (B, C*kh*kw, out_h*out_w) columns."""
-    b, c, _, _ = xp.shape
+def _im2col(xp: np.ndarray, kh: int, kw: int, out: np.ndarray) -> None:
+    """(B, C, Hp, Wp) padded input -> its columns, written into ``out`` of shape (B, C*kh*kw, out_h*out_w)."""
+    b, c, hp, wp = xp.shape
     sb, sc, sh, sw = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(b, c, kh, kw, out_h, out_w),
+        shape=(b, c, kh, kw, hp - kh + 1, wp - kw + 1),
         strides=(sb, sc, sh, sw, sh, sw),
         writeable=False,
     )
-    return np.ascontiguousarray(patches).reshape(b, c * kh * kw, out_h * out_w)
+    np.copyto(out.reshape(patches.shape), patches)
 
 
 def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -45,26 +54,37 @@ def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _col2im(gcols: np.ndarray, x_shape, k: int, pad: int) -> np.ndarray:
-    """Adjoint of ``_im2col`` and the replicate pad: (B, C*k*k, H*W) columns -> (B, C, H, W) gradient."""
-    bsz, c, h, w = x_shape
-    gcols = gcols.reshape(bsz, c, k, k, h, w)
-    gxp = np.zeros((bsz, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+def _col2im(gcols: np.ndarray, k: int, pad: int, out: np.ndarray) -> None:
+    """Adjoint of ``_im2col`` and the replicate pad: (B, C*k*k, H*W) columns -> the (B, C, H, W) gradient ``out``.
+
+    ``pad`` is 0 (1x1) or 1 (3x3). Each padded cell sums its taps in raster
+    order from 0, so the first tap is ``0 + tap``: -0.0 becomes 0.0, as in a
+    zero-filled buffer. Only the strips that tap leaves uncovered are
+    zero-filled. Each pad cell then adds into the edge cell it replicated:
+    rows, then columns, then corners.
+    """
+    bsz, c, h, w = out.shape
+    taps = gcols.reshape(bsz, c, k, k, h, w)
+    if pad == 0:
+        np.add(0, taps[:, :, 0, 0], out=out)
+        return
+    gxp = np.empty((bsz, c, h + 2, w + 2), dtype=out.dtype)
+    np.add(0, taps[:, :, 0, 0], out=gxp[:, :, :h, :w])
+    gxp[:, :, h:] = 0
+    gxp[:, :, :h, w:] = 0
     for i in range(k):
         for j in range(k):
-            gxp[:, :, i : i + h, j : j + w] += gcols[:, :, i, j]
-    if pad == 0:
-        return gxp
-    gx = gxp[:, :, 1:-1, 1:-1].copy()
-    gx[:, :, 0, :] += gxp[:, :, 0, 1:-1]
-    gx[:, :, -1, :] += gxp[:, :, -1, 1:-1]
-    gx[:, :, :, 0] += gxp[:, :, 1:-1, 0]
-    gx[:, :, :, -1] += gxp[:, :, 1:-1, -1]
-    gx[:, :, 0, 0] += gxp[:, :, 0, 0]
-    gx[:, :, 0, -1] += gxp[:, :, 0, -1]
-    gx[:, :, -1, 0] += gxp[:, :, -1, 0]
-    gx[:, :, -1, -1] += gxp[:, :, -1, -1]
-    return gx
+            if i or j:
+                gxp[:, :, i : i + h, j : j + w] += taps[:, :, i, j]
+    gxp[:, :, 1, 1:-1] += gxp[:, :, 0, 1:-1]
+    gxp[:, :, -2, 1:-1] += gxp[:, :, -1, 1:-1]
+    gxp[:, :, 1:-1, 1] += gxp[:, :, 1:-1, 0]
+    gxp[:, :, 1:-1, -2] += gxp[:, :, 1:-1, -1]
+    gxp[:, :, 1, 1] += gxp[:, :, 0, 0]
+    gxp[:, :, 1, -2] += gxp[:, :, 0, -1]
+    gxp[:, :, -2, 1] += gxp[:, :, -1, 0]
+    gxp[:, :, -2, -2] += gxp[:, :, -1, -1]
+    out[...] = gxp[:, :, 1:-1, 1:-1]
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "conv"):
@@ -80,25 +100,44 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "con
     if b.shape != (cout,):
         raise GeometryError(f"{name}: bias shape {b.shape} does not match {cout} output channels")
     pad = kh // 2
-    xp = _replicate_pad(x, pad) if pad else x
-    cols = _im2col(xp, kh, kw, h, wid)
     wmat = w.reshape(cout, -1)
-    y = np.matmul(wmat, cols).reshape(bsz, cout, h, wid)
-    y += b[None, :, None, None]
+    cols = np.empty((bsz, cin * kh * kw, h * wid), dtype=x.dtype)
+    y = np.empty((bsz, cout, h * wid), dtype=np.result_type(wmat, cols))
+
+    def chunk(lo: int, hi: int) -> None:
+        _im2col(_replicate_pad(x[lo:hi], pad) if pad else x[lo:hi], kh, kw, cols[lo:hi])
+        np.matmul(wmat, cols[lo:hi], out=y[lo:hi])
+        y[lo:hi] += b[:, None]
+
+    split_batch(bsz, chunk)
     cache = (cols, w, x.shape, pad, name)
-    return y, cache
+    return y.reshape(bsz, cout, h, wid), cache
 
 
-def conv2d_backward(cache, gy: np.ndarray):
+def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
+    """(input gradient, weight gradient, bias gradient); the input gradient is None unless ``input_grad``.
+
+    Each sample's weight-gradient product is kept, and the batch sum runs over
+    all of them at the end, so the sums do not depend on how the batch is split.
+    """
     cols, w, x_shape, pad, name = cache
     bsz, _, h, wid = x_shape
     cout, _, kh, _ = w.shape
     if gy.shape != (bsz, cout, h, wid):
         raise GeometryError(f"{name}: grad shape {gy.shape} does not match output {(bsz, cout, h, wid)}")
     gy_mat = gy.reshape(bsz, cout, h * wid)
-    gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    wt = w.reshape(cout, -1).T
+    products = np.empty((bsz, cout, cols.shape[1]), dtype=np.result_type(gy_mat, cols))
+    gx = np.empty(x_shape, dtype=np.result_type(wt, gy_mat)) if input_grad else None
+
+    def chunk(lo: int, hi: int) -> None:
+        np.matmul(gy_mat[lo:hi], cols[lo:hi].transpose(0, 2, 1), out=products[lo:hi])
+        if gx is not None:
+            _col2im(np.matmul(wt, gy_mat[lo:hi]), kh, pad, gx[lo:hi])
+
+    split_batch(bsz, chunk)
+    gw = products.sum(axis=0).reshape(w.shape)
     gb = gy.sum(axis=(0, 2, 3))
-    gx = _col2im(np.matmul(w.reshape(cout, -1).T, gy_mat), x_shape, kh, pad)
     return gx, gw, gb
 
 
@@ -131,14 +170,20 @@ def maxpool2_forward(x: np.ndarray, name: str = "pool"):
 def maxpool2_backward(cache, gy: np.ndarray):
     """Routes each output gradient to its window's first maximum in raster order; NaN counts as one."""
     x, y = cache
-    gx = np.zeros(x.shape, dtype=gy.dtype)
-    free = np.ones(y.shape, dtype=bool)
-    for r in (0, 1):
-        for c in (0, 1):
-            xp = x[:, :, r::2, c::2]
-            hit = free & ((xp == y) | (xp != xp))
-            np.copyto(gx[:, :, r::2, c::2], gy, where=hit)
-            free &= ~hit
+    gx = np.empty(x.shape, dtype=gy.dtype)
+
+    def chunk(lo: int, hi: int) -> None:
+        gxc, xc, yc, gyc = gx[lo:hi], x[lo:hi], y[lo:hi], gy[lo:hi]
+        gxc.fill(0)
+        free = np.ones(yc.shape, dtype=bool)
+        for r in (0, 1):
+            for c in (0, 1):
+                xp = xc[:, :, r::2, c::2]
+                hit = free & ((xp == yc) | (xp != xp))
+                np.copyto(gxc[:, :, r::2, c::2], gyc, where=hit)
+                free &= ~hit
+
+    split_batch(len(x), chunk)
     return gx
 
 
@@ -170,12 +215,18 @@ def decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.n
     if w.shape[1:] != (cs + cup, 3, 3):
         raise GeometryError(f"{name}: weight shape {w.shape} does not fit {cs} skip + {cup} up channels, 3x3")
     y, skip_cache = conv2d_forward(skip, w[:, :cs], b, name)
-    cols = _im2col(_replicate_pad(h, 1), 3, 3, hl, wl)
     w4 = _fold_up(w[:, cs:])
-    z = np.matmul(w4, cols).reshape(bsz, 2, 2, cout, hl, wl)
-    for r in (0, 1):
-        for c in (0, 1):
-            y[:, :, r::2, c::2] += z[:, r, c]
+    cols = np.empty((bsz, cup * 9, hl * wl), dtype=h.dtype)
+
+    def chunk(lo: int, hi: int) -> None:
+        _im2col(_replicate_pad(h[lo:hi], 1), 3, 3, cols[lo:hi])
+        z = np.matmul(w4, cols[lo:hi]).reshape(hi - lo, 2, 2, cout, hl, wl)
+        yc = y[lo:hi]
+        for r in (0, 1):
+            for c in (0, 1):
+                yc[:, :, r::2, c::2] += z[:, r, c]
+
+    split_batch(bsz, chunk)
     return y, (skip_cache, cols, w4, h.shape)
 
 
@@ -185,10 +236,18 @@ def decoder_conv_backward(cache, gy: np.ndarray):
     g_skip, gw_skip, gb = conv2d_backward(skip_cache, gy)
     bsz, cup, hl, wl = h_shape
     cout = gy.shape[1]
-    gz = np.stack([gy[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)], axis=1).reshape(bsz, 4 * cout, hl * wl)
-    gw4 = np.matmul(gz, cols.transpose(0, 2, 1)).sum(axis=0)
+    products = np.empty((bsz, 4 * cout, cols.shape[1]), dtype=np.result_type(gy, cols))
+    g_h = np.empty(h_shape, dtype=np.result_type(w4, gy))
+
+    def chunk(lo: int, hi: int) -> None:
+        phases = [gy[lo:hi, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
+        gz = np.stack(phases, axis=1).reshape(hi - lo, 4 * cout, hl * wl)
+        np.matmul(gz, cols[lo:hi].transpose(0, 2, 1), out=products[lo:hi])
+        _col2im(np.matmul(w4.T, gz), 3, 1, g_h[lo:hi])
+
+    split_batch(bsz, chunk)
+    gw4 = products.sum(axis=0)
     gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), _FOLD.T)
-    g_h = _col2im(np.matmul(w4.T, gz), h_shape, 3, 1)
     gw = np.concatenate([gw_skip, gw_up.reshape(cout, cup, 3, 3)], axis=1)
     return g_skip, g_h, gw, gb
 

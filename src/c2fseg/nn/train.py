@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GeometryError, TrainingDivergedError
+from ..parallel import batch_threads
 from .loss import dice_loss, dice_loss_grad
 from .unet import UNetSpec, init_weights, unet_backward, unet_forward
 from .weights import ModelWeights
@@ -39,6 +40,13 @@ def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWei
     the per-epoch mean loss trace. The update steps with the batch-mean
     gradient; the trace reports the epoch mean of the per-sample losses,
     i.e. the training objective over the N samples.
+
+    Each batch runs on every usable CPU (``parallel.usable_cpus``): the layers
+    split its per-sample work into one contiguous chunk per CPU, from a pool
+    held for this call and joined when it returns or raises. The sums over
+    the batch run on the calling thread in one fixed order, so the weights
+    and trace are byte-identical for any CPU count; ``taskset -c 0`` trains
+    serially.
     """
     if not isinstance(dataset, np.ndarray) or dataset.ndim != 4 or dataset.shape[1] != 2:
         got = dataset.shape if isinstance(dataset, np.ndarray) else type(dataset).__name__
@@ -57,26 +65,27 @@ def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWei
     velocity = {k: np.zeros_like(v) for k, v in params.items()} if hyper.momentum else None
 
     trace: list[float] = []
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, hyper.batch):
-            sel = order[start : start + hyper.batch]
-            xb, yb = x[sel], y[sel]
-            probs, cache = unet_forward(spec, params, xb)
-            batch_loss = dice_loss(probs, yb)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, batch_loss)
-            loss_sum += batch_loss
-            grads = unet_backward(spec, cache, dice_loss_grad(probs, yb))
-            scale = hyper.lr / len(sel)
-            for name, g in grads.items():
-                if velocity is not None:
-                    v = velocity[name]
-                    v *= hyper.momentum
-                    v += g / len(sel)
-                    params[name] -= hyper.lr * v
-                else:
-                    params[name] -= scale * g
-        trace.append(loss_sum / n)
+    with batch_threads():
+        for epoch in range(hyper.epochs):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, hyper.batch):
+                sel = order[start : start + hyper.batch]
+                xb, yb = x[sel], y[sel]
+                probs, cache = unet_forward(spec, params, xb)
+                batch_loss = dice_loss(probs, yb)
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError(epoch, batch_loss)
+                loss_sum += batch_loss
+                grads = unet_backward(spec, cache, dice_loss_grad(probs, yb))
+                scale = hyper.lr / len(sel)
+                for name, g in grads.items():
+                    if velocity is not None:
+                        v = velocity[name]
+                        v *= hyper.momentum
+                        v += g / len(sel)
+                        params[name] -= hyper.lr * v
+                    else:
+                        params[name] -= scale * g
+            trace.append(loss_sum / n)
     return ModelWeights(params), trace

@@ -161,5 +161,6 @@ def unet_backward(spec: UNetSpec, cache: ForwardCache, grad_output: np.ndarray):
         g = layers.maxpool2_backward(e[f"enc{i}.pool"], g)
         g = g + skip_grads[i]
         g = layers.relu_backward(e[f"enc{i}.relu"], g)
-        g, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = layers.conv2d_backward(e[f"enc{i}.conv"], g)
+        # Nothing reads the gradient of the image itself, so enc0's is not computed.
+        g, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = layers.conv2d_backward(e[f"enc{i}.conv"], g, input_grad=i > 0)
     return grads

@@ -14,7 +14,6 @@ Training-set preparation gives each stage one float32 array of shape
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from contextvars import ContextVar
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .components import (
     AbnormalityVerdict,
     classify,
@@ -173,13 +173,6 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
 _SERIAL_PLANE_S = 1e-3
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> np.ndarray:
     p = np.asarray(model.predict(plane), dtype=np.float32)
     if p.shape != plane.shape:
@@ -205,7 +198,7 @@ def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndar
     n = len(planes)  # at least 1: containers and windows have positive dims
     t0 = time.perf_counter()
     out[0] = _predict_plane(model, planes[0], stage)
-    workers = min(_usable_cpus(), n - 1) if time.perf_counter() - t0 >= _SERIAL_PLANE_S else 1
+    workers = min(parallel.usable_cpus(), n - 1) if time.perf_counter() - t0 >= _SERIAL_PLANE_S else 1
     if workers <= 1:
         for k in range(1, n):
             out[k] = _predict_plane(model, planes[k], stage)

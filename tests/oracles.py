@@ -285,6 +285,113 @@ def decoder_conv_oracle_backward(cache, gy: np.ndarray):
     return (*upcat_backward(cs, gx), gw, gb)
 
 
+# The batched layer ops as the package ran them before each batch was split
+# into per-CPU chunks: every op over the whole batch at once, with fresh
+# buffers. The split ops must give these bytes. The pad is numpy's edge pad
+# (byte-equal to the package's replicate pad); the decoder's phase kernels
+# come from the package's ``_fold_up``, which the split does not touch.
+
+
+def _unsplit_im2col(xp: np.ndarray, kh: int, kw: int, out_h: int, out_w: int) -> np.ndarray:
+    b, c, _, _ = xp.shape
+    sb, sc, sh, sw = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp, shape=(b, c, kh, kw, out_h, out_w), strides=(sb, sc, sh, sw, sh, sw), writeable=False
+    )
+    return np.ascontiguousarray(patches).reshape(b, c * kh * kw, out_h * out_w)
+
+
+def unsplit_col2im(gcols: np.ndarray, x_shape, k: int, pad: int) -> np.ndarray:
+    bsz, c, h, w = x_shape
+    gcols = gcols.reshape(bsz, c, k, k, h, w)
+    gxp = np.zeros((bsz, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i : i + h, j : j + w] += gcols[:, :, i, j]
+    if pad == 0:
+        return gxp
+    gx = gxp[:, :, 1:-1, 1:-1].copy()
+    gx[:, :, 0, :] += gxp[:, :, 0, 1:-1]
+    gx[:, :, -1, :] += gxp[:, :, -1, 1:-1]
+    gx[:, :, :, 0] += gxp[:, :, 1:-1, 0]
+    gx[:, :, :, -1] += gxp[:, :, 1:-1, -1]
+    gx[:, :, 0, 0] += gxp[:, :, 0, 0]
+    gx[:, :, 0, -1] += gxp[:, :, 0, -1]
+    gx[:, :, -1, 0] += gxp[:, :, -1, 0]
+    gx[:, :, -1, -1] += gxp[:, :, -1, -1]
+    return gx
+
+
+def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+
+
+def unsplit_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(output, cache); the cache is laid out as ``conv2d_forward``'s."""
+    bsz, _, h, wid = x.shape
+    cout, _, kh, kw = w.shape
+    pad = kh // 2
+    cols = _unsplit_im2col(_edge_pad(x, pad) if pad else x, kh, kw, h, wid)
+    y = np.matmul(w.reshape(cout, -1), cols).reshape(bsz, cout, h, wid)
+    y += b[None, :, None, None]
+    return y, (cols, w, x.shape, pad, "conv")
+
+
+def unsplit_conv2d_backward(cache, gy: np.ndarray):
+    """(input gradient, weight gradient, bias gradient)."""
+    cols, w, x_shape, pad, _ = cache
+    bsz, _, h, wid = x_shape
+    cout, _, kh, _ = w.shape
+    gy_mat = gy.reshape(bsz, cout, h * wid)
+    gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gb = gy.sum(axis=(0, 2, 3))
+    gx = unsplit_col2im(np.matmul(w.reshape(cout, -1).T, gy_mat), x_shape, kh, pad)
+    return gx, gw, gb
+
+
+def unsplit_decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(output, cache); the cache is laid out as ``decoder_conv_forward``'s."""
+    bsz, cs = skip.shape[:2]
+    _, cup, hl, wl = h.shape
+    cout = w.shape[0]
+    y, skip_cache = unsplit_conv2d_forward(skip, w[:, :cs], b)
+    cols = _unsplit_im2col(_edge_pad(h, 1), 3, 3, hl, wl)
+    w4 = layers._fold_up(w[:, cs:])
+    z = np.matmul(w4, cols).reshape(bsz, 2, 2, cout, hl, wl)
+    for r in (0, 1):
+        for c in (0, 1):
+            y[:, :, r::2, c::2] += z[:, r, c]
+    return y, (skip_cache, cols, w4, h.shape)
+
+
+def unsplit_decoder_conv_backward(cache, gy: np.ndarray):
+    """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
+    skip_cache, cols, w4, h_shape = cache
+    g_skip, gw_skip, gb = unsplit_conv2d_backward(skip_cache, gy)
+    bsz, cup, hl, wl = h_shape
+    cout = gy.shape[1]
+    gz = np.stack([gy[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)], axis=1).reshape(bsz, 4 * cout, hl * wl)
+    gw4 = np.matmul(gz, cols.transpose(0, 2, 1)).sum(axis=0)
+    gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), layers._FOLD.T)
+    g_h = unsplit_col2im(np.matmul(w4.T, gz), h_shape, 3, 1)
+    gw = np.concatenate([gw_skip, gw_up.reshape(cout, cup, 3, 3)], axis=1)
+    return g_skip, g_h, gw, gb
+
+
+def unsplit_maxpool2_backward(cache, gy: np.ndarray) -> np.ndarray:
+    """Input gradient of ``maxpool2_forward``'s (x, y) cache."""
+    x, y = cache
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for r in (0, 1):
+        for c in (0, 1):
+            xp = x[:, :, r::2, c::2]
+            hit = free & ((xp == y) | (xp != xp))
+            np.copyto(gx[:, :, r::2, c::2], gy, where=hit)
+            free &= ~hit
+    return gx
+
+
 # The training sets as the package built them before they were one array:
 # one (image, label) pair of planes per sample, each plane cut or resized
 # on its own, then checked for one shape and stacked. ``prepare_*_set``

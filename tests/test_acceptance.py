@@ -291,10 +291,10 @@ coarse_dims = 32, 32
 fine_dims = 32, 32
 abnormal_dims = 16, 32
 th_vn = 800
-unet_depth = 1
+unet_depth = 2
 unet_base_channels = 4
 lr = 0.2
-epochs = 1
+epochs = 6
 batch = 8
 seed = 5
 """
@@ -352,9 +352,19 @@ def _full_cli_run(workdir: Path) -> dict[str, bytes]:
     return outputs
 
 
+def _predicted_masks(workdir: Path, kind: str) -> list[np.ndarray]:
+    return [c.read_volume(workdir / "pred" / f"{case}_{kind}.rvol").data for case in ("case0000", "case0001")]
+
+
 def test_criterion_8_cli_determinism(tmp_path):
     a = _full_cli_run(tmp_path / "run_a")
     b = _full_cli_run(tmp_path / "run_b")
+    # The nets must have learned something, or a predict that ignores its input would pass.
+    for kind in ("coarse", "fine"):
+        masks = _predicted_masks(tmp_path / "run_a", kind)
+        for m in masks:
+            assert 0 < np.count_nonzero(m) < m.size, f"a {kind} mask is empty or the whole volume"
+        assert not np.array_equal(*masks), f"both cases got the same {kind} mask"
     assert set(a) == set(b)
     diffs = [name for name in a if a[name] != b[name]]
     ok = not diffs

@@ -1,9 +1,14 @@
+import time
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from c2fseg import parallel
 from c2fseg.errors import GeometryError
 from c2fseg.nn import layers
 import oracles
@@ -21,16 +26,9 @@ TOL = 1e-5
 _TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])
 
 
-@st.composite
-def _decoder_inputs(draw):
-    """(skip, h, w, b, gy) for the decoder conv, low-resolution H and W from 1 to 5.
-
-    Hypothesis draws the shapes, the dtype and a seed; the values come from the
-    seed, half of them tie-prone (signed zeros among them), so a failure shrinks fast.
-    No value is subnormal: below the normal range a relative bound does not hold.
-    """
+def _tie_prone(draw):
+    """An array maker drawn by hypothesis: a dtype and a seed; half the values tie-prone, signed zeros among them."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    bsz, cs, cu, cout, h, w = draw(st.tuples(*(st.integers(1, n) for n in (3, 4, 4, 4, 5, 5))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ties = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
 
@@ -38,8 +36,30 @@ def _decoder_inputs(draw):
         free = rng.uniform(-1e3, 1e3, shape)
         return np.where(rng.random(shape) < 0.5, rng.choice(ties, shape), free).astype(dtype)
 
+    return arr
+
+
+@st.composite
+def _decoder_inputs(draw, max_batch=3):
+    """(skip, h, w, b, gy) for the decoder conv, low-resolution H and W from 1 to 5.
+
+    Hypothesis draws the shapes, the dtype and a seed; the values come from the
+    seed, half of them tie-prone (signed zeros among them), so a failure shrinks fast.
+    No value is subnormal: below the normal range a relative bound does not hold.
+    """
+    arr = _tie_prone(draw)
+    bsz, cs, cu, cout, h, w = draw(st.tuples(*(st.integers(1, n) for n in (max_batch, 4, 4, 4, 5, 5))))
     return (arr((bsz, cs, 2 * h, 2 * w)), arr((bsz, cu, h, w)), arr((cout, cs + cu, 3, 3)), arr((cout,)),
             arr((bsz, cout, 2 * h, 2 * w)))
+
+
+@st.composite
+def _conv_inputs(draw):
+    """(x, w, b, gy) for a 1x1 or 3x3 conv of a batch of 1 to 5, H and W from 1 to 5."""
+    arr = _tie_prone(draw)
+    k = draw(st.sampled_from([1, 3]))
+    bsz, cin, cout, h, w = draw(st.tuples(*(st.integers(1, n) for n in (5, 4, 4, 5, 5))))
+    return arr((bsz, cin, h, w)), arr((cout, cin, k, k)), arr((cout,)), arr((bsz, cout, h, w))
 
 
 def fd_check_layer(forward, backward, arrays, rng, extra_grad_arrays=()):
@@ -53,6 +73,23 @@ def fd_check_layer(forward, backward, arrays, rng, extra_grad_arrays=()):
     for arr, ana in zip(arrays + tuple(extra_grad_arrays), analytic):
         num = numeric_gradient(loss, arr)
         assert relative_error(ana, num) < TOL
+
+
+@st.composite
+def _col2im_inputs(draw):
+    """(columns, k, input shape) for a 1x1 or 3x3 ``_col2im``, H and W from 1 to 5.
+
+    Half the draws are signed zeros, nine in ten of them -0.0, so that whole
+    sums of taps come out -0.0.
+    """
+    arr = _tie_prone(draw)
+    k = draw(st.sampled_from([1, 3]))
+    bsz, c, h, w = draw(st.tuples(*(st.integers(1, n) for n in (3, 3, 5, 5))))
+    gcols = arr((bsz, c * k * k, h * w))
+    if draw(st.booleans()):
+        negative = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(gcols.shape) < 0.9
+        gcols = np.where(negative, -0.0, 0.0).astype(gcols.dtype)
+    return gcols, k, (bsz, c, h, w)
 
 
 class TestConv2d:
@@ -221,7 +258,7 @@ def _pool_inputs(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     bits = 32 if dtype == np.float32 else 64
     cells = st.one_of(_TIES, st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1e3, 1e3, width=bits))
-    b, c, h, w = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)))
+    b, c, h, w = draw(st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)))
     layout = draw(st.sampled_from(["free", "windows", "constant"]))
     if layout == "free":
         x = draw(hnp.arrays(dtype, (b, c, 2 * h, 2 * w), elements=cells, fill=st.nothing()))
@@ -269,3 +306,94 @@ class TestMatchesArgmaxAndMaskOracles:
     def test_replicate_pad_matches_edge_pad(self, x, pad):
         expected = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
         assert layers._replicate_pad(x, pad).tobytes() == expected.tobytes()
+
+
+def same_bytes(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@contextmanager
+def split_over(n_cpus: int):
+    """Run the block's layer ops as ``fit`` does on ``n_cpus`` usable CPUs."""
+    with mock.patch.object(parallel, "usable_cpus", return_value=n_cpus), parallel.batch_threads():
+        yield
+
+
+class TestBatchSplitMatchesUnsplitOracles:
+    """Split over 1 to 3 CPUs, each batched layer op keeps the bytes of the whole-batch code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_conv_inputs(), st.integers(1, 3))
+    def test_conv2d(self, inputs, n_cpus):
+        x, w, b, gy = inputs
+        with split_over(n_cpus):
+            y, cache = layers.conv2d_forward(x, w, b)
+            gx, gw, gb = layers.conv2d_backward(cache, gy)
+            no_gx, gw_only, _ = layers.conv2d_backward(cache, gy, input_grad=False)
+        y_ref, ref_cache = oracles.unsplit_conv2d_forward(x, w, b)
+        assert same_bytes(y, y_ref) and same_bytes(cache[0], ref_cache[0])
+        for got, want in zip((gx, gw, gb), oracles.unsplit_conv2d_backward(ref_cache, gy)):
+            assert same_bytes(got, want)
+        assert no_gx is None and same_bytes(gw_only, gw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_decoder_inputs(max_batch=5), st.integers(1, 3))
+    def test_decoder_conv(self, inputs, n_cpus):
+        skip, h, w, b, gy = inputs
+        with split_over(n_cpus):
+            y, cache = layers.decoder_conv_forward(skip, h, w, b)
+            grads = layers.decoder_conv_backward(cache, gy)
+        y_ref, ref_cache = oracles.unsplit_decoder_conv_forward(skip, h, w, b)
+        assert same_bytes(y, y_ref) and same_bytes(cache[1], ref_cache[1])
+        for got, want in zip(grads, oracles.unsplit_decoder_conv_backward(ref_cache, gy)):
+            assert same_bytes(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_col2im_inputs())
+    def test_col2im_keeps_signed_zero_bytes(self, inputs):
+        """A GEMM sums from +0.0 and so never returns -0.0: the columns are drawn here, signed zeros among them."""
+        gcols, k, x_shape = inputs
+        gx = np.empty(x_shape, dtype=gcols.dtype)
+        layers._col2im(gcols, k, k // 2, gx)
+        assert same_bytes(gx, oracles.unsplit_col2im(gcols, x_shape, k, k // 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pool_inputs(), st.integers(1, 3))
+    def test_maxpool2_backward(self, inputs, n_cpus):
+        x, gy = inputs
+        _, cache = layers.maxpool2_forward(x)
+        with split_over(n_cpus):
+            gx = layers.maxpool2_backward(cache, gy)
+        assert same_bytes(gx, oracles.unsplit_maxpool2_backward(cache, gy))
+
+
+class TestSplitBatch:
+    @pytest.mark.parametrize(
+        "n_cpus, n, chunks",
+        [(1, 8, [(0, 8)]), (2, 8, [(0, 4), (4, 8)]), (3, 8, [(0, 2), (2, 5), (5, 8)]), (3, 2, [(0, 1), (1, 2)])],
+    )
+    def test_one_contiguous_chunk_per_cpu(self, n_cpus, n, chunks):
+        seen = []
+        with split_over(n_cpus):
+            parallel.split_batch(n, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == chunks
+
+    def test_outside_a_block_the_batch_is_one_chunk(self):
+        seen = []
+        with mock.patch.object(parallel, "usable_cpus", return_value=3):
+            parallel.split_batch(8, lambda lo, hi: seen.append((lo, hi)))
+        assert seen == [(0, 8)]
+
+    def test_the_first_failed_chunk_raises_after_every_chunk_ended(self):
+        ended = []
+
+        def body(lo, hi):
+            if lo > 0:
+                time.sleep(0.05)
+            ended.append(lo)
+            if lo in (2, 5):
+                raise ValueError(f"chunk at {lo}")
+
+        with split_over(3), pytest.raises(ValueError, match="chunk at 2"):
+            parallel.split_batch(8, body)
+        assert sorted(ended) == [0, 2, 5]

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
+import c2fseg.nn.layers
+import oracles
 from c2fseg import (
     FitParams,
     PhantomSpec,
@@ -114,6 +118,71 @@ class TestFit:
     def test_non_finite_lr_rejected(self, lr):
         with pytest.raises(ValueError, match="invalid hyperparameters"):
             FitParams(lr=lr)
+
+
+def pool_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("c2fseg-batch")]
+
+
+def fit_bytes(data, hyper, spec=UNetSpec(depth=2, base_channels=4)) -> list[bytes]:
+    weights, trace = fit(spec, data, hyper)
+    return [weights[name].tobytes() for name in weights.names()] + [np.array(trace).tobytes()]
+
+
+class TestFitAcrossCpus:
+    """fit splits each batch into one chunk per usable CPU; weights and loss traces keep their bytes."""
+
+    # (samples, batch): 8 in one batch (chunks of 2, 3 and 3 on 3 CPUs); 10 in batches of 8,
+    # the last one partial; 5 in batches of 2, smaller than the CPU count, the last of 1.
+    CASES = [(8, 8, 0.0), (10, 8, 0.5), (5, 2, 0.0)]
+
+    @pytest.mark.parametrize("n, batch, momentum", CASES)
+    def test_bytes_match_the_unsplit_layers_on_1_to_3_cpus(self, monkeypatch, cpus, n, batch, momentum):
+        data = phantom_slice_pairs(n, dims=(16, 16))
+        hyper = FitParams(lr=0.4, epochs=2, batch=batch, seed=7, momentum=momentum)
+        layers = c2fseg.nn.layers
+        with monkeypatch.context() as m:  # the whole-batch layers, enc0's input gradient computed and dropped
+            m.setattr(layers, "conv2d_forward", lambda x, w, b, name: oracles.unsplit_conv2d_forward(x, w, b))
+            m.setattr(layers, "conv2d_backward", lambda cache, gy, **_: oracles.unsplit_conv2d_backward(cache, gy))
+            m.setattr(layers, "decoder_conv_forward", lambda *args, name: oracles.unsplit_decoder_conv_forward(*args))
+            m.setattr(layers, "decoder_conv_backward", oracles.unsplit_decoder_conv_backward)
+            m.setattr(layers, "maxpool2_backward", oracles.unsplit_maxpool2_backward)
+            want = fit_bytes(data, hyper)
+        chunk_threads = set()
+        split = layers.split_batch
+
+        def watched(n, body):
+            def recorded(lo, hi):
+                chunk_threads.add(threading.current_thread().name)
+                body(lo, hi)
+
+            split(n, recorded)
+
+        monkeypatch.setattr(layers, "split_batch", watched)
+        for n_cpus in (1, 2, 3):
+            cpus(n_cpus)
+            chunk_threads.clear()
+            assert fit_bytes(data, hyper) == want, f"{n_cpus} CPUs"
+            workers = {name for name in chunk_threads if name.startswith("c2fseg-batch")}
+            assert bool(workers) == (n_cpus > 1) and len(workers) < min(n_cpus, batch)
+
+    def test_no_pool_thread_outlives_fit(self, monkeypatch, cpus):
+        data = phantom_slice_pairs(4, dims=(16, 16))
+        cpus(3)
+        fit(UNetSpec(depth=1, base_channels=2), data, FitParams(lr=0.1, epochs=1, batch=4, seed=0))
+        assert pool_threads() == []
+
+        alive_at_loss = []
+
+        def diverged(probs, labels):
+            alive_at_loss.append(len(pool_threads()))
+            return float("nan")
+
+        monkeypatch.setattr("c2fseg.nn.train.dice_loss", diverged)
+        with pytest.raises(TrainingDivergedError):
+            fit(UNetSpec(depth=1, base_channels=2), data, FitParams(lr=0.1, epochs=1, batch=4, seed=0))
+        assert alive_at_loss[0] > 0  # the forward ran on the pool
+        assert pool_threads() == []
 
 
 class TestThresholdModel:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import c2fseg.parallel
 import c2fseg.pipeline
 from c2fseg import (
     GeometryError,
@@ -754,16 +755,6 @@ def slow_models(models: StageModels) -> StageModels:
     return StageModels(SlowModel(models.coarse), SlowModel(models.abnormal), SlowModel(models.fine))
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)`` makes ``_predict`` see n usable CPUs."""
-
-    def set_cpus(n):
-        monkeypatch.setattr(c2fseg.pipeline.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    return set_cpus
-
-
 def assert_same_results(a, b):
     assert (a.verdict, a.flags) == (b.verdict, b.flags)
     for name in ("coarse_mask", "guidance", "fine_mask"):
@@ -901,9 +892,24 @@ class TestThreadedPredict:
         with pytest.raises(AssertionError, match="thread pool"):  # the patch is where _predict looks
             c2fseg.pipeline._predict(SlowModel(ThresholdModel(0.5)), vol.data[:3], "coarse")
 
+    def test_unet_layers_start_no_thread(self, monkeypatch, cpus):
+        """A predict is a batch of one outside ``fit``: each layer runs on the calling thread."""
+        models = StageModels(*(threshold_unet(UNetSpec(depth=2, base_channels=4), seed) for seed in (1, 2, 3)))
+        vol, _ = generate_phantom(PhantomSpec(seed=8, **{**PHANTOM_KW, "n_kidneys": 1}))
+        cpus(1)
+        want = run_case(vol, models, desk_cfg())
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(c2fseg.pipeline, "_SERIAL_PLANE_S", float("inf"))  # _predict keeps every stack serial
+        cpus(3)
+        assert_same_results(run_case(vol, models, desk_cfg()), want)
+
     def test_cpu_count_without_affinity(self, monkeypatch, rng):
-        monkeypatch.delattr(c2fseg.pipeline.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(c2fseg.pipeline.os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(c2fseg.parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(c2fseg.parallel.os, "cpu_count", lambda: 2)
         stack = rng.uniform(size=(5, 4, 4)).astype(np.float32)
         model = SlowModel(ThresholdModel(0.5))
         got = c2fseg.pipeline._predict(model, stack, "fine")
