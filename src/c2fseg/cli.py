@@ -124,6 +124,7 @@ def cmd_train(args) -> int:
     if len(pairs) == 0:
         print("error: no training pairs", file=sys.stderr)
         return 2
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before training, so the weights can be saved
     print(f"training {args.stage} model on {len(pairs)} slice pairs ...")
     weights, trace = fit(cfg.unet, pairs, cfg.train)
     save_weights(weights, args.out)

@@ -25,8 +25,9 @@ class SegmentationModel(Protocol):
     distinct plane of the same stack, so a model must be safe for that;
     ThresholdModel and UNetModel are. If the first plane of a stack predicts
     in under a millisecond, the rest of the stack runs serially on the
-    caller's thread. Restricting the process to one CPU (``taskset -c 0``)
-    makes every stack run serially.
+    caller's thread; otherwise ``parallel.split_batch`` cuts it into one
+    chunk per usable CPU. Restricting the process to one CPU
+    (``taskset -c 0``) makes every stack run serially.
     """
 
     def predict(self, plane: np.ndarray) -> np.ndarray: ...

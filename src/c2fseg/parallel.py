@@ -1,9 +1,11 @@
 """Work split over the CPUs this process may run on.
 
-``usable_cpus`` is the one place the package reads the CPU count, so
-``taskset -c 0`` makes every split serial. ``nn.train.fit`` holds a
-``batch_threads`` pool for a whole training run, and the layers cut each
-batch with ``split_batch``.
+The one module that reads the CPU count, starts threads and cuts and joins
+work; ``taskset -c 0`` makes every split serial. ``nn.train.fit`` holds a
+``batch_threads`` pool for a training run and the layers cut each batch
+with ``split_batch``. ``pipeline._predict`` holds one for a stack whose
+first plane was slow and cuts the remaining planes. Each block has its own
+pool, so concurrent callers never wait for each other's chunks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from contextvars import ContextVar
 from typing import Callable
 
 # (pool, usable CPUs) of the batch_threads block this context runs in. Pool
-# threads start with an empty context, so a chunk never splits again.
+# threads start with an empty context, so a chunk run on one never splits again.
 _POOL: ContextVar[tuple | None] = ContextVar("c2fseg_batch_pool", default=None)
 
 

@@ -186,11 +186,12 @@ def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndar
     """Run one stage's model on each plane of a stack; the one place model output is checked.
 
     Each model gets a read-only float32 (H, W) view of one plane. Plane 0 runs
-    on the caller's thread. If it took at least ``_SERIAL_PLANE_S``, planes
-    1..N-1 are split into one contiguous chunk per usable CPU: the caller's
-    thread runs the first chunk and one worker thread runs each other one.
-    Every plane is predicted on its own, so the output does not depend on
-    the split, and the error raised is the one for the lowest-index bad plane.
+    on the caller's thread. If it took at least ``_SERIAL_PLANE_S`` and two
+    or more planes remain, planes 1..N-1 go to ``parallel.split_batch``
+    inside a ``parallel.batch_threads`` block: one contiguous chunk per
+    usable CPU, the first on the caller's thread. Every plane is predicted
+    on its own, so the output does not depend on the split, and the error
+    raised is the one for the lowest-index bad plane.
     """
     planes = np.asarray(stack, dtype=np.float32).view()
     planes.flags.writeable = False
@@ -198,34 +199,23 @@ def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndar
     n = len(planes)  # at least 1: containers and windows have positive dims
     t0 = time.perf_counter()
     out[0] = _predict_plane(model, planes[0], stage)
-    workers = min(parallel.usable_cpus(), n - 1) if time.perf_counter() - t0 >= _SERIAL_PLANE_S else 1
-    if workers <= 1:
-        for k in range(1, n):
-            out[k] = _predict_plane(model, planes[k], stage)
-        return out
+    failed: list[int] = []  # planes whose predict raised; list.append is atomic
 
-    from concurrent.futures import ThreadPoolExecutor  # only here: the import costs several ms
-
-    bounds = [1 + (n - 1) * j // workers for j in range(workers + 1)]
-    failed = [False] * workers  # slot j is written only by chunk j's thread
-
-    def run_chunk(j: int) -> None:
-        try:
-            for k in range(bounds[j], bounds[j + 1]):
-                if any(failed[:j]):  # a lower-index plane already failed; its error wins
-                    return
+    def chunk(lo: int, hi: int) -> None:  # planes lo+1..hi
+        for k in range(lo + 1, hi + 1):
+            if failed and min(failed) < k:  # a lower-index plane already failed; its error wins
+                return
+            try:
                 out[k] = _predict_plane(model, planes[k], stage)
-        except BaseException:
-            failed[j] = True
-            raise
+            except BaseException:
+                failed.append(k)
+                raise
 
-    # A pool per call: with one shared pool, a run_case running on that pool's own
-    # threads could wait forever for chunks queued behind it.
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(run_chunk, j) for j in range(1, workers)]
-        run_chunk(0)
-        for f in futures:  # in chunk order, so the first failed chunk's error is raised
-            f.result()
+    if n > 2 and time.perf_counter() - t0 >= _SERIAL_PLANE_S:
+        with parallel.batch_threads():
+            parallel.split_batch(n - 1, chunk)
+    else:
+        chunk(0, n - 1)
     return out
 
 

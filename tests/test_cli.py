@@ -128,6 +128,16 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "w.c2fw").exists()
 
+    def test_out_into_a_missing_directory(self, tmp_path, desk_config, capsys):
+        write_tiny_cases(tmp_path / "data")
+        out = tmp_path / "missing" / "sub" / "w.c2fw"
+        code = main([
+            "train", "--stage", "coarse", "--data", str(tmp_path / "data"),
+            "--config", str(desk_config), "--out", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
     def test_indivisible_dims_rejected(self, tmp_path, desk_config, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(DESK_CONFIG.replace("coarse_dims = 16, 16", "coarse_dims = 18, 18")

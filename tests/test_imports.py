@@ -1,9 +1,10 @@
 """Import hygiene of the package.
 
 Checked with the standard library's ``ast``: every module other than a
-package ``__init__.py`` uses each name it imports, and no module reaches
-into another c2fseg module for a private (``_``-prefixed) name. Checked in
-a fresh interpreter: importing the package leaves out what it loads lazily.
+package ``__init__.py`` uses each name it imports, no module reaches
+into another c2fseg module for a private (``_``-prefixed) name, and only
+``parallel.py`` imports the thread modules. Checked in a fresh interpreter:
+importing the package leaves out what it loads lazily.
 """
 
 import ast
@@ -58,8 +59,31 @@ def test_no_private_name_is_imported_from_another_module(path):
     assert not private, f"{module_id(path)} imports private names: {private}"
 
 
+# The top-level packages that start or manage threads.
+THREAD_MODULES = {"concurrent", "threading"}
+
+
+def imported_modules(tree: ast.Module):
+    """(line, module) for each absolute import, those inside functions too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p != PACKAGE / "parallel.py"], ids=module_id)
+def test_only_parallel_imports_the_thread_modules(path):
+    """``c2fseg.parallel`` is the one module that makes threads and joins them."""
+    tree = ast.parse(path.read_text())
+    found = sorted(
+        f"line {line}: {module}" for line, module in imported_modules(tree) if module.split(".")[0] in THREAD_MODULES
+    )
+    assert not found, f"{module_id(path)} imports thread modules: {found}"
+
+
 def test_importing_the_package_does_not_load_concurrent_futures(tmp_path):
-    """The pipeline imports it only where a stack fans out to threads: the import costs several ms of start-up."""
+    """``parallel.batch_threads`` imports it only when it opens a pool: the import costs several ms of start-up."""
     # As the CLI-run criterion does: the directory holding the c2fseg under test goes first on PYTHONPATH.
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")

@@ -45,6 +45,33 @@ class TestRoundTrip:
         assert load_weights(tmp_path / "s.c2fw")["s"] == np.float32(3.5)
 
 
+class TestImmutable:
+    def test_every_array_is_read_only(self, weights):
+        for name, arr in weights.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_later_edits_to_the_dict_do_not_reach_the_weights(self, rng):
+        params = {"a": rng.standard_normal((2, 3)).astype(np.float32)}
+        w = ModelWeights(params)
+        params["a"] = np.zeros((2, 3), dtype=np.float32)
+        params["b"] = np.ones(4, dtype=np.float32)
+        del params["a"]
+        assert w.names() == ["a"] and w["a"].any()
+
+    def test_takes_ownership_of_an_input_that_needs_no_copy(self, rng):
+        # float32 C-contiguous input: kept as is, so the caller's own array turns read-only
+        owned = rng.standard_normal((2, 3)).astype(np.float32)
+        w = ModelWeights({"owned": owned})
+        assert np.shares_memory(w["owned"], owned) and not owned.flags.writeable
+        # float64 input: converted into a copy, and the caller's array is left alone
+        kept = rng.standard_normal((2, 3))
+        w = ModelWeights({"kept": kept})
+        assert not np.shares_memory(w["kept"], kept) and kept.flags.writeable
+        kept[0, 0] += 1.0
+        assert w["kept"][0, 0] != np.float32(kept[0, 0])
+
+
 class TestRejection:
     def test_bad_magic(self, weights, tmp_path):
         path = tmp_path / "w.c2fw"

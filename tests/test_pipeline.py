@@ -842,6 +842,10 @@ class IndexedModel:
         return np.zeros(s.shape, dtype=np.float32)
 
 
+def pool_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("c2fseg-batch")]
+
+
 def indexed_stack(n: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None], (n, 4, 4))
 
@@ -906,6 +910,28 @@ class TestThreadedPredict:
         monkeypatch.setattr(c2fseg.pipeline, "_SERIAL_PLANE_S", float("inf"))  # _predict keeps every stack serial
         cpus(3)
         assert_same_results(run_case(vol, models, desk_cfg()), want)
+
+    def test_no_pool_thread_outlives_predict(self, cpus):
+        """Past the gate the planes run on ``parallel``'s pool threads, all joined once _predict returns or raises."""
+        names = set()
+
+        class ThreadNamer(IndexedModel):
+            def predict(self, s):
+                names.add(threading.current_thread().name)
+                return super().predict(s)
+
+        caller = threading.current_thread().name
+        cpus(3)  # 7 planes: 1-2 on the caller's thread, 3-4 and 5-6 on two workers
+        c2fseg.pipeline._predict(ThreadNamer({}), indexed_stack(7), "fine")
+        workers = names - {caller}
+        assert len(workers) == 2 and all(name.startswith("c2fseg-batch") for name in workers)
+        assert pool_threads() == []
+
+        names.clear()
+        with pytest.raises(ValueError, match="not probabilities"):
+            c2fseg.pipeline._predict(ThreadNamer({5: "nan"}), indexed_stack(7), "fine")
+        assert any(name.startswith("c2fseg-batch") for name in names)  # plane 5 ran on a worker
+        assert pool_threads() == []
 
     def test_cpu_count_without_affinity(self, monkeypatch, rng):
         monkeypatch.delattr(c2fseg.parallel.os, "sched_getaffinity", raising=False)
