@@ -8,9 +8,17 @@ dtype of their inputs, which lets tests re-run the exact code in float64.
 
 Forwards do no work that only the backward needs: ReLU caches its output
 (the gradient mask is ``y > 0``) and max-pooling its input and output (the
-backward finds each window's first maximum from them). A caller that drops
-the cache pays for nothing but the output. Max pooling and the decoder
-conv's up half work on the four stride-2 phase views ``x[:, :, r::2, c::2]``.
+backward finds each window's first maximum from them). Max pooling and the
+decoder conv's up half work on the four stride-2 phase views
+``x[:, :, r::2, c::2]``.
+
+Each forward takes a ``cache`` flag. With ``cache=False`` (inference) it
+returns None for the cache, and the conv GEMMs run in bands of output rows
+through one reused band-sized im2col buffer, so the columns stay in cache.
+``_band_rows`` bands only shapes whose banded products keep the bytes of the
+whole one; other planes run as one band, the training forward's computation.
+ReLU and sigmoid then write into the array they are given, which must be a
+fresh layer output that nothing else reads.
 
 The per-sample bulk of the convs, the decoder conv and the max-pool backward
 runs through ``parallel.split_batch``: inside ``fit`` one contiguous chunk of
@@ -28,18 +36,58 @@ import numpy as np
 from ..errors import GeometryError
 from ..parallel import split_batch
 
+# Output rows per band of an inference GEMM (see ``_band_rows``).
+_BAND_ROWS = 16
+
+
+def _taps(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Read-only (..., C, kh, kw, out_h, out_w) view of the kernel taps over a padded (..., C, Hp, Wp) input."""
+    *lead, c, hp, wp = xp.shape
+    *lead_strides, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(*lead, c, kh, kw, hp - kh + 1, wp - kw + 1),
+        strides=(*lead_strides, sc, sh, sw, sh, sw),
+        writeable=False,
+    )
+
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, out: np.ndarray) -> None:
     """(B, C, Hp, Wp) padded input -> its columns, written into ``out`` of shape (B, C*kh*kw, out_h*out_w)."""
-    b, c, hp, wp = xp.shape
-    sb, sc, sh, sw = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, c, kh, kw, hp - kh + 1, wp - kw + 1),
-        strides=(sb, sc, sh, sw, sh, sw),
-        writeable=False,
-    )
+    patches = _taps(xp, kh, kw)
     np.copyto(out.reshape(patches.shape), patches)
+
+
+def _band_rows(m: int, h: int, w: int) -> int:
+    """Output rows per band for an (m, K) x (K, h*w) GEMM over an h x w plane.
+
+    Bands are used where the plane is at least 64 wide, every band's pixel
+    count (the last band's too) is a multiple of 16 and m > 1. There, 16-row
+    bands had the whole product's bytes with this numpy's OpenBLAS on every
+    U-Net conv shape tried, float32 and float64, with 1 and 2 BLAS threads.
+    One-row products (the head conv) differed by about 1e-7 in float32 on
+    planes from 128x136 up, and so did bands of 1-7 rows on planes 20-40
+    wide. Every other plane runs as one band.
+    """
+    last = h % _BAND_ROWS or _BAND_ROWS
+    return _BAND_ROWS if m > 1 and w >= 64 and last * w % 16 == 0 else h
+
+
+def _banded_gemm(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int, out: np.ndarray) -> None:
+    """``out`` (M, h*w) = ``wmat`` times the columns of one padded (C, h+kh-1, w+kw-1) input, band by band.
+
+    One band-sized column buffer is reused; per band one ``np.copyto`` fills
+    it from the tap view and one ``np.matmul`` writes the band's slice of ``out``.
+    """
+    taps = _taps(xp, kh, kw)
+    c, _, _, h, w = taps.shape
+    rows = _band_rows(len(wmat), h, w)
+    cols = np.empty((c * kh * kw, rows * w), dtype=xp.dtype)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        band = cols[:, : (r1 - r0) * w]
+        np.copyto(band.reshape(c, kh, kw, r1 - r0, w), taps[:, :, :, r0:r1])
+        np.matmul(wmat, band, out=out[:, r0 * w : r1 * w])
 
 
 def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -87,7 +135,7 @@ def _col2im(gcols: np.ndarray, k: int, pad: int, out: np.ndarray) -> None:
     out[...] = gxp[:, :, 1:-1, 1:-1]
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "conv"):
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "conv", cache: bool = True):
     """Same-size convolution, stride 1. Kernel must be 1x1 or 3x3."""
     if x.ndim != 4:
         raise GeometryError(f"{name}: input must be 4D (B, C, H, W), got shape {x.shape}")
@@ -101,17 +149,21 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "con
         raise GeometryError(f"{name}: bias shape {b.shape} does not match {cout} output channels")
     pad = kh // 2
     wmat = w.reshape(cout, -1)
-    cols = np.empty((bsz, cin * kh * kw, h * wid), dtype=x.dtype)
-    y = np.empty((bsz, cout, h * wid), dtype=np.result_type(wmat, cols))
+    cols = np.empty((bsz, cin * kh * kw, h * wid), dtype=x.dtype) if cache else None
+    y = np.empty((bsz, cout, h * wid), dtype=np.result_type(wmat, x))
 
     def chunk(lo: int, hi: int) -> None:
-        _im2col(_replicate_pad(x[lo:hi], pad) if pad else x[lo:hi], kh, kw, cols[lo:hi])
-        np.matmul(wmat, cols[lo:hi], out=y[lo:hi])
+        xp = _replicate_pad(x[lo:hi], pad) if pad else x[lo:hi]
+        if cache:
+            _im2col(xp, kh, kw, cols[lo:hi])
+            np.matmul(wmat, cols[lo:hi], out=y[lo:hi])
+        else:
+            for s in range(hi - lo):
+                _banded_gemm(wmat, xp[s], kh, kw, y[lo + s])
         y[lo:hi] += b[:, None]
 
     split_batch(bsz, chunk)
-    cache = (cols, w, x.shape, pad, name)
-    return y.reshape(bsz, cout, h, wid), cache
+    return y.reshape(bsz, cout, h, wid), ((cols, w, x.shape, pad, name) if cache else None)
 
 
 def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
@@ -141,7 +193,10 @@ def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
     return gx, gw, gb
 
 
-def relu_forward(x: np.ndarray):
+def relu_forward(x: np.ndarray, cache: bool = True):
+    """max(x, 0); with ``cache=False`` written into ``x``."""
+    if not cache:
+        return np.maximum(x, 0, out=x), None
     y = np.maximum(x, 0)
     return y, y
 
@@ -150,7 +205,7 @@ def relu_backward(cache, gy: np.ndarray):
     return gy * (cache > 0)  # x > 0 exactly where max(x, 0) > 0, NaN included
 
 
-def maxpool2_forward(x: np.ndarray, name: str = "pool"):
+def maxpool2_forward(x: np.ndarray, name: str = "pool", cache: bool = True):
     """2x2 max pooling, stride 2; spatial dims must be even.
 
     The max over the four phases is folded from the last to the first:
@@ -164,7 +219,7 @@ def maxpool2_forward(x: np.ndarray, name: str = "pool"):
     y = np.maximum(x[:, :, 1::2, 1::2], x[:, :, 1::2, 0::2])
     np.maximum(y, x[:, :, 0::2, 1::2], out=y)
     np.maximum(y, x[:, :, 0::2, 0::2], out=y)
-    return y, (x, y)
+    return y, ((x, y) if cache else None)
 
 
 def maxpool2_backward(cache, gy: np.ndarray):
@@ -201,11 +256,15 @@ def _fold_up(w_up: np.ndarray) -> np.ndarray:
     return w4.reshape(cout, cup, 4, 9).transpose(2, 0, 1, 3).reshape(4 * cout, cup * 9)
 
 
-def decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec"):
+def decoder_conv_forward(
+    skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec", cache: bool = True, *, w4=None
+):
     """3x3 conv over ``[skip ; nearest 2x upsample of h]`` without forming the upsample.
 
     The skip channels go through ``conv2d_forward``. The up half is one GEMM of the four
     phase kernels with the im2col of ``h`` on its own grid; phase (r, c) adds into ``y[:, :, r::2, c::2]``.
+    ``w4`` is ``_fold_up`` of the up half of ``w``, for a caller whose weights do not
+    change between calls; it is folded here when None.
     """
     if h.ndim != 4 or skip.shape[:1] + skip.shape[2:] != (h.shape[0], 2 * h.shape[2], 2 * h.shape[3]):
         raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
@@ -214,20 +273,28 @@ def decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.n
     cout = w.shape[0]
     if w.shape[1:] != (cs + cup, 3, 3):
         raise GeometryError(f"{name}: weight shape {w.shape} does not fit {cs} skip + {cup} up channels, 3x3")
-    y, skip_cache = conv2d_forward(skip, w[:, :cs], b, name)
-    w4 = _fold_up(w[:, cs:])
-    cols = np.empty((bsz, cup * 9, hl * wl), dtype=h.dtype)
+    y, skip_cache = conv2d_forward(skip, w[:, :cs], b, name, cache=cache)
+    if w4 is None:
+        w4 = _fold_up(w[:, cs:])
+    cols = np.empty((bsz, cup * 9, hl * wl), dtype=h.dtype) if cache else None
 
     def chunk(lo: int, hi: int) -> None:
-        _im2col(_replicate_pad(h[lo:hi], 1), 3, 3, cols[lo:hi])
-        z = np.matmul(w4, cols[lo:hi]).reshape(hi - lo, 2, 2, cout, hl, wl)
+        hp = _replicate_pad(h[lo:hi], 1)
+        if cache:
+            _im2col(hp, 3, 3, cols[lo:hi])
+            z = np.matmul(w4, cols[lo:hi])
+        else:
+            z = np.empty((hi - lo, 4 * cout, hl * wl), dtype=np.result_type(w4, h))
+            for s in range(hi - lo):
+                _banded_gemm(w4, hp[s], 3, 3, z[s])
+        z = z.reshape(hi - lo, 2, 2, cout, hl, wl)
         yc = y[lo:hi]
         for r in (0, 1):
             for c in (0, 1):
                 yc[:, :, r::2, c::2] += z[:, r, c]
 
     split_batch(bsz, chunk)
-    return y, (skip_cache, cols, w4, h.shape)
+    return y, ((skip_cache, cols, w4, h.shape) if cache else None)
 
 
 def decoder_conv_backward(cache, gy: np.ndarray):
@@ -252,13 +319,19 @@ def decoder_conv_backward(cache, gy: np.ndarray):
     return g_skip, g_h, gw, gb
 
 
-def sigmoid_forward(x: np.ndarray):
-    y = np.empty_like(x)
+def sigmoid_forward(x: np.ndarray, cache: bool = True):
+    """``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere, with ``e = exp(-|x|)``, which never overflows.
+
+    NaN stays NaN. With ``cache=False`` the output is written into ``x``.
+    """
     pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y, y
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    y = np.divide(e, d, out=e if cache else x)
+    np.divide(1.0, d, out=y, where=pos)
+    return y, (y if cache else None)
 
 
 def sigmoid_backward(cache, gy: np.ndarray):

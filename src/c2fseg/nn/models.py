@@ -13,7 +13,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .unet import UNetSpec, check_weights, unet_forward
+from .unet import UNetSpec, check_weights, fold_up_kernels, unet_forward
 from .weights import ModelWeights
 
 
@@ -46,7 +46,8 @@ class ThresholdModel:
 class UNetModel:
     """A trained net behind the SegmentationModel interface.
 
-    Weights are immutable, so one instance may serve concurrent predict calls.
+    Weights and the decoder kernels folded from them at construction are
+    read-only, so one instance may serve concurrent predict calls.
     Construction raises GeometryError if the weights do not fit ``spec``.
     """
 
@@ -54,8 +55,9 @@ class UNetModel:
         check_weights(spec, weights)
         self.spec = spec
         self.weights = weights
+        self._folded = fold_up_kernels(spec, weights)
 
     def predict(self, plane: np.ndarray) -> np.ndarray:
-        x = plane[None, None, :, :].astype(np.float32)
-        probs, _ = unet_forward(self.spec, self.weights, x, cache=False)
+        x = np.asarray(plane, dtype=np.float32)[None, None]
+        probs, _ = unet_forward(self.spec, self.weights, x, cache=False, folded=self._folded)
         return probs[0, 0]

@@ -100,40 +100,49 @@ def _check_input(spec: UNetSpec, x: np.ndarray) -> None:
             )
 
 
-def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True):
+def fold_up_kernels(spec: UNetSpec, weights) -> tuple[np.ndarray, ...]:
+    """Decoder level i's up-half phase kernels (``layers._fold_up``) at index i, read-only, for ``unet_forward``."""
+    folded = tuple(layers._fold_up(weights[f"dec{i}.w"][:, spec.base_channels * (2**i) :]) for i in range(spec.depth))
+    for w4 in folded:
+        w4.flags.writeable = False
+    return folded
+
+
+def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True, *, folded=None):
     """Run the net; returns (probabilities, cache for the backward pass).
 
-    With ``cache=False`` (inference) each layer's cache is dropped as soon
-    as the layer returns, so a conv's im2col columns are freed right after
-    its GEMM, and the second value is None. The probabilities are the same
-    either way.
+    With ``cache=False`` (inference) no layer keeps a cache, the second value
+    is None, the conv GEMMs run in row bands and ReLU and sigmoid write into
+    the layer output they are given (see ``layers``). The probabilities have
+    the same bytes either way. ``folded`` is ``fold_up_kernels(spec,
+    weights)``, for weights that do not change between calls; without it each
+    decoder level folds its kernel per call.
     """
     _check_input(spec, x)
     check_weights(spec, weights)
     entries: dict = {}
 
     def keep(key, result):
-        out, layer_cache = result
-        if cache:
-            entries[key] = layer_cache
+        out, entries[key] = result  # each cache is None when cache=False
         return out
 
     skips = []
     h = x
     for i in range(spec.depth):
         w, b = weights[f"enc{i}.w"], weights[f"enc{i}.b"]
-        h = keep(f"enc{i}.conv", layers.conv2d_forward(h, w, b, name=f"enc{i}"))
-        h = keep(f"enc{i}.relu", layers.relu_forward(h))
+        h = keep(f"enc{i}.conv", layers.conv2d_forward(h, w, b, name=f"enc{i}", cache=cache))
+        h = keep(f"enc{i}.relu", layers.relu_forward(h, cache=cache))
         skips.append(h)
-        h = keep(f"enc{i}.pool", layers.maxpool2_forward(h, name=f"enc{i}.pool"))
-    h = keep("mid.conv", layers.conv2d_forward(h, weights["mid.w"], weights["mid.b"], name="mid"))
-    h = keep("mid.relu", layers.relu_forward(h))
+        h = keep(f"enc{i}.pool", layers.maxpool2_forward(h, name=f"enc{i}.pool", cache=cache))
+    h = keep("mid.conv", layers.conv2d_forward(h, weights["mid.w"], weights["mid.b"], name="mid", cache=cache))
+    h = keep("mid.relu", layers.relu_forward(h, cache=cache))
     for i in reversed(range(spec.depth)):
         w, b = weights[f"dec{i}.w"], weights[f"dec{i}.b"]
-        h = keep(f"dec{i}.conv", layers.decoder_conv_forward(skips[i], h, w, b, name=f"dec{i}"))
-        h = keep(f"dec{i}.relu", layers.relu_forward(h))
-    h = keep("head.conv", layers.conv2d_forward(h, weights["head.w"], weights["head.b"], name="head"))
-    y = keep("head.sig", layers.sigmoid_forward(h))
+        w4 = folded[i] if folded is not None else None
+        h = keep(f"dec{i}.conv", layers.decoder_conv_forward(skips[i], h, w, b, name=f"dec{i}", cache=cache, w4=w4))
+        h = keep(f"dec{i}.relu", layers.relu_forward(h, cache=cache))
+    h = keep("head.conv", layers.conv2d_forward(h, weights["head.w"], weights["head.b"], name="head", cache=cache))
+    y = keep("head.sig", layers.sigmoid_forward(h, cache=cache))
     if not cache:
         return y, None
     return y, ForwardCache(spec=spec, output_shape=y.shape, entries=entries)

@@ -271,8 +271,14 @@ def upcat_backward(cs: int, gy: np.ndarray):
     return gy[:, :cs], g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2] + g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]
 
 
-def decoder_conv_oracle(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec"):
-    """``upcat_forward``, then ``conv2d_forward`` over the joined tensor: (output, cache)."""
+def decoder_conv_oracle(
+    skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec", cache: bool = True, *, w4=None
+):
+    """``upcat_forward``, then ``conv2d_forward`` over the joined tensor: (output, cache).
+
+    Takes ``decoder_conv_forward``'s arguments so that it can stand in for it
+    inside ``unet_forward``, but ignores ``cache`` and the folded ``w4``.
+    """
     x, cs = upcat_forward(skip, h, name)
     y, conv_cache = layers.conv2d_forward(x, w, b, name)
     return y, (cs, conv_cache)
@@ -450,6 +456,20 @@ def abnormal_pairs_oracle(cases, cfg) -> list[tuple[np.ndarray, np.ndarray]]:
             lab = pad_then_crop_oracle(label.data[:, :, k], center, cfg.abnormal_dims)
             pairs.append((img, lab))
     return pairs
+
+
+def sigmoid_two_gather_oracle(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid as the package computed it before its one-exp form.
+
+    ``1 / (1 + exp(-x))`` gathered where ``x >= 0``, ``exp(x) / (1 + exp(x))``
+    gathered elsewhere, each scattered back into a fresh output.
+    """
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
 
 
 def relu_mask_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,10 @@ from oracles import (
 
 TOL = 1e-5
 
+
+def same_bytes(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
 # Few distinct values (signed zeros among them), so tied windows are common.
 _TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])
 
@@ -154,6 +158,12 @@ class TestReLU:
         y, _ = layers.relu_forward(np.array([-1.0, 0.0, 2.0]))
         assert y.tolist() == [0.0, 0.0, 2.0]
 
+    def test_without_cache_writes_into_its_input(self):
+        x = np.array([-1.0, -0.0, np.nan, 2.0])
+        want, _ = layers.relu_forward(x.copy())
+        y, cache = layers.relu_forward(x, cache=False)
+        assert y is x and cache is None and same_bytes(y, want)
+
     def test_gradient(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
         x += 0.2 * np.sign(x)  # keep away from the kink
@@ -243,6 +253,31 @@ class TestSigmoid:
         y, _ = layers.sigmoid_forward(np.array([0.0, 100.0, -100.0]))
         np.testing.assert_allclose(y, [0.5, 1.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "in-place"])
+    def test_same_bytes_as_two_gather_oracle(self, dtype, cache):
+        tiny = np.finfo(dtype).smallest_subnormal
+        planted = [0.0, 1.0, 88.7, 1e30, np.inf, tiny, 1000 * tiny, np.finfo(dtype).smallest_normal / 2]
+        planted = np.array(planted + [-v for v in planted], dtype=dtype)
+        assert np.signbit(planted[len(planted) // 2])  # -0.0 is planted, not +0.0 twice
+        noise = (np.random.default_rng(0).standard_normal(160 * 160) * 30).astype(dtype)
+        x = np.concatenate([planted, noise]).reshape(1, 1, -1, 8)
+        given = x.copy()
+        y, y_cache = layers.sigmoid_forward(given, cache=cache)
+        assert same_bytes(y, oracles.sigmoid_two_gather_oracle(x))
+        if cache:
+            assert y_cache is y and given.tobytes() == x.tobytes()
+        else:
+            assert y_cache is None and y is given
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "in-place"])
+    def test_nan_comes_out_nan(self, dtype, cache):
+        x = np.array([np.nan, -np.nan, 0.0, -3.0], dtype=dtype)
+        y, _ = layers.sigmoid_forward(x.copy(), cache=cache)
+        assert np.isnan(y[:2]).all()
+        assert same_bytes(y[2:], oracles.sigmoid_two_gather_oracle(x[2:]))
+
     def test_gradient(self, rng):
         x = rng.standard_normal((2, 1, 3, 3))
         out, cache = layers.sigmoid_forward(x)
@@ -308,8 +343,6 @@ class TestMatchesArgmaxAndMaskOracles:
         assert layers._replicate_pad(x, pad).tobytes() == expected.tobytes()
 
 
-def same_bytes(got, want) -> bool:
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @contextmanager
@@ -365,6 +398,57 @@ class TestBatchSplitMatchesUnsplitOracles:
         with split_over(n_cpus):
             gx = layers.maxpool2_backward(cache, gy)
         assert same_bytes(gx, oracles.unsplit_maxpool2_backward(cache, gy))
+
+
+@st.composite
+def _banded_conv_inputs(draw):
+    """(x, w, b) for a 1x1 or 3x3 conv whose planes are narrow or at least 64 wide, 1 to 40 rows."""
+    arr = _tie_prone(draw)
+    k = draw(st.sampled_from([1, 3]))
+    bsz, cin, cout, h = draw(st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 4), st.integers(1, 40)))
+    w = draw(st.sampled_from([5, 30, 63, 64, 72, 80, 100, 128]))
+    return arr((bsz, cin, h, w)), arr((cout, cin, k, k)), arr((cout,))
+
+
+@st.composite
+def _banded_decoder_inputs(draw):
+    """(skip, h, w, b) for the decoder conv, low-resolution planes narrow or at least 64 wide, 1 to 20 rows."""
+    arr = _tie_prone(draw)
+    bsz, cs, cu, cout, hl = draw(st.tuples(*(st.integers(1, n) for n in (2, 3, 3, 3, 20))))
+    wl = draw(st.sampled_from([3, 32, 64, 72, 80]))
+    return arr((bsz, cs, 2 * hl, 2 * wl)), arr((bsz, cu, hl, wl)), arr((cout, cs + cu, 3, 3)), arr((cout,))
+
+
+class TestInferenceBands:
+    """Without a cache the conv GEMMs run in row bands and keep the bytes of the whole-plane code."""
+
+    @pytest.mark.parametrize("m, h, w, rows", [
+        (8, 128, 128, 16),  # 16-row bands of 2048 pixels
+        (8, 20, 72, 16),  # last band 4 x 72 = 288 pixels, a multiple of 16
+        (8, 21, 72, 21),  # last band 5 x 72 = 360 pixels: one band
+        (8, 48, 48, 48),  # narrower than 64: one band
+        (1, 128, 128, 128),  # a one-row product: one band
+        (2, 8, 64, 16),  # fewer rows than a band: one band of 8 rows
+    ])
+    def test_band_rule(self, m, h, w, rows):
+        assert layers._band_rows(m, h, w) == rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(_banded_conv_inputs())
+    def test_conv2d(self, inputs):
+        x, w, b = inputs
+        y, cache = layers.conv2d_forward(x, w, b, cache=False)
+        assert cache is None and same_bytes(y, oracles.unsplit_conv2d_forward(x, w, b)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_banded_decoder_inputs())
+    def test_decoder_conv_with_and_without_a_folded_kernel(self, inputs):
+        skip, h, w, b = inputs
+        want, _ = oracles.unsplit_decoder_conv_forward(skip, h, w, b)
+        y, cache = layers.decoder_conv_forward(skip, h, w, b, cache=False)
+        assert cache is None and same_bytes(y, want)
+        y, _ = layers.decoder_conv_forward(skip, h, w, b, cache=False, w4=layers._fold_up(w[:, skip.shape[1] :]))
+        assert same_bytes(y, want)
 
 
 class TestSplitBatch:

@@ -1,13 +1,18 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import c2fseg.nn.models
 from c2fseg import UNetSpec, unet_backward, unet_forward
 from c2fseg.errors import GeometryError
 from c2fseg.nn import layers
 from c2fseg.nn.models import UNetModel
-from c2fseg.nn.unet import init_weights, parameter_shapes
+from c2fseg.nn.unet import fold_up_kernels, init_weights, parameter_shapes
 from c2fseg.nn.weights import ModelWeights
 import oracles
 from oracles import numeric_gradient, relative_error
@@ -103,18 +108,144 @@ class TestInferenceWithoutCache:
         assert y_infer.tobytes() == y_train.tobytes()
         assert p.tobytes() == y_train[0, 0].tobytes()
 
-    def test_peak_memory_within_1_5x_largest_im2col(self):
+    def test_peak_memory_below_whole_plane_im2col(self):
+        # Banded, the peak is about 0.66x the whole-plane columns of dec0's skip
+        # conv. Whole-plane columns in either half of dec0 push it past 0.75x.
         spec = UNetSpec(depth=3, base_channels=8)
         weights = init_weights(spec, seed=5)
         x = np.random.default_rng(0).standard_normal((1, 1, 128, 128)).astype(np.float32)
-        largest_cols = (8 + 16) * 9 * 128 * 128 * 4  # dec0: skip + upsampled channels, 3x3 taps
+        largest_cols = 8 * 9 * 128 * 128 * 4  # dec0's skip conv: 8 channels, 3x3 taps, every pixel
         tracemalloc.start()
         try:
             unet_forward(spec, weights, x, cache=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * largest_cols, f"peak {peak / largest_cols:.2f}x the largest im2col buffer"
+        assert peak <= 0.75 * largest_cols, f"peak {peak / largest_cols:.2f}x the largest whole-plane im2col buffer"
+
+
+# The plane shapes the perfbench workloads predict on: CT coarse, fine and
+# abnormal planes, then the desk-sized coarse, fine and abnormal planes.
+WORKLOAD_PLANES = [(128, 128), (160, 160), (64, 256), (64, 64), (48, 48), (32, 64)]
+
+
+@st.composite
+def _net_inputs(draw):
+    """(spec, float weights, one input plane): depth 1-3, base 4-16, float32 or float64.
+
+    Planes are the workload shapes, or drawn ones up to 80 x 136, so that some
+    layers band and some run as one.
+    """
+    spec = UNetSpec(draw(st.integers(1, 3)), draw(st.integers(4, 16)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    unit = 2**spec.depth
+    drawn = st.tuples(*(st.integers(1, n // unit).map(lambda k: k * unit) for n in (80, 136)))
+    dims = draw(st.one_of(st.sampled_from(WORKLOAD_PLANES), drawn))
+    seed = draw(st.integers(0, 2**32 - 1))
+    weights = {k: v.astype(dtype) for k, v in init_weights(spec, seed % 1000).items()}
+    for k in weights:
+        if k.endswith(".b"):  # non-zero biases, so a bias added twice or not at all shows
+            weights[k] = np.random.default_rng(seed).uniform(-0.1, 0.1, weights[k].shape).astype(dtype)
+    x = (np.random.default_rng(seed).standard_normal((1, 1, *dims)) * 3).astype(dtype)
+    return spec, weights, x
+
+
+class TestInferenceForwardBytes:
+    """``unet_forward(cache=False)`` has the bytes of the training forward, which runs every conv unbanded."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_net_inputs())
+    def test_matches_training_forward(self, inputs):
+        spec, weights, x = inputs
+        want, _ = unet_forward(spec, weights, x)
+        got, no_cache = unet_forward(spec, weights, x, cache=False)
+        folded, _ = unet_forward(spec, weights, x, cache=False, folded=fold_up_kernels(spec, weights))
+        assert no_cache is None
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert folded.tobytes() == want.tobytes()
+
+    # The workload net, and a 12-channel head: banded, its one-row float32 GEMM
+    # loses the whole product's bytes on planes from 128x136 up.
+    @pytest.mark.parametrize("spec", [UNetSpec(3, 8), UNetSpec(1, 12)], ids=["3x8", "1x12"])
+    @pytest.mark.parametrize("dims", WORKLOAD_PLANES, ids=[f"{h}x{w}" for h, w in WORKLOAD_PLANES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_workload_planes(self, spec, dims, dtype):
+        weights = {k: v.astype(dtype) for k, v in init_weights(spec, seed=5).items()}
+        x = np.random.default_rng(2).standard_normal((1, 1, *dims)).astype(dtype)
+        want, _ = unet_forward(spec, weights, x)
+        got, _ = unet_forward(spec, weights, x, cache=False, folded=fold_up_kernels(spec, weights))
+        assert got.tobytes() == want.tobytes()
+        if dtype == np.float32:
+            p = UNetModel(spec, ModelWeights(init_weights(spec, seed=5))).predict(x[0, 0])
+            assert p.tobytes() == want[0, 0].tobytes()
+
+
+class TestModelSharedAcrossThreads:
+    def test_concurrent_predicts_match_serial_and_change_nothing(self):
+        spec = UNetSpec(depth=3, base_channels=8)
+        model = UNetModel(spec, ModelWeights(init_weights(spec, seed=5)))
+        weights_before = {k: v.tobytes() for k, v in model.weights.items()}
+        folded_before = [w4.tobytes() for w4 in model._folded]
+        rng = np.random.default_rng(3)
+        planes = [rng.standard_normal((128, 128)).astype(np.float32) for _ in range(2)]
+        planes_before = [p.tobytes() for p in planes]
+        serial = [model.predict(p).tobytes() for p in planes]
+        rounds = 20
+        got: list[list[bytes]] = [[], []]
+        barrier = threading.Barrier(2)
+
+        def run(i):
+            barrier.wait(timeout=30)
+            for _ in range(rounds):
+                got[i].append(model.predict(planes[i]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[serial[0]] * rounds, [serial[1]] * rounds]
+        assert [p.tobytes() for p in planes] == planes_before
+        assert {k: v.tobytes() for k, v in model.weights.items()} == weights_before
+        assert [w4.tobytes() for w4 in model._folded] == folded_before
+
+
+class TestPredictReachesTracedNames:
+    """perfbench times ``nn.models.*`` and ``nn.layers.*`` by wrapping these module attributes;
+    a predict that bypassed them would make those metrics read zero."""
+
+    def test_predict_calls_each_public_forward_through_its_module(self, monkeypatch):
+        spec = UNetSpec(depth=3, base_channels=4)
+        model = UNetModel(spec, ModelWeights(init_weights(spec, seed=1)))
+        calls: dict[str, int] = {}
+
+        def count(module, attr):
+            orig = getattr(module, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] = calls.get(attr, 0) + 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+
+        count(c2fseg.nn.models, "unet_forward")
+        for attr in ("conv2d_forward", "decoder_conv_forward", "relu_forward", "maxpool2_forward", "sigmoid_forward"):
+            count(layers, attr)
+        model.predict(np.zeros((16, 16), dtype=np.float32))
+        assert calls == {
+            "unet_forward": 1,
+            "conv2d_forward": 2 * spec.depth + 2,  # encoder, mid, head and each decoder level's skip half
+            "decoder_conv_forward": spec.depth,
+            "relu_forward": 2 * spec.depth + 1,
+            "maxpool2_forward": spec.depth,
+            "sigmoid_forward": 1,
+        }
 
 
 class TestMatchesUpcatConvNet:
