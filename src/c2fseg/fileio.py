@@ -77,8 +77,8 @@ def read_volume(path) -> AnyVolume:
     sp = _construct(Spacing, f"spacing {spacing}", *spacing)
     if dtype_code == _DTYPE_MASK:
         data = np.frombuffer(raw, dtype="<u1", count=n, offset=33).reshape(dims)
-        if ((data != 0) & (data != 1)).any():
-            bad = data[(data != 0) & (data != 1)].ravel()[0]
+        if data.max() > 1:
+            bad = data[data > 1][0]
             raise FormatError(f"mask payload contains non-binary byte {bad}")
         return Mask3D(data.copy(), sp)
     data = np.frombuffer(raw, dtype="<f4", count=n, offset=33).reshape(dims)
@@ -190,6 +190,6 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
             data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)
         what = f"payload scaled by scl_slope={slope!r}, scl_inter={inter!r}"
         return _construct(Volume3D, what, data, spacing)
-    if np.issubdtype(np_dtype.base, np.integer) and not ((data != 0) & (data != 1)).any():
+    if np.issubdtype(np_dtype.base, np.integer) and data.min() >= 0 and data.max() <= 1:
         return Mask3D(data.astype(np.uint8), spacing)
     return _construct(Volume3D, "payload", data.astype(np.float32), spacing)

@@ -12,21 +12,24 @@ backward finds each window's first maximum from them). Max pooling and the
 decoder conv's up half work on the four stride-2 phase views
 ``x[:, :, r::2, c::2]``.
 
-Each forward takes a ``cache`` flag. With ``cache=False`` (inference) it
-returns None for the cache, and the conv GEMMs run in bands of output rows
-through one reused band-sized im2col buffer, so the columns stay in cache.
-``_band_rows`` bands only shapes whose banded products keep the bytes of the
-whole one; other planes run as one band, the training forward's computation.
-ReLU and sigmoid then write into the array they are given, which must be a
-fresh layer output that nothing else reads.
+Every conv GEMM runs in ``conv2d_forward``/``conv2d_backward``; the decoder
+conv's up half is a ``conv2d_forward`` over ``h`` with 4*Cout phase kernels
+and no bias. Each forward takes a ``cache`` flag. With ``cache=False``
+(inference) it returns None for the cache, and the conv GEMMs run in bands of
+output rows through one reused band-sized column buffer, so the columns stay
+in cache. ``_band_rows`` bands only shapes whose banded products keep the
+bytes of the whole one; other planes run as one band, as the training
+forward does, which keeps each sample's columns for the backward. ReLU and
+sigmoid then write into the array they are given, which must be a fresh
+layer output that nothing else reads.
 
-The per-sample bulk of the convs, the decoder conv and the max-pool backward
-runs through ``parallel.split_batch``: inside ``fit`` one contiguous chunk of
-the batch per usable CPU, anywhere else the whole batch on the calling
-thread. A chunk calls only numpy and this module's private helpers, and
-writes only its own samples' rows of preallocated outputs. Sums over the
-batch run after every chunk, on the calling thread, so every result has the
-bytes of a whole-batch run.
+The per-sample bulk of the conv and the max-pool backward runs through
+``parallel.split_batch``: inside ``fit`` one contiguous chunk of the batch
+per usable CPU, anywhere else the whole batch on the calling thread. A chunk
+calls only numpy and this module's private helpers, and writes only its own
+samples' rows of preallocated outputs. Sums over the batch run after every
+chunk, on the calling thread, so every result has the bytes of a
+whole-batch run.
 """
 
 from __future__ import annotations
@@ -52,12 +55,6 @@ def _taps(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     )
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, out: np.ndarray) -> None:
-    """(B, C, Hp, Wp) padded input -> its columns, written into ``out`` of shape (B, C*kh*kw, out_h*out_w)."""
-    patches = _taps(xp, kh, kw)
-    np.copyto(out.reshape(patches.shape), patches)
-
-
 def _band_rows(m: int, h: int, w: int) -> int:
     """Output rows per band for an (m, K) x (K, h*w) GEMM over an h x w plane.
 
@@ -73,21 +70,27 @@ def _band_rows(m: int, h: int, w: int) -> int:
     return _BAND_ROWS if m > 1 and w >= 64 and last * w % 16 == 0 else h
 
 
-def _banded_gemm(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int, out: np.ndarray) -> None:
-    """``out`` (M, h*w) = ``wmat`` times the columns of one padded (C, h+kh-1, w+kw-1) input, band by band.
+def _banded_gemm(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int, out: np.ndarray, cols=None) -> None:
+    """``out`` (B, M, h*w) = ``wmat`` times the columns of a padded (B, C, h+kh-1, w+kw-1) input, band by band.
 
-    One band-sized column buffer is reused; per band one ``np.copyto`` fills
-    it from the tap view and one ``np.matmul`` writes the band's slice of ``out``.
+    Given ``cols`` (B, C*kh*kw, h*w), the whole plane is one band whose
+    columns are kept there. Otherwise one band-sized column buffer is reused
+    over the ``_band_rows`` bands. Per band one ``np.copyto`` fills the
+    columns from the tap view and one ``np.matmul`` writes the band's slice
+    of ``out``, one BLAS product per sample.
     """
     taps = _taps(xp, kh, kw)
-    c, _, _, h, w = taps.shape
-    rows = _band_rows(len(wmat), h, w)
-    cols = np.empty((c * kh * kw, rows * w), dtype=xp.dtype)
+    bsz, c, _, _, h, w = taps.shape
+    if cols is None:
+        rows = _band_rows(len(wmat), h, w)
+        cols = np.empty((bsz, c * kh * kw, rows * w), dtype=xp.dtype)
+    else:
+        rows = h
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        band = cols[:, : (r1 - r0) * w]
-        np.copyto(band.reshape(c, kh, kw, r1 - r0, w), taps[:, :, :, r0:r1])
-        np.matmul(wmat, band, out=out[:, r0 * w : r1 * w])
+        band = cols[:, :, : (r1 - r0) * w]
+        np.copyto(band.reshape(bsz, c, kh, kw, r1 - r0, w), taps[..., r0:r1, :])
+        np.matmul(wmat, band, out=out[:, :, r0 * w : r1 * w])
 
 
 def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -103,7 +106,7 @@ def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _col2im(gcols: np.ndarray, k: int, pad: int, out: np.ndarray) -> None:
-    """Adjoint of ``_im2col`` and the replicate pad: (B, C*k*k, H*W) columns -> the (B, C, H, W) gradient ``out``.
+    """Adjoint of the tap columns and the replicate pad: (B, C*k*k, H*W) columns -> the (B, C, H, W) gradient ``out``.
 
     ``pad`` is 0 (1x1) or 1 (3x3). Each padded cell sums its taps in raster
     order from 0, so the first tap is ``0 + tap``: -0.0 becomes 0.0, as in a
@@ -154,12 +157,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "con
 
     def chunk(lo: int, hi: int) -> None:
         xp = _replicate_pad(x[lo:hi], pad) if pad else x[lo:hi]
-        if cache:
-            _im2col(xp, kh, kw, cols[lo:hi])
-            np.matmul(wmat, cols[lo:hi], out=y[lo:hi])
-        else:
-            for s in range(hi - lo):
-                _banded_gemm(wmat, xp[s], kh, kw, y[lo + s])
+        _banded_gemm(wmat, xp, kh, kw, y[lo:hi], None if cols is None else cols[lo:hi])
         y[lo:hi] += b[:, None]
 
     split_batch(bsz, chunk)
@@ -261,10 +259,10 @@ def decoder_conv_forward(
 ):
     """3x3 conv over ``[skip ; nearest 2x upsample of h]`` without forming the upsample.
 
-    The skip channels go through ``conv2d_forward``. The up half is one GEMM of the four
-    phase kernels with the im2col of ``h`` on its own grid; phase (r, c) adds into ``y[:, :, r::2, c::2]``.
-    ``w4`` is ``_fold_up`` of the up half of ``w``, for a caller whose weights do not
-    change between calls; it is folded here when None.
+    The skip channels go through ``conv2d_forward``. The up half is a ``conv2d_forward``
+    over ``h`` on its own grid with the 4*Cout phase kernels and no bias; phase (r, c)
+    adds into ``y[:, :, r::2, c::2]``. ``w4`` is ``_fold_up`` of the up half of ``w``, for
+    a caller whose weights do not change between calls; it is folded here when None.
     """
     if h.ndim != 4 or skip.shape[:1] + skip.shape[2:] != (h.shape[0], 2 * h.shape[2], 2 * h.shape[3]):
         raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
@@ -276,44 +274,24 @@ def decoder_conv_forward(
     y, skip_cache = conv2d_forward(skip, w[:, :cs], b, name, cache=cache)
     if w4 is None:
         w4 = _fold_up(w[:, cs:])
-    cols = np.empty((bsz, cup * 9, hl * wl), dtype=h.dtype) if cache else None
-
-    def chunk(lo: int, hi: int) -> None:
-        hp = _replicate_pad(h[lo:hi], 1)
-        if cache:
-            _im2col(hp, 3, 3, cols[lo:hi])
-            z = np.matmul(w4, cols[lo:hi])
-        else:
-            z = np.empty((hi - lo, 4 * cout, hl * wl), dtype=np.result_type(w4, h))
-            for s in range(hi - lo):
-                _banded_gemm(w4, hp[s], 3, 3, z[s])
-        z = z.reshape(hi - lo, 2, 2, cout, hl, wl)
-        yc = y[lo:hi]
-        for r in (0, 1):
-            for c in (0, 1):
-                yc[:, :, r::2, c::2] += z[:, r, c]
-
-    split_batch(bsz, chunk)
-    return y, ((skip_cache, cols, w4, h.shape) if cache else None)
+    w_phases = w4.reshape(4 * cout, cup, 3, 3)
+    z, up_cache = conv2d_forward(h, w_phases, np.zeros(4 * cout, w4.dtype), f"{name}.up", cache=cache)
+    z = z.reshape(bsz, 2, 2, cout, hl, wl)
+    for r in (0, 1):
+        for c in (0, 1):
+            y[:, :, r::2, c::2] += z[:, r, c]
+    return y, ((skip_cache, up_cache) if cache else None)
 
 
 def decoder_conv_backward(cache, gy: np.ndarray):
     """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
-    skip_cache, cols, w4, h_shape = cache
+    skip_cache, up_cache = cache
     g_skip, gw_skip, gb = conv2d_backward(skip_cache, gy)
-    bsz, cup, hl, wl = h_shape
+    bsz, cup, hl, wl = up_cache[2]
     cout = gy.shape[1]
-    products = np.empty((bsz, 4 * cout, cols.shape[1]), dtype=np.result_type(gy, cols))
-    g_h = np.empty(h_shape, dtype=np.result_type(w4, gy))
-
-    def chunk(lo: int, hi: int) -> None:
-        phases = [gy[lo:hi, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
-        gz = np.stack(phases, axis=1).reshape(hi - lo, 4 * cout, hl * wl)
-        np.matmul(gz, cols[lo:hi].transpose(0, 2, 1), out=products[lo:hi])
-        _col2im(np.matmul(w4.T, gz), 3, 1, g_h[lo:hi])
-
-    split_batch(bsz, chunk)
-    gw4 = products.sum(axis=0)
+    # Phase-major, as the rows of w4: gz[:, (2 * r + c) * cout + o] = gy[:, o, r::2, c::2].
+    gz = gy.reshape(bsz, cout, hl, 2, wl, 2).transpose(0, 3, 5, 1, 2, 4).reshape(bsz, 4 * cout, hl, wl)
+    g_h, gw4, _ = conv2d_backward(up_cache, gz)
     gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), _FOLD.T)
     gw = np.concatenate([gw_skip, gw_up.reshape(cout, cup, 3, 3)], axis=1)
     return g_skip, g_h, gw, gb

@@ -367,12 +367,13 @@ def unsplit_decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray,
     for r in (0, 1):
         for c in (0, 1):
             y[:, :, r::2, c::2] += z[:, r, c]
-    return y, (skip_cache, cols, w4, h.shape)
+    return y, (skip_cache, (cols, w4.reshape(4 * cout, cup, 3, 3), h.shape, 1, "dec.up"))
 
 
 def unsplit_decoder_conv_backward(cache, gy: np.ndarray):
     """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
-    skip_cache, cols, w4, h_shape = cache
+    skip_cache, (cols, w4, h_shape, _, _) = cache
+    w4 = w4.reshape(len(w4), -1)
     g_skip, gw_skip, gb = unsplit_conv2d_backward(skip_cache, gy)
     bsz, cup, hl, wl = h_shape
     cout = gy.shape[1]

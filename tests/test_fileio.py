@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -121,6 +122,37 @@ def build_nifti(
         np_dtype = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}[datatype]
         payload = np.arange(nx * ny * nz, dtype=byte_order + np_dtype).tobytes()
     return bytes(hdr) + b"\x00" * 4 + payload
+
+
+def traced_peak(read, path) -> int:
+    """Peak bytes traced while ``read(path)`` runs."""
+    tracemalloc.start()
+    try:
+        read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestBinaryCheckMemory:
+    """Testing a payload for 0/1 holds no voxel-size temporary beside the file's bytes and the returned array."""
+
+    DIMS = (32, 256, 256)
+    N = DIMS[0] * DIMS[1] * DIMS[2]
+
+    def test_rvol_mask_read_peak_within_2_5x_voxels(self, tmp_path):
+        path = tmp_path / "m.rvol"
+        write_volume(Mask3D((np.arange(self.N) % 3 == 0).reshape(self.DIMS).astype(np.uint8), Spacing(1, 1, 1)), path)
+        peak = traced_peak(read_volume, path)
+        assert peak < 2.5 * self.N, f"peak {peak / self.N:.2f}x the voxel count"
+
+    def test_int16_nifti_mask_read_peak_within_3_5x_voxels(self, tmp_path):
+        path = tmp_path / "m.nii"
+        payload = (np.arange(self.N) % 3 == 0).astype("<i2").tobytes()
+        path.write_bytes(build_nifti(dims=self.DIMS[::-1], payload=payload))
+        peak = traced_peak(read_nifti, path)
+        assert peak < 3.5 * self.N, f"peak {peak / self.N:.2f}x the voxel count"
 
 
 class TestReadNifti:

@@ -3,8 +3,9 @@
 Checked with the standard library's ``ast``: every module other than a
 package ``__init__.py`` uses each name it imports, no module reaches
 into another c2fseg module for a private (``_``-prefixed) name, and only
-``parallel.py`` imports the thread modules. Checked in a fresh interpreter:
-importing the package leaves out what it loads lazily.
+``parallel.py`` imports the thread modules, and ``nn/layers.py`` has one
+conv GEMM path. Checked in a fresh interpreter: importing the package leaves
+out what it loads lazily.
 """
 
 import ast
@@ -94,3 +95,20 @@ def test_importing_the_package_does_not_load_concurrent_futures(tmp_path):
     child_pkg, loaded = proc.stdout.splitlines()
     assert Path(child_pkg).resolve().parent == PACKAGE.resolve()
     assert loaded == "[]", f"import c2fseg loaded {loaded}"
+
+
+# Private helper of nn/layers.py -> the one top-level function that may reference it.
+CONV_GEMM_HELPERS = {"_taps": "_banded_gemm", "_col2im": "conv2d_backward"}
+
+
+def test_layers_has_one_conv_gemm_path():
+    """Only ``_banded_gemm`` builds columns and only ``conv2d_backward`` scatters them back,
+    so every conv, the decoder's two halves too, runs through ``conv2d_forward``/``conv2d_backward``."""
+    tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
+    users = {name: set() for name in CONV_GEMM_HELPERS}
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else f"line {top.lineno}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in users:
+                users[node.id].add(owner)
+    assert users == {name: {owner} for name, owner in CONV_GEMM_HELPERS.items()}

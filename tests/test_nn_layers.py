@@ -377,7 +377,7 @@ class TestBatchSplitMatchesUnsplitOracles:
             y, cache = layers.decoder_conv_forward(skip, h, w, b)
             grads = layers.decoder_conv_backward(cache, gy)
         y_ref, ref_cache = oracles.unsplit_decoder_conv_forward(skip, h, w, b)
-        assert same_bytes(y, y_ref) and same_bytes(cache[1], ref_cache[1])
+        assert same_bytes(y, y_ref) and same_bytes(cache[1][0], ref_cache[1][0])
         for got, want in zip(grads, oracles.unsplit_decoder_conv_backward(ref_cache, gy)):
             assert same_bytes(got, want)
 
@@ -420,7 +420,8 @@ def _banded_decoder_inputs(draw):
 
 
 class TestInferenceBands:
-    """Without a cache the conv GEMMs run in row bands and keep the bytes of the whole-plane code."""
+    """Without a cache the conv GEMMs run in row bands and keep the bytes of the whole-plane code;
+    with one, the training forward keeps those bytes on the same wide planes."""
 
     @pytest.mark.parametrize("m, h, w, rows", [
         (8, 128, 128, 16),  # 16-row bands of 2048 pixels
@@ -437,18 +438,24 @@ class TestInferenceBands:
     @given(_banded_conv_inputs())
     def test_conv2d(self, inputs):
         x, w, b = inputs
+        want, ref_cache = oracles.unsplit_conv2d_forward(x, w, b)
         y, cache = layers.conv2d_forward(x, w, b, cache=False)
-        assert cache is None and same_bytes(y, oracles.unsplit_conv2d_forward(x, w, b)[0])
+        assert cache is None and same_bytes(y, want)
+        y, cache = layers.conv2d_forward(x, w, b)
+        assert same_bytes(y, want) and same_bytes(cache[0], ref_cache[0])
 
     @settings(max_examples=150, deadline=None)
     @given(_banded_decoder_inputs())
     def test_decoder_conv_with_and_without_a_folded_kernel(self, inputs):
         skip, h, w, b = inputs
-        want, _ = oracles.unsplit_decoder_conv_forward(skip, h, w, b)
+        want, ref_cache = oracles.unsplit_decoder_conv_forward(skip, h, w, b)
         y, cache = layers.decoder_conv_forward(skip, h, w, b, cache=False)
         assert cache is None and same_bytes(y, want)
         y, _ = layers.decoder_conv_forward(skip, h, w, b, cache=False, w4=layers._fold_up(w[:, skip.shape[1] :]))
         assert same_bytes(y, want)
+        y, cache = layers.decoder_conv_forward(skip, h, w, b)
+        assert same_bytes(y, want)
+        assert same_bytes(cache[0][0], ref_cache[0][0]) and same_bytes(cache[1][0], ref_cache[1][0])
 
 
 class TestSplitBatch:

@@ -240,7 +240,7 @@ class TestPredictReachesTracedNames:
         model.predict(np.zeros((16, 16), dtype=np.float32))
         assert calls == {
             "unet_forward": 1,
-            "conv2d_forward": 2 * spec.depth + 2,  # encoder, mid, head and each decoder level's skip half
+            "conv2d_forward": 3 * spec.depth + 2,  # encoder, mid, head and each decoder level's two halves
             "decoder_conv_forward": spec.depth,
             "relu_forward": 2 * spec.depth + 1,
             "maxpool2_forward": spec.depth,
