@@ -14,9 +14,9 @@ Sampling conventions, fixed so round-trip tests are stable:
 - resampling is separable and runs one (H, W) plane at a time: each input
   plane gets its W then H pass in float64, then each output plane is
   lerped in D from its two resampled input planes and cast to float32 once
-  (at most two resampled planes are held, so the peak stays near the
-  output's size); this is bit-identical to blending the 4 (2D) or 8 (3D)
-  surrounding corners in the order W, H, D
+  (at most two resampled planes are held per chunk of output planes, so the
+  peak stays near the output's size); this is bit-identical to blending the
+  4 (2D) or 8 (3D) surrounding corners in the order W, H, D
 - nearest-neighbour picks ``floor(coord + 0.5)``
 - output dims under a spacing resample are round-half-up, minimum 1
 - crop windows start at ``center - dim // 2``; for odd window dims the
@@ -30,6 +30,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import parallel
 from .errors import GeometryError
 from .volume import AnyVolume, Mask3D, Spacing
 
@@ -128,6 +129,9 @@ def _resample_axes(data: np.ndarray, out_dims, ratios, linear: bool) -> np.ndarr
     Linear passes run in float64 and each output plane is cast to float32
     once. An axis with ratio 1 is still lerped (``f = 0``): the blend lerps
     it too, which turns a ``-0.0`` next to a positive value into ``+0.0``.
+    The output planes go through ``parallel.split_planes`` in contiguous
+    chunks, each with its own two-plane cache, so an input plane on a chunk
+    boundary may be resampled twice, to the same bytes.
     """
     planes = data.reshape((-1,) + data.shape[-2:])  # a single plane is a stack of one
     rows, cols = (_axis(n, m, r, linear) for n, m, r in zip(data.shape[-2:], out_dims[-2:], ratios[-2:]))
@@ -137,13 +141,19 @@ def _resample_axes(data: np.ndarray, out_dims, ratios, linear: bool) -> np.ndarr
         src = _axis(len(planes), out_dims[0], ratios[0], linear)
         lo, hi, f = src if linear else (src, src, None)
     out = np.empty((len(lo),) + tuple(out_dims[-2:]), np.float32 if linear else data.dtype)
-    kept: dict[int, np.ndarray] = {}  # resampled input planes; the D indices only rise, so two suffice
-    for k, (i0, i1) in enumerate(zip(lo.tolist(), hi.tolist())):
-        for i in sorted({i0, i1} - kept.keys()):
-            if len(kept) == 2:
-                del kept[min(kept)]
-            kept[i] = _resample_plane(planes[i], rows, cols, linear)
-        out[k] = kept[i0] if f is None else _lerp(kept[i0], kept[i1], f[k])
+    lo, hi = lo.tolist(), hi.tolist()
+
+    def chunk(first: int, stop: int) -> None:  # output planes first..stop-1
+        kept: dict[int, np.ndarray] = {}  # resampled input planes; the D indices only rise, so two suffice
+        for k in range(first, stop):
+            i0, i1 = lo[k], hi[k]
+            for i in sorted({i0, i1} - kept.keys()):
+                if len(kept) == 2:
+                    del kept[min(kept)]
+                kept[i] = _resample_plane(planes[i], rows, cols, linear)
+            out[k] = kept[i0] if f is None else _lerp(kept[i0], kept[i1], f[k])
+
+    parallel.split_planes(len(out), chunk)
     return out if data.ndim == 3 else out[0]
 
 

@@ -3,14 +3,17 @@
 The one module that reads the CPU count, starts threads and cuts and joins
 work; ``taskset -c 0`` makes every split serial. ``nn.train.fit`` holds a
 ``batch_threads`` pool for a training run and the layers cut each batch
-with ``split_batch``. ``pipeline._predict`` holds one for a stack whose
-first plane was slow and cuts the remaining planes. Each block has its own
-pool, so concurrent callers never wait for each other's chunks.
+with ``split_batch``. Plane loops go through ``split_planes``, the one gate
+that decides whether per-plane work is worth a thread: ``pipeline._predict``
+for a stack's model calls and ``geometry``'s resample core for every
+resample, resize and unresize. Each block has its own pool, so concurrent
+callers never wait for each other's chunks.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable
@@ -18,6 +21,10 @@ from typing import Callable
 # (pool, usable CPUs) of the batch_threads block this context runs in. Pool
 # threads start with an empty context, so a chunk run on one never splits again.
 _POOL: ContextVar[tuple | None] = ContextVar("c2fseg_batch_pool", default=None)
+
+# A plane loop whose first plane ran faster than this stays on the caller's
+# thread: a thread would cost more than the planes it takes over.
+_SERIAL_PLANE_S = 1e-3
 
 
 def usable_cpus() -> int:
@@ -74,3 +81,22 @@ def split_batch(n: int, body: Callable[[int, int], None]) -> None:
             f.exception()
     for f in futures:
         f.result()
+
+
+def split_planes(n: int, body: Callable[[int, int], None]) -> None:
+    """Run ``body(lo, hi)`` over planes ``0..n-1``, split over the usable CPUs when the planes are slow.
+
+    Plane 0 runs alone on the caller's thread, as ``body(0, 1)``, and is
+    timed. If it took at least ``_SERIAL_PLANE_S`` and two or more planes
+    remain, planes 1..n-1 go to ``split_batch`` inside a ``batch_threads``
+    block; otherwise ``body(1, n)`` runs on the caller's thread. Each call of
+    ``body`` must write only planes lo..hi-1 of preallocated outputs, so the
+    result does not depend on the split.
+    """
+    t0 = time.perf_counter()
+    body(0, 1)
+    if n > 2 and time.perf_counter() - t0 >= _SERIAL_PLANE_S:
+        with batch_threads():
+            split_batch(n - 1, lambda lo, hi: body(lo + 1, hi + 1))
+    elif n > 1:
+        body(1, n)

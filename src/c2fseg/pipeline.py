@@ -26,6 +26,7 @@ from .components import (
     AbnormalityVerdict,
     classify,
     component_stats,
+    foreground_indices,
     label_components,
 )
 from .errors import GeometryError
@@ -146,10 +147,13 @@ def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
 
 
 def _global_centroid(mask_data: np.ndarray) -> tuple[float, float, float] | None:
-    coords = np.nonzero(mask_data)
-    if coords[0].size == 0:
+    fi = foreground_indices(mask_data)
+    if fi.size == 0:
         return None
-    return tuple(float(c.mean()) for c in coords)
+    _, h, w = mask_data.shape
+    z, rest = np.divmod(fi, h * w)
+    y, x = np.divmod(rest, w)
+    return float(z.mean()), float(y.mean()), float(x.mean())
 
 
 def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
@@ -168,11 +172,6 @@ def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     return _training_set(parts, cfg.abnormal_dims)
 
 
-# A stack whose first plane predicts faster than this runs serially: a thread
-# would cost more than the planes it takes over.
-_SERIAL_PLANE_S = 1e-3
-
-
 def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> np.ndarray:
     p = np.asarray(model.predict(plane), dtype=np.float32)
     if p.shape != plane.shape:
@@ -185,24 +184,20 @@ def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> n
 def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndarray:
     """Run one stage's model on each plane of a stack; the one place model output is checked.
 
-    Each model gets a read-only float32 (H, W) view of one plane. Plane 0 runs
-    on the caller's thread. If it took at least ``_SERIAL_PLANE_S`` and two
-    or more planes remain, planes 1..N-1 go to ``parallel.split_batch``
-    inside a ``parallel.batch_threads`` block: one contiguous chunk per
-    usable CPU, the first on the caller's thread. Every plane is predicted
-    on its own, so the output does not depend on the split, and the error
-    raised is the one for the lowest-index bad plane.
+    Each model gets a read-only float32 (H, W) view of one plane. The planes
+    go through ``parallel.split_planes``: plane 0 runs on the caller's thread,
+    and the rest are split over the usable CPUs only if it was slow. Every
+    plane is predicted on its own, so the output does not depend on the
+    split, and a chunk starts no plane past one that has already failed, so
+    the error raised is the one for the lowest-index bad plane.
     """
     planes = np.asarray(stack, dtype=np.float32).view()
     planes.flags.writeable = False
     out = np.empty(planes.shape, dtype=np.float32)
-    n = len(planes)  # at least 1: containers and windows have positive dims
-    t0 = time.perf_counter()
-    out[0] = _predict_plane(model, planes[0], stage)
     failed: list[int] = []  # planes whose predict raised; list.append is atomic
 
-    def chunk(lo: int, hi: int) -> None:  # planes lo+1..hi
-        for k in range(lo + 1, hi + 1):
+    def chunk(lo: int, hi: int) -> None:
+        for k in range(lo, hi):
             if failed and min(failed) < k:  # a lower-index plane already failed; its error wins
                 return
             try:
@@ -211,11 +206,7 @@ def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndar
                 failed.append(k)
                 raise
 
-    if n > 2 and time.perf_counter() - t0 >= _SERIAL_PLANE_S:
-        with parallel.batch_threads():
-            parallel.split_batch(n - 1, chunk)
-    else:
-        chunk(0, n - 1)
+    parallel.split_planes(len(planes), chunk)  # at least 1 plane: containers and windows have positive dims
     return out
 
 

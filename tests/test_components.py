@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import c2fseg.components
+import c2fseg.pipeline
 import c2fseg.volume
 from c2fseg import (
     ComponentStats,
@@ -127,6 +129,41 @@ class TestLabelComponents:
             tracemalloc.stop()
         assert lm.n_components == 2
         assert peak <= 1.5 * out_bytes, f"peak {peak / out_bytes:.2f}x the int32 output"
+
+
+class TestForegroundIndices:
+    """The row scan gives ``np.flatnonzero``'s array, so labels, stats and centroids keep their bytes."""
+
+    @staticmethod
+    def arrays(data, dtype):
+        dims = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 7), st.integers(1, 9) | st.just(1)))
+        fill = data.draw(st.sampled_from(["empty", "full", "last row", "random"]))
+        if fill == "random":
+            elements = st.integers(0, 1) | st.integers(0, 255) if dtype == np.uint8 else st.integers(-3, 3)
+            return data.draw(hnp.arrays(dtype, dims, elements=elements))
+        arr = np.full(dims, 1 if fill == "full" else 0, dtype=dtype)
+        if fill == "last row":
+            arr[-1, -1, data.draw(st.integers(0, dims[2] - 1))] = data.draw(st.sampled_from([1, 7]))
+        return arr
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.uint8, np.int32]))
+    def test_equals_flatnonzero(self, data, dtype):
+        arr = self.arrays(data, dtype)
+        got, want = c2fseg.components.foreground_indices(arr), np.flatnonzero(arr)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_global_centroid_keeps_its_bytes(self, data):
+        arr = self.arrays(data, np.uint8)
+        coords = np.nonzero(arr)
+        want = None if coords[0].size == 0 else tuple(float(c.mean()) for c in coords)
+        got = c2fseg.pipeline._global_centroid(arr)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestLabelMap3D:

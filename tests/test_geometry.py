@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import c2fseg.geometry
+import c2fseg.parallel
 from c2fseg import (
     CropRecord,
     GeometryError,
@@ -401,6 +404,72 @@ class TestRecordsOwnTheirArithmetic:
         shape = target if n is None else (n, *target)
         p = data.draw(hnp.arrays(np.float32, shape, elements=cells, fill=st.nothing()))
         assert unresize(p, rec, mode).tobytes() == resize_slice(p, rec.original_dims, mode)[0].tobytes()
+
+
+class TestSplitPlaneLoop:
+    """With ``parallel``'s gate forced open, the plane loop runs its chunks on 1-3 CPUs and returns
+    the corner blend's bytes. The D ratios repeat input planes, so adjacent chunks need the same
+    input plane and each resamples it on its own."""
+
+    @pytest.fixture
+    def split(self, monkeypatch, cpus):
+        """``split(n_cpus, call)``: ``call()``'s result, after checking that no pool thread outlives it
+        and that with more than one CPU some plane was resampled on a pool thread."""
+        monkeypatch.setattr(c2fseg.parallel, "_SERIAL_PLANE_S", 0.0)
+        names = set()
+        resample_plane = c2fseg.geometry._resample_plane
+
+        def recording(*args):
+            names.add(threading.current_thread().name)
+            return resample_plane(*args)
+
+        monkeypatch.setattr(c2fseg.geometry, "_resample_plane", recording)
+
+        def run(n_cpus, call):
+            cpus(n_cpus)
+            names.clear()
+            out = call()
+            assert [t for t in threading.enumerate() if t.name.startswith("c2fseg-batch")] == []
+            assert any(name.startswith("c2fseg-batch") for name in names) == (n_cpus > 1)
+            return out
+
+        return run
+
+    @staticmethod
+    def planes_oracle(stack, target, linear):
+        ratios = (stack.shape[1] / target[0], stack.shape[2] / target[1])
+        return np.stack([corner_blend_oracle(p, target, ratios, linear) for p in stack])
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_trilinear_volume(self, rng, split, n_cpus):
+        vol = Volume3D(random_volume_data(rng, (7, 9, 11)), Spacing(1.0, 1.0, 1.0))
+        # 13 output planes, plane k reading input planes floor(0.55k) and the next. Planes 0 and 1,
+        # 6 and 7 (2 CPUs), and 4 and 5 and 8 and 9 (3 CPUs) share their inputs across a chunk boundary.
+        target = Spacing(0.55, 0.8, 1.3)
+        out = split(n_cpus, lambda: resample_volume(vol, target, mode="trilinear"))
+        assert out.dims == (13, 11, 8)
+        assert out.data.tobytes() == corner_blend_oracle(vol.data, out.dims, target.as_tuple(), True).tobytes()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_nearest_mask_onto_given_dims(self, rng, split, n_cpus):
+        mask = Mask3D(random_mask_data(rng, (5, 8, 6), p=0.4), Spacing(1.0, 1.0, 1.0))
+        # Output planes read input planes 0 0 1 1 2 2 3 3 4 4 4: planes 0 and 1, and with 3 CPUs 6 and 7,
+        # read the same input plane across a chunk boundary.
+        dims = (11, 7, 9)
+        target = Spacing(0.45, 1.1, 0.7)
+        out = split(n_cpus, lambda: resample_volume(mask, target, mode="nearest", target_dims=dims))
+        assert out.data.tobytes() == corner_blend_oracle(mask.data, dims, target.as_tuple(), False).tobytes()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    def test_resize_and_unresize(self, rng, split, n_cpus, mode):
+        linear = mode == "bilinear"
+        stack = random_volume_data(rng, (5, 9, 7))
+        small, rec = split(n_cpus, lambda: resize_slice(stack, (4, 6), mode=mode))
+        assert small.tobytes() == self.planes_oracle(stack, (4, 6), linear).tobytes()
+        probs = rng.uniform(size=(7, 4, 6)).astype(np.float32)
+        back = split(n_cpus, lambda: unresize(probs, rec, mode=mode))
+        assert back.tobytes() == self.planes_oracle(probs, (9, 7), linear).tobytes()
 
 
 class TestResampleMemory:

@@ -734,8 +734,8 @@ def threshold_unet(spec: UNetSpec, seed: int, level: float = 0.5) -> UNetModel:
     return UNetModel(spec, ModelWeights(params))
 
 
-# Sleeps past ``_predict``'s serial gate, so that a stack takes the threaded branch.
-SLOW_S = 2 * c2fseg.pipeline._SERIAL_PLANE_S
+# Sleeps past the serial gate of ``parallel.split_planes``, so that a stack takes the threaded branch.
+SLOW_S = 2 * c2fseg.parallel._SERIAL_PLANE_S
 
 
 class SlowModel:
@@ -907,7 +907,7 @@ class TestThreadedPredict:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(c2fseg.pipeline, "_SERIAL_PLANE_S", float("inf"))  # _predict keeps every stack serial
+        monkeypatch.setattr(c2fseg.parallel, "_SERIAL_PLANE_S", float("inf"))  # every plane loop stays serial
         cpus(3)
         assert_same_results(run_case(vol, models, desk_cfg()), want)
 
