@@ -109,15 +109,20 @@ _STAGE_PREP = {
 }
 
 
+def _stage_dims_fit(cfg: RunConfig, stages) -> bool:
+    """False, after an error line, if the dims of one of ``stages`` cannot be pooled ``cfg.unet.depth`` times."""
+    step = 2**cfg.unet.depth
+    for stage in stages:
+        dims = getattr(cfg.pipeline, f"{stage}_dims")
+        if dims[0] % step or dims[1] % step:
+            print(f"error: {stage} dims {dims} not divisible by 2^{cfg.unet.depth}", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    dims = getattr(cfg.pipeline, f"{args.stage}_dims")
-    step = 2**cfg.unet.depth
-    if dims[0] % step or dims[1] % step:
-        print(
-            f"error: {args.stage} dims {dims} not divisible by 2^{cfg.unet.depth}",
-            file=sys.stderr,
-        )
+    if not _stage_dims_fit(cfg, [args.stage]):
         return 2
     cases = _load_cases(Path(args.data))
     pairs = _STAGE_PREP[args.stage](cases, cfg.pipeline)
@@ -135,6 +140,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = load_config(args.config)
+    if not _stage_dims_fit(cfg, _STAGE_PREP):
+        return 2
     vol = _read_input_volume(Path(args.input), cfg)
     models = StageModels(
         coarse=UNetModel(cfg.unet, load_weights(args.coarse)),

@@ -30,13 +30,18 @@ calls only numpy and this module's private helpers, and writes only its own
 samples' rows of preallocated outputs. Sums over the batch run after every
 chunk, on the calling thread, so every result has the bytes of a
 whole-batch run.
+
+No layer checks shapes: ``unet_forward`` and ``unet_backward`` check them
+once per call, before any layer runs. They guarantee a conv a 4-D input with
+the weight's input channels, a 1x1 or 3x3 kernel and one bias per output
+channel; a pool even spatial dims; a decoder a skip at twice the spatial
+dims of ``h`` and a weight over both; a backward its output's shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GeometryError
 from ..parallel import split_batch
 
 # Output rows per band of an inference GEMM (see ``_band_rows``).
@@ -138,18 +143,13 @@ def _col2im(gcols: np.ndarray, k: int, pad: int, out: np.ndarray) -> None:
     out[...] = gxp[:, :, 1:-1, 1:-1]
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "conv", cache: bool = True):
-    """Same-size convolution, stride 1. Kernel must be 1x1 or 3x3."""
-    if x.ndim != 4:
-        raise GeometryError(f"{name}: input must be 4D (B, C, H, W), got shape {x.shape}")
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cache: bool = True):
+    """Same-size convolution, stride 1: (B, Cin, H, W) input, (Cout, Cin, k, k) kernel, (Cout,) bias.
+
+    k is 1 or 3, as ``_col2im`` folds only a pad of 0 or 1; ``check_weights`` guarantees it.
+    """
     bsz, cin, h, wid = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin_w != cin:
-        raise GeometryError(f"{name}: weight expects {cin_w} input channels, input has {cin}")
-    if (kh, kw) not in ((1, 1), (3, 3)):
-        raise GeometryError(f"{name}: kernel must be 1x1 or 3x3, got {kh}x{kw}")
-    if b.shape != (cout,):
-        raise GeometryError(f"{name}: bias shape {b.shape} does not match {cout} output channels")
+    cout, _, kh, kw = w.shape
     pad = kh // 2
     wmat = w.reshape(cout, -1)
     cols = np.empty((bsz, cin * kh * kw, h * wid), dtype=x.dtype) if cache else None
@@ -161,7 +161,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "con
         y[lo:hi] += b[:, None]
 
     split_batch(bsz, chunk)
-    return y.reshape(bsz, cout, h, wid), ((cols, w, x.shape, pad, name) if cache else None)
+    return y.reshape(bsz, cout, h, wid), ((cols, w, x.shape, pad) if cache else None)
 
 
 def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
@@ -170,11 +170,9 @@ def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
     Each sample's weight-gradient product is kept, and the batch sum runs over
     all of them at the end, so the sums do not depend on how the batch is split.
     """
-    cols, w, x_shape, pad, name = cache
+    cols, w, x_shape, pad = cache
     bsz, _, h, wid = x_shape
     cout, _, kh, _ = w.shape
-    if gy.shape != (bsz, cout, h, wid):
-        raise GeometryError(f"{name}: grad shape {gy.shape} does not match output {(bsz, cout, h, wid)}")
     gy_mat = gy.reshape(bsz, cout, h * wid)
     wt = w.reshape(cout, -1).T
     products = np.empty((bsz, cout, cols.shape[1]), dtype=np.result_type(gy_mat, cols))
@@ -203,7 +201,7 @@ def relu_backward(cache, gy: np.ndarray):
     return gy * (cache > 0)  # x > 0 exactly where max(x, 0) > 0, NaN included
 
 
-def maxpool2_forward(x: np.ndarray, name: str = "pool", cache: bool = True):
+def maxpool2_forward(x: np.ndarray, cache: bool = True):
     """2x2 max pooling, stride 2; spatial dims must be even.
 
     The max over the four phases is folded from the last to the first:
@@ -211,9 +209,6 @@ def maxpool2_forward(x: np.ndarray, name: str = "pool", cache: bool = True):
     yields its first maximum in raster order, the one the backward routes
     the gradient to. The choice shows only when -0.0 ties with +0.0.
     """
-    _, _, h, w = x.shape
-    if h % 2 or w % 2:
-        raise GeometryError(f"{name}: spatial dims {(h, w)} must be even for 2x2 pooling")
     y = np.maximum(x[:, :, 1::2, 1::2], x[:, :, 1::2, 0::2])
     np.maximum(y, x[:, :, 0::2, 1::2], out=y)
     np.maximum(y, x[:, :, 0::2, 0::2], out=y)
@@ -254,28 +249,23 @@ def _fold_up(w_up: np.ndarray) -> np.ndarray:
     return w4.reshape(cout, cup, 4, 9).transpose(2, 0, 1, 3).reshape(4 * cout, cup * 9)
 
 
-def decoder_conv_forward(
-    skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec", cache: bool = True, *, w4=None
-):
+def decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, cache: bool = True, *, w4=None):
     """3x3 conv over ``[skip ; nearest 2x upsample of h]`` without forming the upsample.
 
+    ``skip`` is (B, Cs, 2h, 2w) for an (B, Cup, h, w) ``h``, and ``w`` is (Cout, Cs + Cup, 3, 3).
     The skip channels go through ``conv2d_forward``. The up half is a ``conv2d_forward``
     over ``h`` on its own grid with the 4*Cout phase kernels and no bias; phase (r, c)
     adds into ``y[:, :, r::2, c::2]``. ``w4`` is ``_fold_up`` of the up half of ``w``, for
     a caller whose weights do not change between calls; it is folded here when None.
     """
-    if h.ndim != 4 or skip.shape[:1] + skip.shape[2:] != (h.shape[0], 2 * h.shape[2], 2 * h.shape[3]):
-        raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
     bsz, cs = skip.shape[:2]
     _, cup, hl, wl = h.shape
     cout = w.shape[0]
-    if w.shape[1:] != (cs + cup, 3, 3):
-        raise GeometryError(f"{name}: weight shape {w.shape} does not fit {cs} skip + {cup} up channels, 3x3")
-    y, skip_cache = conv2d_forward(skip, w[:, :cs], b, name, cache=cache)
+    y, skip_cache = conv2d_forward(skip, w[:, :cs], b, cache=cache)
     if w4 is None:
         w4 = _fold_up(w[:, cs:])
     w_phases = w4.reshape(4 * cout, cup, 3, 3)
-    z, up_cache = conv2d_forward(h, w_phases, np.zeros(4 * cout, w4.dtype), f"{name}.up", cache=cache)
+    z, up_cache = conv2d_forward(h, w_phases, np.zeros(4 * cout, w4.dtype), cache=cache)
     z = z.reshape(bsz, 2, 2, cout, hl, wl)
     for r in (0, 1):
         for c in (0, 1):

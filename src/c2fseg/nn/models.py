@@ -23,10 +23,11 @@ class SegmentationModel(Protocol):
 
     The pipeline may call ``predict`` from several threads at once, each on a
     distinct plane of the same stack, so a model must be safe for that;
-    ThresholdModel and UNetModel are. If the first plane of a stack predicts
-    in under a millisecond, the rest of the stack runs serially on the
-    caller's thread; otherwise ``parallel.split_batch`` cuts it into one
-    chunk per usable CPU. Restricting the process to one CPU
+    ThresholdModel and UNetModel are. A stack goes through
+    ``parallel.split_planes``: plane 0 runs on the caller's thread and is
+    timed, and planes 1.. are cut into one chunk per usable CPU only if it
+    took at least a millisecond and two or more planes remain; otherwise
+    they run on the caller's thread too. Restricting the process to one CPU
     (``taskset -c 0``) makes every stack run serially.
     """
 

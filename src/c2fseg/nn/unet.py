@@ -130,18 +130,18 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True, *, 
     h = x
     for i in range(spec.depth):
         w, b = weights[f"enc{i}.w"], weights[f"enc{i}.b"]
-        h = keep(f"enc{i}.conv", layers.conv2d_forward(h, w, b, name=f"enc{i}", cache=cache))
+        h = keep(f"enc{i}.conv", layers.conv2d_forward(h, w, b, cache=cache))
         h = keep(f"enc{i}.relu", layers.relu_forward(h, cache=cache))
         skips.append(h)
-        h = keep(f"enc{i}.pool", layers.maxpool2_forward(h, name=f"enc{i}.pool", cache=cache))
-    h = keep("mid.conv", layers.conv2d_forward(h, weights["mid.w"], weights["mid.b"], name="mid", cache=cache))
+        h = keep(f"enc{i}.pool", layers.maxpool2_forward(h, cache=cache))
+    h = keep("mid.conv", layers.conv2d_forward(h, weights["mid.w"], weights["mid.b"], cache=cache))
     h = keep("mid.relu", layers.relu_forward(h, cache=cache))
     for i in reversed(range(spec.depth)):
         w, b = weights[f"dec{i}.w"], weights[f"dec{i}.b"]
         w4 = folded[i] if folded is not None else None
-        h = keep(f"dec{i}.conv", layers.decoder_conv_forward(skips[i], h, w, b, name=f"dec{i}", cache=cache, w4=w4))
+        h = keep(f"dec{i}.conv", layers.decoder_conv_forward(skips[i], h, w, b, cache=cache, w4=w4))
         h = keep(f"dec{i}.relu", layers.relu_forward(h, cache=cache))
-    h = keep("head.conv", layers.conv2d_forward(h, weights["head.w"], weights["head.b"], name="head", cache=cache))
+    h = keep("head.conv", layers.conv2d_forward(h, weights["head.w"], weights["head.b"], cache=cache))
     y = keep("head.sig", layers.sigmoid_forward(h, cache=cache))
     if not cache:
         return y, None

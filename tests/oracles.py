@@ -251,11 +251,9 @@ def maxpool2_argmax_oracle(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, n
 # ``conv3x3_replicate_oracle`` and the finite-difference tests check apart.
 
 
-def upcat_forward(skip: np.ndarray, h: np.ndarray, name: str = "upcat"):
+def upcat_forward(skip: np.ndarray, h: np.ndarray):
     """Decoder input in one fresh buffer: the skip channels, then a nearest 2x copy of ``h``."""
     b, cs, hs, ws = skip.shape
-    if h.shape[0] != b or (2 * h.shape[2], 2 * h.shape[3]) != (hs, ws):
-        raise GeometryError(f"{name}: cannot join skip {skip.shape} with 2x upsampled {h.shape}")
     y = np.empty((b, cs + h.shape[1], hs, ws), dtype=np.result_type(skip, h))
     y[:, :cs] = skip
     up = y[:, cs:]
@@ -271,16 +269,14 @@ def upcat_backward(cs: int, gy: np.ndarray):
     return gy[:, :cs], g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2] + g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]
 
 
-def decoder_conv_oracle(
-    skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, name: str = "dec", cache: bool = True, *, w4=None
-):
+def decoder_conv_oracle(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.ndarray, cache: bool = True, *, w4=None):
     """``upcat_forward``, then ``conv2d_forward`` over the joined tensor: (output, cache).
 
     Takes ``decoder_conv_forward``'s arguments so that it can stand in for it
     inside ``unet_forward``, but ignores ``cache`` and the folded ``w4``.
     """
-    x, cs = upcat_forward(skip, h, name)
-    y, conv_cache = layers.conv2d_forward(x, w, b, name)
+    x, cs = upcat_forward(skip, h)
+    y, conv_cache = layers.conv2d_forward(x, w, b)
     return y, (cs, conv_cache)
 
 
@@ -340,12 +336,12 @@ def unsplit_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     cols = _unsplit_im2col(_edge_pad(x, pad) if pad else x, kh, kw, h, wid)
     y = np.matmul(w.reshape(cout, -1), cols).reshape(bsz, cout, h, wid)
     y += b[None, :, None, None]
-    return y, (cols, w, x.shape, pad, "conv")
+    return y, (cols, w, x.shape, pad)
 
 
 def unsplit_conv2d_backward(cache, gy: np.ndarray):
     """(input gradient, weight gradient, bias gradient)."""
-    cols, w, x_shape, pad, _ = cache
+    cols, w, x_shape, pad = cache
     bsz, _, h, wid = x_shape
     cout, _, kh, _ = w.shape
     gy_mat = gy.reshape(bsz, cout, h * wid)
@@ -367,12 +363,12 @@ def unsplit_decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray,
     for r in (0, 1):
         for c in (0, 1):
             y[:, :, r::2, c::2] += z[:, r, c]
-    return y, (skip_cache, (cols, w4.reshape(4 * cout, cup, 3, 3), h.shape, 1, "dec.up"))
+    return y, (skip_cache, (cols, w4.reshape(4 * cout, cup, 3, 3), h.shape, 1))
 
 
 def unsplit_decoder_conv_backward(cache, gy: np.ndarray):
     """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
-    skip_cache, (cols, w4, h_shape, _, _) = cache
+    skip_cache, (cols, w4, h_shape, _) = cache
     w4 = w4.reshape(len(w4), -1)
     g_skip, gw_skip, gb = unsplit_conv2d_backward(skip_cache, gy)
     bsz, cup, hl, wl = h_shape

@@ -354,6 +354,29 @@ class TestPredictAndEval:
         assert capsys.readouterr().err == "error: missing parameter 'head.b' for layer 'head'\n"
         assert not (tmp_path / "o.rvol").exists()
 
+    def test_stage_dims_the_net_cannot_take_exit_2_on_a_normal_case(self, tmp_path, capsys):
+        """A Normal case never runs the abnormal net, so only a check up front catches its stage dims."""
+        from test_pipeline import PHANTOM_KW, threshold_unet
+
+        from c2fseg import PhantomSpec, UNetSpec, generate_phantom, save_weights
+
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            "normalized_spacing = 3.0, 0.7816, 0.7816\ncoarse_dims = 32, 32\nfine_dims = 32, 32\n"
+            "abnormal_dims = 30, 64\nth_vn = 300\nunet_depth = 2\nunet_base_channels = 4\n"
+        )
+        for seed in (1, 2, 3):
+            save_weights(threshold_unet(UNetSpec(depth=2, base_channels=4), seed).weights, tmp_path / f"{seed}.c2fw")
+        vol, _ = generate_phantom(PhantomSpec(seed=8, **PHANTOM_KW))  # Normal: two kidneys
+        write_volume(vol, tmp_path / "case_volume.rvol")
+        code = main([
+            "predict", "--input", str(tmp_path / "case_volume.rvol"),
+            "--coarse", str(tmp_path / "1.c2fw"), "--abnormal", str(tmp_path / "2.c2fw"),
+            "--fine", str(tmp_path / "3.c2fw"), "--config", str(cfg), "--out", str(tmp_path / "o.rvol"),
+        ])
+        assert (code, capsys.readouterr().err) == (2, "error: abnormal dims (30, 64) not divisible by 2^2\n")
+        assert not (tmp_path / "o.rvol").exists()
+
     def test_missing_input_exits_nonzero(self, tmp_path, desk_config, capsys):
         code = main([
             "predict", "--input", str(tmp_path / "nope.rvol"),

@@ -4,8 +4,9 @@ Checked with the standard library's ``ast``: every module other than a
 package ``__init__.py`` uses each name it imports, no module reaches
 into another c2fseg module for a private (``_``-prefixed) name, and only
 ``parallel.py`` imports the thread modules, and ``nn/layers.py`` has one
-conv GEMM path. Checked in a fresh interpreter: importing the package leaves
-out what it loads lazily.
+conv GEMM path and neither raises nor imports from ``c2fseg.errors``.
+Checked in a fresh interpreter: importing the package leaves out what it
+loads lazily.
 """
 
 import ast
@@ -112,3 +113,20 @@ def test_layers_has_one_conv_gemm_path():
             if isinstance(node, ast.Name) and node.id in users:
                 users[node.id].add(owner)
     assert users == {name: {owner} for name, owner in CONV_GEMM_HELPERS.items()}
+
+
+def test_layers_trust_the_net_door():
+    """``nn/layers.py`` raises nothing and imports nothing from ``c2fseg.errors``: ``unet_forward`` and
+    ``unet_backward`` check every shape once, before any layer runs."""
+    tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
+    raises = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    errors = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            errors += [a.name for a in node.names if a.name.startswith("c2fseg.errors")]
+        elif isinstance(node, ast.ImportFrom):
+            package = ("", "c2fseg.nn", "c2fseg")[node.level]
+            module = ".".join(filter(None, (package, node.module)))
+            names = (module, *(f"{module}.{a.name}" for a in node.names))
+            errors += [n for n in names if n.startswith("c2fseg.errors")]
+    assert (raises, errors) == ([], [])

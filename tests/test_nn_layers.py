@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from c2fseg import parallel
-from c2fseg.errors import GeometryError
 from c2fseg.nn import layers
 import oracles
 from oracles import (
@@ -140,18 +139,6 @@ class TestConv2d:
         assert relative_error(gw, numeric_gradient(loss, w)) < TOL
         assert relative_error(gb, numeric_gradient(loss, b)) < TOL
 
-    def test_channel_mismatch_named(self, rng):
-        x = rng.standard_normal((1, 2, 4, 4))
-        w = rng.standard_normal((3, 5, 3, 3))
-        with pytest.raises(GeometryError, match="enc0"):
-            layers.conv2d_forward(x, w, np.zeros(3), name="enc0")
-
-    def test_5x5_kernel_rejected_at_the_forward(self, rng):
-        # the backward's col2im folds only a pad of 0 or 1, so a 5x5 must not get past the forward
-        x = rng.standard_normal((1, 1, 6, 6))
-        with pytest.raises(GeometryError, match="1x1 or 3x3, got 5x5"):
-            layers.conv2d_forward(x, rng.standard_normal((1, 1, 5, 5)), np.zeros(1))
-
 
 class TestReLU:
     def test_forward(self):
@@ -178,10 +165,6 @@ class TestMaxPool:
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         y, _ = layers.maxpool2_forward(x)
         assert y[0, 0].tolist() == [[5.0, 7.0], [13.0, 15.0]]
-
-    def test_odd_dims_rejected_with_name(self):
-        with pytest.raises(GeometryError, match="enc1.pool"):
-            layers.maxpool2_forward(np.zeros((1, 1, 3, 4)), name="enc1.pool")
 
     def test_gradient(self, rng):
         x = rng.standard_normal((2, 2, 4, 6))
@@ -214,14 +197,6 @@ class TestDecoderConv:
         assert np.array_equal(y, skip)
         g_skip, g_h, _, _ = layers.decoder_conv_backward(cache, y)
         assert np.array_equal(g_skip, skip) and not g_h.any()
-
-    def test_mismatch_rejected_with_name(self):
-        skip = np.zeros((1, 2, 6, 6))
-        for h_shape in [(2, 3, 3, 3), (1, 3, 3, 4), (1, 3, 2, 3), (1, 3, 6, 6), (3, 3, 3)]:
-            with pytest.raises(GeometryError, match="dec1"):
-                layers.decoder_conv_forward(skip, np.zeros(h_shape), np.zeros((2, 5, 3, 3)), np.zeros(2), name="dec1")
-        with pytest.raises(GeometryError, match="dec1"):
-            layers.decoder_conv_forward(skip, np.zeros((1, 4, 3, 3)), np.zeros((2, 5, 3, 3)), np.zeros(2), name="dec1")
 
     def test_gradient(self, rng):
         for low_w in (1, 2):

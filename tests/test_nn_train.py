@@ -142,9 +142,9 @@ class TestFitAcrossCpus:
         hyper = FitParams(lr=0.4, epochs=2, batch=batch, seed=7, momentum=momentum)
         layers = c2fseg.nn.layers
         with monkeypatch.context() as m:  # the whole-batch layers, enc0's input gradient computed and dropped
-            m.setattr(layers, "conv2d_forward", lambda x, w, b, name, **_: oracles.unsplit_conv2d_forward(x, w, b))
+            m.setattr(layers, "conv2d_forward", lambda x, w, b, **_: oracles.unsplit_conv2d_forward(x, w, b))
             m.setattr(layers, "conv2d_backward", lambda cache, gy, **_: oracles.unsplit_conv2d_backward(cache, gy))
-            m.setattr(layers, "decoder_conv_forward", lambda *args, name, **_: oracles.unsplit_decoder_conv_forward(*args))
+            m.setattr(layers, "decoder_conv_forward", lambda *args, **_: oracles.unsplit_decoder_conv_forward(*args))
             m.setattr(layers, "decoder_conv_backward", oracles.unsplit_decoder_conv_backward)
             m.setattr(layers, "maxpool2_backward", oracles.unsplit_maxpool2_backward)
             want = fit_bytes(data, hyper)

@@ -22,6 +22,32 @@ def params64(spec, seed=0):
     return {k: v.astype(np.float64) for k, v in init_weights(spec, seed).items()}
 
 
+def fail_every_layer(monkeypatch) -> None:
+    """Replace each public function of ``layers`` by one that fails the test if it is called."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a layer ran before the shapes were checked")
+
+    public = [a for a, fn in vars(layers).items() if getattr(fn, "__module__", "") == layers.__name__ and a[0] != "_"]
+    assert {"conv2d_forward", "decoder_conv_forward", "maxpool2_forward", "conv2d_backward"} <= set(public)
+    for attr in public:
+        monkeypatch.setattr(layers, attr, ran)
+
+
+# Each shape fault that a layer no longer checks itself, as the door meets it: depth 2, base 2,
+# (parameters replaced by zeros of these shapes, input shape, the GeometryError's message).
+DOOR_SPEC = UNetSpec(depth=2, base_channels=2)
+DOOR_FAULTS = {
+    "5x5-kernel": ({"enc0.w": (2, 1, 5, 5)}, (1, 1, 8, 8), r"layer 'enc0': weight shape \(2, 1, 5, 5\)"),
+    "conv-input-channels": ({"enc1.w": (4, 3, 3, 3)}, (1, 1, 8, 8), r"layer 'enc1': weight shape \(4, 3, 3, 3\)"),
+    "decoder-weight": ({"dec0.w": (2, 5, 3, 3)}, (1, 1, 8, 8), r"layer 'dec0': weight shape \(2, 5, 3, 3\)"),
+    "bias": ({"mid.b": (7,)}, (1, 1, 8, 8), r"layer 'mid': bias shape \(7,\)"),
+    "odd-dims": ({}, (1, 1, 8, 6), r"layer 'enc1.pool': spatial dims \(4, 3\) not divisible by 2"),
+    "3d-input": ({}, (1, 8, 8), r"input must be 4D \(B, C, H, W\), got shape \(1, 8, 8\)"),
+    "2-channel-input": ({}, (1, 2, 8, 8), "input has 2 channels, the net takes 1"),
+}
+
+
 class TestForward:
     def test_zero_weights_give_exactly_half(self, rng):
         spec = UNetSpec(depth=1, base_channels=2)
@@ -67,13 +93,18 @@ class TestForward:
         spec = UNetSpec(depth=1, base_channels=2)
         p = params64(spec)
         del p["head.b"]
-
-        def no_conv(*args, **kwargs):
-            raise AssertionError("a layer ran before the weights were checked")
-
-        monkeypatch.setattr(layers, "conv2d_forward", no_conv)
+        fail_every_layer(monkeypatch)
         with pytest.raises(GeometryError, match="missing parameter 'head.b' for layer 'head'"):
             unet_forward(spec, p, rng.standard_normal((1, 1, 8, 8)))
+
+    @pytest.mark.parametrize("replaced, x_shape, match", DOOR_FAULTS.values(), ids=DOOR_FAULTS.keys())
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_each_shape_fault_raised_before_any_layer_runs(self, monkeypatch, replaced, x_shape, match, cache):
+        p = params64(DOOR_SPEC)
+        p.update({name: np.zeros(shape) for name, shape in replaced.items()})
+        fail_every_layer(monkeypatch)
+        with pytest.raises(GeometryError, match=match):
+            unet_forward(DOOR_SPEC, p, np.zeros(x_shape), cache=cache)
 
 
 class TestModelConstruction:
@@ -308,17 +339,19 @@ class TestBackward:
         grads = unet_backward(spec, cache, np.zeros_like(y))
         assert all(np.all(g == 0) for g in grads.values())
 
-    def test_mismatched_cache_rejected(self, rng):
+    def test_mismatched_cache_rejected(self, rng, monkeypatch):
         spec = UNetSpec(depth=1, base_channels=2)
         other = UNetSpec(depth=1, base_channels=4)
         params = params64(spec)
         y, cache = unet_forward(spec, params, rng.standard_normal((1, 1, 8, 8)))
+        fail_every_layer(monkeypatch)
         with pytest.raises(GeometryError, match="spec"):
             unet_backward(other, cache, np.zeros_like(y))
 
-    def test_mismatched_grad_shape_rejected(self, rng):
+    def test_mismatched_grad_shape_rejected(self, rng, monkeypatch):
         spec = UNetSpec(depth=1, base_channels=2)
         params = params64(spec)
         _, cache = unet_forward(spec, params, rng.standard_normal((1, 1, 8, 8)))
+        fail_every_layer(monkeypatch)
         with pytest.raises(GeometryError, match="grad_output"):
             unet_backward(spec, cache, np.zeros((1, 1, 4, 4)))
