@@ -45,19 +45,20 @@ def _checked(parse, ok, need: str):
 
 
 def _load_cases(data_dir: Path):
-    cases = []
-    for vol_path in sorted(data_dir.glob("*_volume.rvol")):
-        mask_path = vol_path.with_name(vol_path.name.replace("_volume.rvol", "_mask.rvol"))
+    """Check that every case has its mask file, then read and yield one (volume, mask) pair at a time."""
+    vol_paths = sorted(data_dir.glob("*_volume.rvol"))
+    paths = [(v, v.with_name(v.name.replace("_volume.rvol", "_mask.rvol"))) for v in vol_paths]
+    for vol_path, mask_path in paths:
         if not mask_path.exists():
             raise FileNotFoundError(f"no mask file for {vol_path.name} (expected {mask_path.name})")
+    for vol_path, mask_path in paths:
         vol = read_volume(vol_path)
         mask = read_volume(mask_path)
         if not isinstance(vol, Volume3D):
             raise FormatError(f"{vol_path.name}: expected an intensity volume")
         if not isinstance(mask, Mask3D):
             raise FormatError(f"{mask_path.name}: expected a mask")
-        cases.append((vol, mask))
-    return cases
+        yield vol, mask
 
 
 def _read_input_volume(path: Path, cfg: RunConfig) -> Volume3D:
@@ -124,8 +125,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if not _stage_dims_fit(cfg, [args.stage]):
         return 2
-    cases = _load_cases(Path(args.data))
-    pairs = _STAGE_PREP[args.stage](cases, cfg.pipeline)
+    pairs = _STAGE_PREP[args.stage](_load_cases(Path(args.data)), cfg.pipeline)
     if len(pairs) == 0:
         print("error: no training pairs", file=sys.stderr)
         return 2

@@ -71,7 +71,7 @@ def read_volume(path) -> AnyVolume:
         raise FormatError(f"payload length mismatch: file is {len(raw)} bytes, expected {expected}")
     body_end = len(raw) - 4
     (stored_crc,) = struct.unpack_from("<I", raw, body_end)
-    actual_crc = zlib.crc32(raw[:body_end]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(raw)[:body_end]) & 0xFFFFFFFF  # no copy of the body
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
     sp = _construct(Spacing, f"spacing {spacing}", *spacing)
@@ -80,9 +80,9 @@ def read_volume(path) -> AnyVolume:
         if data.max() > 1:
             bad = data[data > 1][0]
             raise FormatError(f"mask payload contains non-binary byte {bad}")
-        return Mask3D(data.copy(), sp)
+        return Mask3D(data, sp)
     data = np.frombuffer(raw, dtype="<f4", count=n, offset=33).reshape(dims)
-    return _construct(Volume3D, "volume payload", data.copy(), sp)
+    return _construct(Volume3D, "volume payload", data, sp)
 
 
 # --- NIfTI-1 ---------------------------------------------------------------

@@ -173,7 +173,8 @@ def resample_volume(
     per axis (minimum 1); pass ``target_dims`` to force an exact output grid
     (used to map results back onto a native grid). Intensities interpolate
     trilinearly, masks use nearest neighbour and stay binary; ``mode``
-    defaults accordingly and trilinear is rejected for masks.
+    defaults accordingly and trilinear is rejected for masks. A volume
+    already on the target grid is returned as it is.
     """
     is_mask = isinstance(vol, Mask3D)
     if mode is None:
@@ -195,7 +196,7 @@ def resample_volume(
             raise GeometryError(f"target dims must be positive, got {target_dims}")
 
     if out_dims == vol.dims and dst == src:
-        return type(vol)(vol.data, target)
+        return vol
 
     ratios = tuple(t / s for s, t in zip(src, dst))
     out = _resample_axes(vol.data, out_dims, ratios, linear=(mode == "trilinear"))

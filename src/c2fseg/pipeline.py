@@ -7,7 +7,8 @@ from a fixed-size axial window around its centroid and merge. The final mask
 is mapped back onto the input's native grid so evaluation is not flattered
 by the working resolution.
 
-Training-set preparation gives each stage one float32 array of shape
+Training-set preparation resamples each case onto the same working grid,
+then gives each stage one float32 array of shape
 (N, 2, H, W): sample k's image plane in ``[k, 0]`` and its 0/1 label in
 ``[k, 1]``, the input ``nn.train.fit`` takes.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -92,39 +94,46 @@ class CaseResult:
 Case = tuple[Volume3D, Mask3D]
 
 
-def _training_set(parts: list[tuple[np.ndarray, np.ndarray]], dims: tuple[int, int]) -> np.ndarray:
-    """One (N, 2, H, W) float32 array of (image stack, label stack) parts, in order; N may be 0."""
-    stacks = [np.stack([img, lab], axis=1) for img, lab in parts]
-    return np.concatenate([np.empty((0, 2, *dims), dtype=np.float32), *stacks])
+def _training_set(parts: list[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
+    """One (N, 2, H, W) float32 array of the parts, each stacked as its case is cut; N may be 0."""
+    return np.concatenate([np.empty((0, 2, *dims), dtype=np.float32), *parts])  # peak: the set twice
 
 
-def prepare_coarse_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
+def _working_case(vol: Volume3D, label: Mask3D, cfg: PipelineConfig) -> Case:
+    """A training pair, checked and resampled onto the working grid that ``run_case`` cuts its stages from."""
+    vol.check_grid(label, "label")
+    return resample_volume(vol, cfg.normalized_spacing), resample_volume(label, cfg.normalized_spacing)
+
+
+def prepare_coarse_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarray:
     """Every axial slice resized to the coarse image size, stacked with its label.
 
     Background-only slices are retained: they teach the model to stay quiet.
     """
     parts = []
     for vol, label in cases:
-        vol.check_grid(label, "label")
+        vol, label = _working_case(vol, label, cfg)
         imgs, _ = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
         labs, _ = resize_slice(extract_slices(label, "axial"), cfg.coarse_dims, mode="nearest")
-        parts.append((imgs, labs))
+        parts.append(np.stack([imgs, labs], axis=1))
     return _training_set(parts, cfg.coarse_dims)
 
 
-def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1):
-    """(center (row, col), slice range) per connected component, biggest first."""
+def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1, margin: int = 0):
+    """(center (row, col), z0, z1) per component, biggest first; z0..z1 widened by ``margin``, clamped."""
     lm = label_components(label, cfg.connectivity)
+    last = label.dims[0] - 1
     out = []
     for st in component_stats(lm):
         if st.voxel_count < min_count:
             continue
         center = (int(round(st.centroid[1])), int(round(st.centroid[2])))
-        out.append((center, *st.z_range))
+        z0, z1 = st.z_range
+        out.append((center, max(0, z0 - margin), min(last, z1 + margin)))
     return out
 
 
-def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
+def prepare_fine_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarray:
     """Fixed-pixel-size axial patches around each ground-truth kidney.
 
     One window per component, centred at the component's 3D centroid
@@ -133,42 +142,40 @@ def prepare_fine_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
     """
     parts = []
     for case_idx, (vol, label) in enumerate(cases):
-        vol.check_grid(label, "label")
+        vol, label = _working_case(vol, label, cfg)
         windows = _component_windows(label, cfg)
         if not windows:
             warnings.warn(f"case {case_idx}: no foreground components, skipped")
             continue
-        imgs, labs = extract_slices(vol, "axial"), extract_slices(label, "axial")
-        for center, z0, z1 in windows:
-            pi, _ = crop_patch(imgs[z0 : z1 + 1], center, cfg.fine_dims)
-            pl, _ = crop_patch(labs[z0 : z1 + 1], center, cfg.fine_dims)
-            parts.append((pi, pl))
+        for center, z0, z1 in windows:  # views per window: a kept view would hold this case through the next
+            pi, _ = crop_patch(extract_slices(vol, "axial")[z0 : z1 + 1], center, cfg.fine_dims)
+            pl, _ = crop_patch(extract_slices(label, "axial")[z0 : z1 + 1], center, cfg.fine_dims)
+            parts.append(np.stack([pi, pl], axis=1))
     return _training_set(parts, cfg.fine_dims)
 
 
-def _global_centroid(mask_data: np.ndarray) -> tuple[float, float, float] | None:
+def _sagittal_center(mask_data: np.ndarray) -> tuple[int, int] | None:
+    """The foreground centroid's (depth, row), each rounded to an int; None if there is no foreground."""
     fi = foreground_indices(mask_data)
     if fi.size == 0:
         return None
     _, h, w = mask_data.shape
     z, rest = np.divmod(fi, h * w)
-    y, x = np.divmod(rest, w)
-    return float(z.mean()), float(y.mean()), float(x.mean())
+    return round(float(z.mean())), round(float((rest // w).mean()))
 
 
-def prepare_abnormal_set(cases: list[Case], cfg: PipelineConfig) -> np.ndarray:
+def prepare_abnormal_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarray:
     """Sagittal patches around the global foreground centroid's (depth, row)."""
     parts = []
     for case_idx, (vol, label) in enumerate(cases):
-        vol.check_grid(label, "label")
-        centroid = _global_centroid(label.data)
-        if centroid is None:
+        vol, label = _working_case(vol, label, cfg)
+        center = _sagittal_center(label.data)
+        if center is None:
             warnings.warn(f"case {case_idx}: no foreground, skipped")
             continue
-        center = (int(round(centroid[0])), int(round(centroid[1])))
         pi, _ = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
         pl, _ = crop_patch(extract_slices(label, "sagittal"), center, cfg.abnormal_dims)
-        parts.append((pi, pl))
+        parts.append(np.stack([pi, pl], axis=1))
     return _training_set(parts, cfg.abnormal_dims)
 
 
@@ -262,13 +269,10 @@ def build_guidance(
     if verdict.is_normal:
         return s_c, verdict
 
-    centroid = _global_centroid(s_c.data)
-    if centroid is None:
-        centroid = tuple((n - 1) / 2.0 for n in vol.dims)
-    center = (int(round(centroid[0])), int(round(centroid[1])))
-
-    m = Mask3D(_sagittal_correction(vol, center, models.abnormal, cfg), vol.spacing)
-    if s_c.foreground_count() == 0 and m.foreground_count() == 0:
+    center = _sagittal_center(s_c.data)
+    fallback = (round((vol.dims[0] - 1) / 2), round((vol.dims[1] - 1) / 2))
+    m = Mask3D(_sagittal_correction(vol, center or fallback, models.abnormal, cfg), vol.spacing)
+    if center is None and m.foreground_count() == 0:
         _flag("detection failure: empty coarse mask and empty corrected mask")
     return m, verdict
 
@@ -282,17 +286,14 @@ def predict_fine(vol: Volume3D, m: Mask3D, models: StageModels, cfg: PipelineCon
     are background by construction.
     """
     vol.check_grid(m, "guidance mask")
-    windows = _component_windows(m, cfg, min_count=cfg.th_vn)
+    windows = _component_windows(m, cfg, min_count=cfg.th_vn, margin=cfg.fine_slice_margin)
     out = np.zeros(vol.dims, dtype=np.uint8)
     if not windows:
         _flag("empty guidance mask: fine stage produced an empty result")
         return Mask3D(out, vol.spacing)
 
     imgs = extract_slices(vol, "axial")
-    nd = vol.dims[0]
     for center, z0, z1 in windows:
-        z0 = max(0, z0 - cfg.fine_slice_margin)
-        z1 = min(nd - 1, z1 + cfg.fine_slice_margin)
         patch, rec = crop_patch(imgs[z0 : z1 + 1], center, cfg.fine_dims)
         back = uncrop_patch(_predict(models.fine, patch, "fine"), rec)
         out[z0 : z1 + 1] |= back >= cfg.prob_threshold
@@ -308,23 +309,18 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
     flags: list[str] = []
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    work = resample_volume(vol, cfg.normalized_spacing, mode="trilinear")
-    timings["resample"] = time.perf_counter() - t0
+    def timed(stage: str, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        timings[stage] = time.perf_counter() - t0
+        return out
 
-    t0 = time.perf_counter()
-    s_c = predict_coarse(work, models, cfg)
-    timings["coarse"] = time.perf_counter() - t0
-
+    work = timed("resample", resample_volume, vol, cfg.normalized_spacing, mode="trilinear")
+    s_c = timed("coarse", predict_coarse, work, models, cfg)
     token = _FLAGS.set(flags)
     try:
-        t0 = time.perf_counter()
-        m, verdict = build_guidance(work, s_c, models, cfg)
-        timings["guidance"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        s_f = predict_fine(work, m, models, cfg)
-        timings["fine"] = time.perf_counter() - t0
+        m, verdict = timed("guidance", build_guidance, work, s_c, models, cfg)
+        s_f = timed("fine", predict_fine, work, m, models, cfg)
     finally:
         _FLAGS.reset(token)
     del work  # the map-backs need only the masks
@@ -332,11 +328,12 @@ def run_case(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> CaseRes
     def to_native(mask: Mask3D) -> Mask3D:
         return resample_volume(mask, vol.spacing, mode="nearest", target_dims=vol.dims)
 
-    t0 = time.perf_counter()
-    coarse = to_native(s_c)
-    guidance = coarse if m is s_c else to_native(m)  # Normal: the guidance is the coarse mask
-    fine = to_native(s_f)
-    timings["map_back"] = time.perf_counter() - t0
+    def map_back() -> tuple[Mask3D, Mask3D, Mask3D]:
+        coarse = to_native(s_c)
+        guidance = coarse if m is s_c else to_native(m)  # Normal: the guidance is the coarse mask
+        return coarse, guidance, to_native(s_f)
+
+    coarse, guidance, fine = timed("map_back", map_back)
     return CaseResult(
         coarse_mask=coarse,
         verdict=verdict,

@@ -1,12 +1,15 @@
 import gzip
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import c2fseg.cli
 from c2fseg import Mask3D, Spacing, Volume3D, read_volume, write_volume
 from c2fseg.cli import build_parser, main
+from c2fseg.config import load_config
 
 DESK_CONFIG = """
 normalized_spacing = 3.0, 1.5, 1.5
@@ -161,6 +164,42 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not (tmp_path / "w.c2fw").exists()
+
+    def test_missing_mask_reported_before_any_case_is_read(self, tmp_path, desk_config, monkeypatch, capsys):
+        write_tiny_cases(tmp_path / "data", n=3)
+        (tmp_path / "data" / "case0002_mask.rvol").unlink()
+        reads = []
+        monkeypatch.setattr(c2fseg.cli, "read_volume", lambda path: reads.append(path))
+        code = main([
+            "train", "--stage", "coarse", "--data", str(tmp_path / "data"),
+            "--config", str(desk_config), "--out", str(tmp_path / "w.c2fw"),
+        ])
+        assert code == 1 and reads == []
+        assert "no mask file for case0002_volume.rvol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["coarse", "fine", "abnormal"])
+    def test_reads_one_case_at_a_time(self, tmp_path, stage, capsys):
+        """The peak holds the set (twice, for the final concatenation) and two cases, not every case."""
+        cfg = tmp_path / "once.cfg"
+        cfg.write_text(DESK_CONFIG.replace("epochs = 2", "epochs = 0"))
+        data = tmp_path / "data"
+        assert main([*gen_args(data, count=6, dims="64,96,96"), "--config", str(cfg)]) == 0
+        cases = [(read_volume(v), read_volume(str(v).replace("_volume", "_mask")))
+                 for v in sorted(data.glob("*_volume.rvol"))]
+        set_bytes = c2fseg.cli._STAGE_PREP[stage](cases, load_config(cfg).pipeline).nbytes
+        case_bytes = cases[0][0].data.nbytes + cases[0][1].data.nbytes
+        del cases
+        tracemalloc.start()
+        try:
+            code = main([
+                "train", "--stage", stage, "--data", str(data),
+                "--config", str(cfg), "--out", str(tmp_path / "w.c2fw"),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 2 * set_bytes + 2 * case_bytes, f"peak {peak / case_bytes:.2f} cases, set {set_bytes / case_bytes:.2f}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_is_an_error_line(self, tmp_path, capsys):

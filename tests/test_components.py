@@ -156,14 +156,13 @@ class TestForegroundIndices:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_global_centroid_keeps_its_bytes(self, data):
+    def test_sagittal_center_rounds_the_nonzero_means(self, data):
         arr = self.arrays(data, np.uint8)
-        coords = np.nonzero(arr)
-        want = None if coords[0].size == 0 else tuple(float(c.mean()) for c in coords)
-        got = c2fseg.pipeline._global_centroid(arr)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+        depths, rows, _ = np.nonzero(arr)
+        want = None if depths.size == 0 else (int(round(depths.mean())), int(round(rows.mean())))
+        got = c2fseg.pipeline._sagittal_center(arr)
+        assert got == want
+        assert got is None or {type(v) for v in got} == {int}
 
 
 class TestLabelMap3D:

@@ -4,7 +4,9 @@ Checked with the standard library's ``ast``: every module other than a
 package ``__init__.py`` uses each name it imports, no module reaches
 into another c2fseg module for a private (``_``-prefixed) name, and only
 ``parallel.py`` imports the thread modules, and ``nn/layers.py`` has one
-conv GEMM path and neither raises nor imports from ``c2fseg.errors``.
+conv GEMM path and neither raises nor imports from ``c2fseg.errors``, and
+``pipeline.py`` reads the clock only in ``run_case``'s stage timer and
+finds the sagittal window's centre in one function.
 Checked in a fresh interpreter: importing the package leaves out what it
 loads lazily.
 """
@@ -113,6 +115,29 @@ def test_layers_has_one_conv_gemm_path():
             if isinstance(node, ast.Name) and node.id in users:
                 users[node.id].add(owner)
     assert users == {name: {owner} for name, owner in CONV_GEMM_HELPERS.items()}
+
+
+# Name -> the one function of pipeline.py that may reference it ("outer.inner" for a nested one).
+PIPELINE_RULE_OWNERS = {"perf_counter": "run_case.timed", "foreground_indices": "_sagittal_center"}
+
+
+def test_pipeline_states_its_timer_and_centre_once():
+    """In ``pipeline.py`` only ``run_case``'s stage timer reads the clock, and only ``_sagittal_center``
+    computes the foreground centroid that places the sagittal window."""
+    users = {name: set() for name in PIPELINE_RULE_OWNERS}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in users:
+                users[name].add(owner or f"line {child.lineno}")
+            visit(child, owner)
+
+    visit(ast.parse((PACKAGE / "pipeline.py").read_text()), "")
+    assert users == {name: {owner} for name, owner in PIPELINE_RULE_OWNERS.items()}
 
 
 def test_layers_trust_the_net_door():

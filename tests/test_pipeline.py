@@ -142,6 +142,32 @@ class TestTrainingSetBytes:
         assert got.dtype == np.float32 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("prepare", [p for p, _, _ in PREPARE_ORACLES], ids=["coarse", "fine", "abnormal"])
+    def test_peak_holds_the_set_twice(self, prepare):
+        """Each case's planes are stacked as they are cut, so only the final concatenation doubles the set."""
+        cases = [generate_phantom(PhantomSpec(
+            dims=(32, 96, 96), spacing=SP, semi_axes_mm=((15, 21), (9, 12), (9, 12)), seed=seed
+        )) for seed in range(6)]
+        tracemalloc.start()
+        try:
+            data = prepare(cases, PipelineConfig())  # production dims: the set outweighs a case's working memory
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * data.nbytes, f"peak {peak / data.nbytes:.2f}x the set"
+
+    @pytest.mark.parametrize("prepare", [p for p, _, _ in PREPARE_ORACLES], ids=["coarse", "fine", "abnormal"])
+    def test_off_grid_case_is_cut_on_the_working_grid(self, prepare):
+        """Training sees what ``run_case`` predicts on: each case is resampled before it is cut."""
+        case = generate_phantom(PhantomSpec(
+            dims=(48, 128, 128), spacing=Spacing(1.5, 0.6, 0.6), semi_axes_mm=((15, 21), (9, 12), (9, 12)), seed=3
+        ))
+        cfg = desk_cfg()
+        resampled = tuple(resample_volume(c, cfg.normalized_spacing) for c in case)
+        got, want = prepare([case], cfg), prepare([resampled], cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPrepareCoarseSet:
     def test_pair_count_and_dims(self, phantom):
@@ -164,8 +190,8 @@ class TestPrepareCoarseSet:
             prepare_coarse_set([(vol, bad)], desk_cfg())
 
 
-def rescanned_windows(label, cfg, min_count=1):
-    """Component windows with each slice range found by rescanning the label map."""
+def rescanned_windows(label, cfg, min_count=1, margin=0):
+    """Component windows with each slice range found by rescanning the label map, then widened and clamped."""
     lm = label_components(label, cfg.connectivity)
     out = []
     for st in component_stats(lm):
@@ -173,16 +199,23 @@ def rescanned_windows(label, cfg, min_count=1):
             continue
         zz = np.nonzero((lm.data == st.id).any(axis=(1, 2)))[0]
         center = (int(round(st.centroid[1])), int(round(st.centroid[2])))
-        out.append((center, int(zz[0]), int(zz[-1])))
+        out.append((center, max(0, int(zz[0]) - margin), min(label.dims[0] - 1, int(zz[-1]) + margin)))
     return out
+
+
+def margins(label):
+    """No widening, 2 slices, and one slice more than the volume is deep."""
+    return (0, 2, label.dims[0] + 1)
 
 
 class TestComponentWindows:
     def test_phantom_matches_rescan(self, phantom):
         _, gt = phantom
         cfg = desk_cfg()
-        assert _component_windows(gt, cfg) == rescanned_windows(gt, cfg)
+        for margin in margins(gt):
+            assert _component_windows(gt, cfg, margin=margin) == rescanned_windows(gt, cfg, margin=margin)
         assert len(_component_windows(gt, cfg, min_count=cfg.th_vn)) == 2
+        assert _component_windows(gt, cfg, margin=gt.dims[0] + 1)[0][1:] == (0, gt.dims[0] - 1)
 
     @pytest.mark.parametrize("connectivity", [6, 26])
     def test_random_masks_match_rescan(self, rng, connectivity):
@@ -191,7 +224,9 @@ class TestComponentWindows:
             data = (rng.uniform(size=(6, 10, 10)) < rng.uniform(0.05, 0.4)).astype(np.uint8)
             mask = Mask3D(data, SP)
             for min_count in (1, 3):
-                assert _component_windows(mask, cfg, min_count) == rescanned_windows(mask, cfg, min_count)
+                for margin in margins(mask):
+                    got = _component_windows(mask, cfg, min_count, margin)
+                    assert got == rescanned_windows(mask, cfg, min_count, margin)
 
 
 class TestPrepareFineSet:
@@ -580,7 +615,7 @@ class TestRunCase:
     def test_timings_recorded(self, phantom):
         vol, _ = phantom
         res = run_case(vol, oracle_models(), desk_cfg())
-        assert set(res.timings) == {"resample", "coarse", "guidance", "fine", "map_back"}
+        assert list(res.timings) == ["resample", "coarse", "guidance", "fine", "map_back"]
         assert all(v >= 0 for v in res.timings.values())
 
     def test_native_spacing_restored(self):
