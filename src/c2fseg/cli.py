@@ -59,6 +59,7 @@ def _load_cases(data_dir: Path):
         if not isinstance(mask, Mask3D):
             raise FormatError(f"{mask_path.name}: expected a mask")
         yield vol, mask
+        del vol, mask  # hold no case while the next is read
 
 
 def _read_input_volume(path: Path, cfg: RunConfig) -> Volume3D:

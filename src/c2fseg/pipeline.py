@@ -7,10 +7,11 @@ from a fixed-size axial window around its centroid and merge. The final mask
 is mapped back onto the input's native grid so evaluation is not flattered
 by the working resolution.
 
-Training-set preparation resamples each case onto the same working grid,
-then gives each stage one float32 array of shape
-(N, 2, H, W): sample k's image plane in ``[k, 0]`` and its 0/1 label in
-``[k, 1]``, the input ``nn.train.fit`` takes.
+Training-set preparation is one loop over the cases that cuts each stage's
+planes with the helper its prediction step uses, on the same working grid.
+Each stage gets one float32 array of shape (N, 2, H, W): sample k's image
+plane in ``[k, 0]`` and its 0/1 label in ``[k, 1]``, the input
+``nn.train.fit`` takes.
 """
 
 from __future__ import annotations
@@ -94,29 +95,46 @@ class CaseResult:
 Case = tuple[Volume3D, Mask3D]
 
 
-def _training_set(parts: list[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
-    """One (N, 2, H, W) float32 array of the parts, each stacked as its case is cut; N may be 0."""
-    return np.concatenate([np.empty((0, 2, *dims), dtype=np.float32), *parts])  # peak: the set twice
+def _coarse_cut(g: Volume3D | Mask3D, window: None, cfg: PipelineConfig):
+    """The whole axial stack (``window`` None) resized to ``coarse_dims``, and its record; a mask stays binary."""
+    return resize_slice(extract_slices(g, "axial"), cfg.coarse_dims, "nearest" if isinstance(g, Mask3D) else "bilinear")
 
 
-def _working_case(vol: Volume3D, label: Mask3D, cfg: PipelineConfig) -> Case:
-    """A training pair, checked and resampled onto the working grid that ``run_case`` cuts its stages from."""
-    vol.check_grid(label, "label")
-    return resample_volume(vol, cfg.normalized_spacing), resample_volume(label, cfg.normalized_spacing)
+def _fine_cut(g: Volume3D | Mask3D, window, cfg: PipelineConfig):
+    """``fine_dims`` axial patches at ``window``'s (row, col) centre over its slices z0..z1, and their record."""
+    center, z0, z1 = window
+    return crop_patch(extract_slices(g, "axial")[z0 : z1 + 1], center, cfg.fine_dims)
+
+
+def _abnormal_cut(g: Volume3D | Mask3D, center: tuple[int, int], cfg: PipelineConfig):
+    """``abnormal_dims`` sagittal patches at (depth, row) ``center``, and their record."""
+    return crop_patch(extract_slices(g, "sagittal"), center, cfg.abnormal_dims)
+
+
+def _training_set(cases: Iterable[Case], cfg: PipelineConfig, dims: tuple[int, int], windows, cut) -> np.ndarray:
+    """The (N, 2, H, W) float32 set, N possibly 0, of ``cut(grid, window, cfg)[0]`` image/label pairs.
+
+    Each case is checked and resampled onto ``run_case``'s working grid, and
+    is skipped with a warning if ``windows(label)`` finds none. Each pair is
+    stacked once both are cut, and no case is held while the next is read.
+    """
+    parts, i = [np.empty((0, 2, *dims), dtype=np.float32)], 0
+    for vol, label in cases:  # not enumerate: its reused result tuple would hold this case through the next read
+        vol.check_grid(label, "label")
+        vol = resample_volume(vol, cfg.normalized_spacing)
+        label = resample_volume(label, cfg.normalized_spacing)
+        found = windows(label)
+        if not found:
+            warnings.warn(f"case {i}: no foreground, skipped")
+        parts += [np.stack([cut(vol, w, cfg)[0], cut(label, w, cfg)[0]], axis=1) for w in found]
+        del vol, label
+        i += 1
+    return np.concatenate(parts)  # peak: the set twice
 
 
 def prepare_coarse_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarray:
-    """Every axial slice resized to the coarse image size, stacked with its label.
-
-    Background-only slices are retained: they teach the model to stay quiet.
-    """
-    parts = []
-    for vol, label in cases:
-        vol, label = _working_case(vol, label, cfg)
-        imgs, _ = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
-        labs, _ = resize_slice(extract_slices(label, "axial"), cfg.coarse_dims, mode="nearest")
-        parts.append(np.stack([imgs, labs], axis=1))
-    return _training_set(parts, cfg.coarse_dims)
+    """Every axial slice resized to ``coarse_dims``, with its label; background-only slices teach it to stay quiet."""
+    return _training_set(cases, cfg, cfg.coarse_dims, lambda label: [None], _coarse_cut)
 
 
 def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1, margin: int = 0):
@@ -134,24 +152,8 @@ def _component_windows(label: Mask3D, cfg: PipelineConfig, min_count: int = 1, m
 
 
 def prepare_fine_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarray:
-    """Fixed-pixel-size axial patches around each ground-truth kidney.
-
-    One window per component, centred at the component's 3D centroid
-    projected to (row, col), applied over the component's slice range.
-    Cases without foreground are skipped with a warning.
-    """
-    parts = []
-    for case_idx, (vol, label) in enumerate(cases):
-        vol, label = _working_case(vol, label, cfg)
-        windows = _component_windows(label, cfg)
-        if not windows:
-            warnings.warn(f"case {case_idx}: no foreground components, skipped")
-            continue
-        for center, z0, z1 in windows:  # views per window: a kept view would hold this case through the next
-            pi, _ = crop_patch(extract_slices(vol, "axial")[z0 : z1 + 1], center, cfg.fine_dims)
-            pl, _ = crop_patch(extract_slices(label, "axial")[z0 : z1 + 1], center, cfg.fine_dims)
-            parts.append(np.stack([pi, pl], axis=1))
-    return _training_set(parts, cfg.fine_dims)
+    """``fine_dims`` axial patches at each ground-truth kidney's centroid (row, col), over its slice range."""
+    return _training_set(cases, cfg, cfg.fine_dims, lambda label: _component_windows(label, cfg), _fine_cut)
 
 
 def _sagittal_center(mask_data: np.ndarray) -> tuple[int, int] | None:
@@ -165,18 +167,10 @@ def _sagittal_center(mask_data: np.ndarray) -> tuple[int, int] | None:
 
 
 def prepare_abnormal_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarray:
-    """Sagittal patches around the global foreground centroid's (depth, row)."""
-    parts = []
-    for case_idx, (vol, label) in enumerate(cases):
-        vol, label = _working_case(vol, label, cfg)
-        center = _sagittal_center(label.data)
-        if center is None:
-            warnings.warn(f"case {case_idx}: no foreground, skipped")
-            continue
-        pi, _ = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
-        pl, _ = crop_patch(extract_slices(label, "sagittal"), center, cfg.abnormal_dims)
-        parts.append(np.stack([pi, pl], axis=1))
-    return _training_set(parts, cfg.abnormal_dims)
+    """Sagittal patches around the global foreground centroid's (depth, row); a case without foreground is skipped."""
+    return _training_set(
+        cases, cfg, cfg.abnormal_dims, lambda m: [c for c in [_sagittal_center(m.data)] if c is not None], _abnormal_cut
+    )
 
 
 def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> np.ndarray:
@@ -231,7 +225,7 @@ def _flag(message: str) -> None:
 
 def predict_coarse(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> Mask3D:
     """Whole-volume coarse mask: resize the axial stack, predict, map back."""
-    resized, rec = resize_slice(extract_slices(vol, "axial"), cfg.coarse_dims, mode="bilinear")
+    resized, rec = _coarse_cut(vol, None, cfg)
     probs = unresize(_predict(models.coarse, resized, "coarse"), rec, mode="bilinear")
     prob_vol = compose_slices(probs, "axial", vol.dims, vol.spacing)
     return binarize(prob_vol, cfg.prob_threshold)
@@ -246,7 +240,7 @@ def _sagittal_correction(
     in-volume part is thresholded back: the zero padding is below any
     threshold in (0, 1), so the rest of the mask stays 0.
     """
-    patch, rec = crop_patch(extract_slices(vol, "sagittal"), center, cfg.abnormal_dims)
+    patch, rec = _abnormal_cut(vol, center, cfg)
     probs = _predict(model, patch, "abnormal")
     (depths, rows), (pdepths, prows) = rec.windows
     out = np.zeros(vol.dims, dtype=np.uint8)
@@ -292,9 +286,8 @@ def predict_fine(vol: Volume3D, m: Mask3D, models: StageModels, cfg: PipelineCon
         _flag("empty guidance mask: fine stage produced an empty result")
         return Mask3D(out, vol.spacing)
 
-    imgs = extract_slices(vol, "axial")
     for center, z0, z1 in windows:
-        patch, rec = crop_patch(imgs[z0 : z1 + 1], center, cfg.fine_dims)
+        patch, rec = _fine_cut(vol, (center, z0, z1), cfg)
         back = uncrop_patch(_predict(models.fine, patch, "fine"), rec)
         out[z0 : z1 + 1] |= back >= cfg.prob_threshold
     return Mask3D(out, vol.spacing)

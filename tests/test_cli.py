@@ -177,9 +177,9 @@ class TestTrain:
         assert code == 1 and reads == []
         assert "no mask file for case0002_volume.rvol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage", ["coarse", "fine", "abnormal"])
-    def test_reads_one_case_at_a_time(self, tmp_path, stage, capsys):
-        """The peak holds the set (twice, for the final concatenation) and two cases, not every case."""
+    @staticmethod
+    def train_peak(tmp_path, stage, capsys):
+        """(traced peak of ``c2fseg train``, its set's bytes, one case's bytes) on six 64x96x96 cases."""
         cfg = tmp_path / "once.cfg"
         cfg.write_text(DESK_CONFIG.replace("epochs = 2", "epochs = 0"))
         data = tmp_path / "data"
@@ -199,7 +199,36 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert code == 0, capsys.readouterr().err
+        return peak, set_bytes, case_bytes
+
+    @pytest.mark.parametrize("stage", ["coarse", "fine", "abnormal"])
+    def test_reads_one_case_at_a_time(self, tmp_path, stage, capsys):
+        """The peak holds the set (twice, for the final concatenation) and two cases, not every case."""
+        peak, set_bytes, case_bytes = self.train_peak(tmp_path, stage, capsys)
         assert peak < 2 * set_bytes + 2 * case_bytes, f"peak {peak / case_bytes:.2f} cases, set {set_bytes / case_bytes:.2f}"
+
+    @pytest.mark.parametrize("stage", ["coarse", "abnormal"])
+    def test_holds_no_case_while_the_next_is_read(self, tmp_path, stage, capsys):
+        """Neither the case reader nor the training loop keeps the last case while the next is read, so the
+        peak is the set twice and one case. The fine stage labels each mask into an int32 map, which weighs
+        more than a case, so it keeps the bound above."""
+        peak, set_bytes, case_bytes = self.train_peak(tmp_path, stage, capsys)
+        assert peak < 2 * set_bytes + case_bytes, f"peak {peak / case_bytes:.2f} cases, set {set_bytes / case_bytes:.2f}"
+
+    @pytest.mark.parametrize("kind, message", [
+        ("volume", "error: case0000_volume.rvol: expected an intensity volume\n"),
+        ("mask", "error: case0000_mask.rvol: expected a mask\n"),
+    ])
+    def test_case_file_of_the_wrong_kind_is_an_error_line(self, tmp_path, desk_config, capsys, kind, message):
+        write_tiny_cases(tmp_path / "data", n=1)
+        other = {"volume": "mask", "mask": "volume"}[kind]
+        (tmp_path / "data" / f"case0000_{kind}.rvol").write_bytes((tmp_path / "data" / f"case0000_{other}.rvol").read_bytes())
+        code = main([
+            "train", "--stage", "coarse", "--data", str(tmp_path / "data"),
+            "--config", str(desk_config), "--out", str(tmp_path / "w.c2fw"),
+        ])
+        assert (code, capsys.readouterr().err) == (1, message)
+        assert not (tmp_path / "w.c2fw").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_divergence_is_an_error_line(self, tmp_path, capsys):
@@ -416,6 +445,16 @@ class TestPredictAndEval:
         assert (code, capsys.readouterr().err) == (2, "error: abnormal dims (30, 64) not divisible by 2^2\n")
         assert not (tmp_path / "o.rvol").exists()
 
+    def test_mask_input_is_an_error_line(self, tmp_path, desk_config, capsys):
+        write_tiny_cases(tmp_path / "data", n=1)
+        code = main([
+            "predict", "--input", str(tmp_path / "data" / "case0000_mask.rvol"),
+            "--coarse", "x", "--abnormal", "y", "--fine", "z",
+            "--config", str(desk_config), "--out", str(tmp_path / "o.rvol"),
+        ])
+        assert (code, capsys.readouterr().err) == (1, "error: case0000_mask.rvol: expected an intensity volume, found a mask\n")
+        assert not (tmp_path / "o.rvol").exists()
+
     def test_missing_input_exits_nonzero(self, tmp_path, desk_config, capsys):
         code = main([
             "predict", "--input", str(tmp_path / "nope.rvol"),
@@ -510,3 +549,27 @@ class TestEvalScoring:
         assert "a 1.000000 1.000000 Normal" in text
         assert "b ERROR b_report.json is not a JSON object with a string verdict" in text
         assert "error: 1 case(s) failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        ("missing", "b ERROR missing prediction b_fine.rvol"),
+        ("intensity", "b ERROR predictions and ground truth must be masks"),
+    ])
+    def test_fine_prediction_missing_or_not_a_mask_is_an_error_row(self, tmp_path, capsys, damage, message):
+        sp = Spacing(1, 1, 1)
+        gt = Mask3D(np.ones((1, 2, 2), dtype=np.uint8), sp)
+        args = write_eval_dirs(tmp_path, {"a": (gt, gt, gt, "Normal"), "b": (gt, gt, gt, "Normal")})
+        fine = tmp_path / "pred" / "b_fine.rvol"
+        fine.unlink()
+        if damage == "intensity":
+            write_volume(Volume3D(np.full((1, 2, 2), 0.5, dtype=np.float32), sp), fine)
+        assert main(args) == 1
+        text = (tmp_path / "report.txt").read_text()
+        assert "a 1.000000 1.000000 Normal" in text and message in text
+        assert "error: 1 case(s) failed" in capsys.readouterr().err
+
+    def test_no_ground_truth_masks_exit_2(self, tmp_path, capsys):
+        (tmp_path / "gt").mkdir()
+        code = main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--report", str(tmp_path / "report.txt")])
+        assert (code, capsys.readouterr().err) == (2, f"error: no ground-truth masks (*_mask.rvol) in {tmp_path / 'gt'}\n")
+        assert not (tmp_path / "report.txt").exists()

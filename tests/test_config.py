@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -117,6 +118,24 @@ class TestParse:
             parse_config("connectivity = 8")
         with pytest.raises(ValueError, match="nifti_depth_axis"):
             RunConfig(nifti_depth_axis="diagonal")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("coarse_dims = 0, 64", "coarse_dims must be two positive ints, got (0, 64)"),
+            ("fine_dims = 64, -1", "fine_dims must be two positive ints, got (64, -1)"),
+            ("abnormal_dims = 0, 0", "abnormal_dims must be two positive ints, got (0, 0)"),
+            ("th_vn = 0", "th_vn must be positive, got 0"),
+            ("prob_threshold = 1.0", "prob_threshold must lie in (0, 1), got 1.0"),
+            ("prob_threshold = 0.0", "prob_threshold must lie in (0, 1), got 0.0"),
+            ("fine_slice_margin = -1", "fine_slice_margin must be non-negative"),
+            ("unet_depth = 0", "depth must be >= 1, got 0"),
+            ("unet_base_channels = 0", "base_channels must be positive, got 0"),
+        ],
+    )
+    def test_settings_out_of_range_are_rejected_with_the_dataclass_message(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(line)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lr_rejected(self, value):

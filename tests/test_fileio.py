@@ -79,6 +79,14 @@ class TestRvolRejection:
         with pytest.raises(FormatError, match="invalid spacing"):
             read_volume(volume_file)
 
+    def test_unknown_dtype_code(self, volume_file):
+        raw = bytearray(volume_file.read_bytes())
+        raw[32] = 9  # dtype code: neither float32 nor mask
+        body = bytes(raw[:-4])
+        volume_file.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(FormatError, match="^unknown dtype code 9$"):
+            read_volume(volume_file)
+
     def test_mask_with_nonbinary_byte(self, rng, tmp_path):
         m = Mask3D(random_mask_data(rng, (2, 2, 2)), Spacing(1, 1, 1))
         path = tmp_path / "m.rvol"
@@ -218,6 +226,10 @@ class TestReadNifti:
         assert fastest.dims == (2, 3, 4)
         assert fastest.spacing == Spacing(1.0, 2.0, 3.0)
         assert np.array_equal(fastest.data, slowest.data.transpose(2, 1, 0))
+
+    def test_bad_depth_axis_rejected_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(ValueError, match="^depth_axis must be 'slowest' or 'fastest', got 'middle'$"):
+            read_nifti(tmp_path / "absent.nii", depth_axis="middle")
 
     def test_unsupported_dtype_rejected_with_header_dump(self, tmp_path):
         path = tmp_path / "f8.nii"

@@ -5,8 +5,9 @@ package ``__init__.py`` uses each name it imports, no module reaches
 into another c2fseg module for a private (``_``-prefixed) name, and only
 ``parallel.py`` imports the thread modules, and ``nn/layers.py`` has one
 conv GEMM path and neither raises nor imports from ``c2fseg.errors``, and
-``pipeline.py`` reads the clock only in ``run_case``'s stage timer and
-finds the sagittal window's centre in one function.
+``pipeline.py`` reads the clock only in ``run_case``'s stage timer,
+finds the sagittal window's centre in one function, cuts each stage's
+planes in one helper and builds training sets in one loop.
 Checked in a fresh interpreter: importing the package leaves out what it
 loads lazily.
 """
@@ -120,24 +121,48 @@ def test_layers_has_one_conv_gemm_path():
 # Name -> the one function of pipeline.py that may reference it ("outer.inner" for a nested one).
 PIPELINE_RULE_OWNERS = {"perf_counter": "run_case.timed", "foreground_indices": "_sagittal_center"}
 
+# Name -> the functions of pipeline.py that may reference it: each stage's cut, for training and
+# prediction alike, and the one training-set loop that stacks and joins the cut pairs.
+PIPELINE_CUT_OWNERS = {
+    "resize_slice": {"_coarse_cut"},
+    "crop_patch": {"_fine_cut", "_abnormal_cut"},
+    "np.stack": {"_training_set"},
+    "np.concatenate": {"_training_set"},
+}
 
-def test_pipeline_states_its_timer_and_centre_once():
-    """In ``pipeline.py`` only ``run_case``'s stage timer reads the clock, and only ``_sagittal_center``
-    computes the foreground centroid that places the sagittal window."""
-    users = {name: set() for name in PIPELINE_RULE_OWNERS}
+
+def pipeline_users(names) -> dict[str, set[str]]:
+    """Each of ``names`` -> the functions of ``pipeline.py`` that reference it, as a name, an attribute
+    (``perf_counter``) or a dotted attribute (``np.stack``); "line N" for a reference outside any function."""
+    users = {name: set() for name in names}
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
-            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name in users:
+            found = {child.id} if isinstance(child, ast.Name) else set()
+            if isinstance(child, ast.Attribute):
+                prefix = f"{child.value.id}." if isinstance(child.value, ast.Name) else ""
+                found = {child.attr, prefix + child.attr}
+            for name in found & users.keys():
                 users[name].add(owner or f"line {child.lineno}")
             visit(child, owner)
 
     visit(ast.parse((PACKAGE / "pipeline.py").read_text()), "")
-    assert users == {name: {owner} for name, owner in PIPELINE_RULE_OWNERS.items()}
+    return users
+
+
+def test_pipeline_states_its_timer_and_centre_once():
+    """In ``pipeline.py`` only ``run_case``'s stage timer reads the clock, and only ``_sagittal_center``
+    computes the foreground centroid that places the sagittal window."""
+    assert pipeline_users(PIPELINE_RULE_OWNERS) == {name: {owner} for name, owner in PIPELINE_RULE_OWNERS.items()}
+
+
+def test_pipeline_states_each_cut_and_the_training_loop_once():
+    """In ``pipeline.py`` each stage's planes are resized or cropped by one helper that its training set and
+    its prediction step share, and only ``_training_set`` stacks and joins training pairs."""
+    assert pipeline_users(PIPELINE_CUT_OWNERS) == PIPELINE_CUT_OWNERS
 
 
 def test_layers_trust_the_net_door():

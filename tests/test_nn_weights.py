@@ -1,5 +1,6 @@
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ class TestRejection:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match=match):
             load_weights(path)
+
+    def test_duplicate_parameter_name(self, tmp_path):
+        entry = struct.pack("<H", 1) + b"w" + struct.pack("<BIf", 1, 1, 1.0)
+        body = b"C2FW" + struct.pack("<II", 1, 2) + entry + entry
+        path = tmp_path / "twice.c2fw"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="^duplicate parameter name 'w'$"):
+            load_weights(path)
+
+    def test_name_too_long_to_save(self, tmp_path):
+        name = "w" * 0x10000
+        with pytest.raises(ValueError, match=f"^parameter name too long: '{name}'$"):
+            save_weights(ModelWeights({name: np.zeros(1, dtype=np.float32)}), tmp_path / "w.c2fw")
+        assert not (tmp_path / "w.c2fw").exists()
+
+    def test_rank_too_large_to_save(self, tmp_path):
+        # numpy caps ndim at 64, so only a stand-in for an array reaches the one-byte rank limit
+        with pytest.raises(ValueError, match="^parameter rank too large: 256$"):
+            save_weights({"w": SimpleNamespace(ndim=256)}, tmp_path / "w.c2fw")
+        assert not (tmp_path / "w.c2fw").exists()
 
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(ValueError, match="finite"):

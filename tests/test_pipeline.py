@@ -536,6 +536,44 @@ class TestModelsSeeSinglePlanes:
         assert model.calls == expected
 
 
+class RecordingModel(ThresholdModel):
+    """The threshold oracle, keeping a copy of every plane it is given, in call order."""
+
+    def __init__(self):
+        super().__init__(0.5)
+        self.planes = []
+
+    def predict(self, s):
+        self.planes.append(np.array(s))
+        return super().predict(s)
+
+
+class TestTrainPredictConsistency:
+    """On the working grid, each stage's model sees in ``run_case`` exactly the image planes of its training set."""
+
+    @pytest.mark.parametrize(
+        "stage, kidneys, prepare, overrides",
+        [
+            ("coarse", 2, prepare_coarse_set, {}),  # 48x48 slices resized to 32x32
+            ("coarse", 1, prepare_coarse_set, {}),
+            # native-size coarse slices make the oracle's guidance the ground truth
+            ("fine", 2, prepare_fine_set, {"coarse_dims": (48, 48), "fine_slice_margin": 0}),
+            ("abnormal", 1, prepare_abnormal_set, {"coarse_dims": (48, 48)}),
+        ],
+        ids=["coarse-normal", "coarse-abnormal", "fine", "abnormal"],
+    )
+    def test_model_sees_its_training_planes(self, cpus, stage, kidneys, prepare, overrides):
+        cpus(1)  # every plane on the caller's thread, in order
+        vol, gt = generate_phantom(PhantomSpec(seed=7, **{**PHANTOM_KW, "n_kidneys": kidneys}))
+        cfg = desk_cfg(**overrides)
+        models = StageModels(RecordingModel(), RecordingModel(), RecordingModel())
+        assert run_case(vol, models, cfg).verdict.is_normal == (kidneys == 2)
+        want = prepare([(vol, gt)], cfg)[:, 0]
+        got = np.stack(getattr(models, stage).planes)
+        assert got.shape == want.shape and len(want) > 0
+        assert got.tobytes() == want.tobytes()
+
+
 class TestModelOutputChecks:
     """Each stage checks its model's output: the slice's dims, finite values in [0, 1]."""
 
