@@ -13,7 +13,7 @@ from .components import (
     component_stats,
     label_components,
 )
-from .config import RunConfig, default_config, load_config, parse_config
+from .config import RunConfig, load_config, parse_config
 from .errors import FormatError, GeometryError, TrainingDivergedError
 from .fileio import read_nifti, read_volume, write_volume
 from .geometry import (

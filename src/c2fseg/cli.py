@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import CaseScore, PhantomSpec, dsc, generate_phantom, score_cases
-from .config import RunConfig, default_config, load_config
+from .config import RunConfig, load_config
 from .errors import FormatError, TrainingDivergedError
 from .fileio import read_nifti, read_volume, write_volume
 from .nn.models import UNetModel
@@ -84,7 +84,7 @@ def _case_id_from_path(path: Path) -> str:
 
 
 def cmd_phantom_gen(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else RunConfig()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chooser = np.random.default_rng(args.seed)
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom_gen)
 
     p = sub.add_parser("train", help="train one stage model on volume/mask pairs")
-    p.add_argument("--stage", choices=("coarse", "fine", "abnormal"), required=True)
+    p.add_argument("--stage", choices=tuple(_STAGE_PREP), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)

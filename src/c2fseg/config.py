@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .nn.train import FitParams
 from .nn.unet import UNetSpec
 from .pipeline import PipelineConfig
@@ -61,10 +59,6 @@ def _parse_value(value: str, default):
     return Spacing(*parsed) if isinstance(default, Spacing) else parsed
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def parse_config(text: str) -> RunConfig:
     base = RunConfig()
     sections: dict[str, dict] = {s: {} for s in (*_PREFIXES, "")}
@@ -95,23 +89,3 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text())
-
-
-def config_text(values: dict | None = None) -> str:
-    """Render a config document (defaults unless overridden); parseable by parse_config."""
-    base = RunConfig()
-    merged = {key: _field(base, key) for key in _KEYS}
-    if values:
-        unknown = set(values) - set(_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(values)
-    lines = []
-    for key, v in merged.items():
-        if isinstance(v, Spacing):  # float32-canonical: print the shortest float32 text
-            v = tuple(np.float32(x) for x in v.as_tuple())
-        if isinstance(v, tuple):
-            lines.append(f"{key} = {', '.join(repr(x) if isinstance(x, float) else str(x) for x in v)}")
-        else:
-            lines.append(f"{key} = {v}")
-    return "\n".join(lines) + "\n"

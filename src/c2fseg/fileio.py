@@ -37,7 +37,7 @@ def write_volume(vol: AnyVolume, path) -> None:
     )
     payload = vol.data.astype("<u1" if is_mask else "<f4", copy=False).tobytes()
     body = RVOL_MAGIC + header + payload
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _construct(cls, what: str, *args):
@@ -50,7 +50,7 @@ def _construct(cls, what: str, *args):
 
 def read_volume(path) -> AnyVolume:
     raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != RVOL_MAGIC:
+    if raw[:4] != RVOL_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}, expected {RVOL_MAGIC!r}")
     if len(raw) < 33:
         raise FormatError(f"header truncated: file is {len(raw)} bytes")
@@ -71,7 +71,7 @@ def read_volume(path) -> AnyVolume:
         raise FormatError(f"payload length mismatch: file is {len(raw)} bytes, expected {expected}")
     body_end = len(raw) - 4
     (stored_crc,) = struct.unpack_from("<I", raw, body_end)
-    actual_crc = zlib.crc32(memoryview(raw)[:body_end]) & 0xFFFFFFFF  # no copy of the body
+    actual_crc = zlib.crc32(memoryview(raw)[:body_end])  # no copy of the body
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
     sp = _construct(Spacing, f"spacing {spacing}", *spacing)

@@ -9,7 +9,7 @@ so the pipeline can be exercised (and tested exactly) without any training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .unet import UNetSpec, check_weights, fold_up_kernels, unet_forward
 from .weights import ModelWeights
 
 
-@runtime_checkable
 class SegmentationModel(Protocol):
     """One stage's model: ``predict`` maps one read-only float32 (H, W) plane to probabilities.
 

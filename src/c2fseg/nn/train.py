@@ -77,7 +77,7 @@ def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWei
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergedError(epoch, batch_loss)
                 loss_sum += batch_loss
-                grads = unet_backward(spec, cache, dice_loss_grad(probs, yb))
+                grads = unet_backward(cache, dice_loss_grad(probs, yb))
                 scale = hyper.lr / len(sel)
                 for name, g in grads.items():
                     if velocity is not None:

@@ -70,7 +70,6 @@ def init_weights(spec: UNetSpec, seed: int) -> dict[str, np.ndarray]:
 @dataclass
 class ForwardCache:
     spec: UNetSpec
-    output_shape: tuple[int, ...]
     entries: dict
 
 
@@ -145,28 +144,26 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True, *, 
     y = keep("head.sig", layers.sigmoid_forward(h, cache=cache))
     if not cache:
         return y, None
-    return y, ForwardCache(spec=spec, output_shape=y.shape, entries=entries)
+    return y, ForwardCache(spec=spec, entries=entries)
 
 
-def unet_backward(spec: UNetSpec, cache: ForwardCache, grad_output: np.ndarray):
-    """Backpropagate a gradient on the probabilities to every parameter."""
-    if cache.spec != spec:
-        raise GeometryError("cache was produced by a different net spec")
-    if grad_output.shape != cache.output_shape:
-        raise GeometryError(
-            f"grad_output shape {grad_output.shape} does not match cached output {cache.output_shape}"
-        )
+def unet_backward(cache: ForwardCache, grad_output: np.ndarray):
+    """Backpropagate a gradient on the probabilities to every parameter of the net that filled ``cache``."""
     e = cache.entries
+    y = e["head.sig"]  # the sigmoid's cache is its output
+    if grad_output.shape != y.shape:
+        raise GeometryError(f"grad_output shape {grad_output.shape} does not match cached output {y.shape}")
     grads: dict[str, np.ndarray] = {}
-    g = layers.sigmoid_backward(e["head.sig"], grad_output)
+    g = layers.sigmoid_backward(y, grad_output)
     g, grads["head.w"], grads["head.b"] = layers.conv2d_backward(e["head.conv"], g)
-    skip_grads = [None] * spec.depth
-    for i in range(spec.depth):  # reverse of the forward decoder order
+    depth = cache.spec.depth
+    skip_grads = [None] * depth
+    for i in range(depth):  # reverse of the forward decoder order
         g = layers.relu_backward(e[f"dec{i}.relu"], g)
         skip_grads[i], g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = layers.decoder_conv_backward(e[f"dec{i}.conv"], g)
     g = layers.relu_backward(e["mid.relu"], g)
     g, grads["mid.w"], grads["mid.b"] = layers.conv2d_backward(e["mid.conv"], g)
-    for i in reversed(range(spec.depth)):
+    for i in reversed(range(depth)):
         g = layers.maxpool2_backward(e[f"enc{i}.pool"], g)
         g = g + skip_grads[i]
         g = layers.relu_backward(e[f"enc{i}.relu"], g)

@@ -69,15 +69,13 @@ def save_weights(w: ModelWeights, destination) -> None:
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise ValueError(f"parameter name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise ValueError(f"parameter rank too large: {arr.ndim}")
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f4", copy=False).tobytes())
     body = b"".join(chunks)
-    Path(destination).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    Path(destination).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_weights(source) -> ModelWeights:
@@ -122,7 +120,7 @@ def load_weights(source) -> ModelWeights:
     if off != end:
         raise FormatError(f"{end - off} unexpected trailing bytes before checksum")
     (stored_crc,) = struct.unpack_from("<I", raw, end)
-    actual_crc = zlib.crc32(view[:end]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(view[:end])
     if stored_crc != actual_crc:
         raise FormatError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
     try:

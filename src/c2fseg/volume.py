@@ -167,4 +167,4 @@ def binarize(prob: Volume3D, threshold: float = 0.5) -> Mask3D:
     """Threshold a probability volume to a mask: 1 where value >= threshold, else 0."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
-    return Mask3D((prob.data >= threshold).astype(np.uint8), prob.spacing)
+    return Mask3D(np.greater_equal(prob.data, threshold, out=np.empty(prob.dims, np.uint8)), prob.spacing)

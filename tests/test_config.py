@@ -3,8 +3,8 @@ from dataclasses import fields
 
 import pytest
 
-from c2fseg import RunConfig, Spacing, default_config, parse_config
-from c2fseg.config import _KEYS, _field, config_text
+from c2fseg import RunConfig, Spacing, parse_config
+from c2fseg.config import _KEYS, _field
 
 # One value per config key, each different from its default.
 NON_DEFAULT = {
@@ -27,9 +27,20 @@ NON_DEFAULT = {
 }
 
 
+def config_lines(values: dict) -> str:
+    """One ``key = value`` line per item, a tuple's items comma-separated."""
+    return "".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n" for k, v in values.items())
+
+
+def parsed_value(key: str):
+    """``NON_DEFAULT[key]`` as the config holds it once parsed."""
+    value = NON_DEFAULT[key]
+    return Spacing(*value) if key == "normalized_spacing" else value
+
+
 class TestDefaults:
     def test_production_scale_values(self):
-        cfg = default_config()
+        cfg = RunConfig()
         assert cfg.pipeline.normalized_spacing == Spacing(3.0, 0.7816, 0.7816)
         assert cfg.pipeline.coarse_dims == (128, 128)
         assert cfg.pipeline.fine_dims == (160, 160)
@@ -41,12 +52,6 @@ class TestDefaults:
         assert cfg.unet.base_channels == 8
         assert cfg.nifti_depth_axis == "slowest"
 
-    def test_rendered_defaults_parse_back(self):
-        assert parse_config(config_text()) == default_config()
-
-    def test_defaults_are_the_dataclass_defaults(self):
-        assert default_config() == RunConfig()
-
     def test_every_key_names_a_dataclass_field(self):
         assert set(_KEYS) == set(NON_DEFAULT)  # the documented 16 keys, no more
         cfg = RunConfig()
@@ -56,17 +61,15 @@ class TestDefaults:
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
     def test_every_key_round_trips_a_non_default_value(self, key):
-        value = NON_DEFAULT[key]
-        expected = Spacing(*value) if key == "normalized_spacing" else value
-        assert _field(default_config(), key) != expected
-        cfg = parse_config(config_text({key: value}))
-        assert _field(cfg, key) == expected
+        assert _field(RunConfig(), key) != parsed_value(key)
+        cfg = parse_config(config_lines({key: NON_DEFAULT[key]}))
+        assert _field(cfg, key) == parsed_value(key)
         for other in set(_KEYS) - {key}:
-            assert _field(cfg, other) == _field(default_config(), other)
+            assert _field(cfg, other) == _field(RunConfig(), other)
 
     def test_non_default_config_round_trips(self):
-        cfg = parse_config(config_text(NON_DEFAULT))
-        assert parse_config(config_text({k: _field(cfg, k) for k in _KEYS})) == cfg
+        cfg = parse_config(config_lines(NON_DEFAULT))
+        assert {key: _field(cfg, key) for key in _KEYS} == {key: parsed_value(key) for key in _KEYS}
 
 
 class TestParse:
@@ -149,7 +152,3 @@ class TestParse:
     def test_bad_axis_choice(self):
         with pytest.raises(ValueError, match="nifti_depth_axis"):
             parse_config("nifti_depth_axis = diagonal")
-
-    def test_config_text_override_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown"):
-            config_text({"nope": 1})

@@ -243,6 +243,17 @@ class TestBinarize:
         assert isinstance(out, Mask3D)
         assert np.array_equal(out.data, (v.data >= 0.5).astype(np.uint8))
 
+    def test_compares_straight_into_the_mask(self, rng):
+        v = Volume3D(rng.uniform(0, 1, (64, 128, 128)).astype(np.float32), Spacing(1, 1, 1))
+        tracemalloc.start()
+        try:
+            out = binarize(v, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.data, (v.data >= 0.5).astype(np.uint8))
+        assert peak <= 1.5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the mask"  # no bool copy
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
     def test_threshold_domain(self, bad):
         with pytest.raises(ValueError):
