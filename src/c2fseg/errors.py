@@ -10,9 +10,11 @@ class FormatError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or an update left the named parameter non-finite."""
 
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
+    def __init__(self, epoch: int, loss: float, parameter: str | None = None):
+        what = f"non-finite loss {loss!r}" if parameter is None else f"non-finite parameter {parameter!r}"
+        super().__init__(f"{what} at epoch {epoch}")
         self.epoch = epoch
         self.loss = loss
+        self.parameter = parameter

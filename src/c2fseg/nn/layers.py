@@ -23,13 +23,12 @@ forward does, which keeps each sample's columns for the backward. ReLU and
 sigmoid then write into the array they are given, which must be a fresh
 layer output that nothing else reads.
 
-The per-sample bulk of the conv and the max-pool backward runs through
-``parallel.split_batch``: inside ``fit`` one contiguous chunk of the batch
-per usable CPU, anywhere else the whole batch on the calling thread. A chunk
-calls only numpy and this module's private helpers, and writes only its own
-samples' rows of preallocated outputs. Sums over the batch run after every
-chunk, on the calling thread, so every result has the bytes of a
-whole-batch run.
+Every op runs on the samples it is given, and a backward sums nothing over
+the batch: ``conv2d_backward`` and ``decoder_conv_backward`` return
+weight-gradient and bias-gradient terms per sample. ``unet_forward`` and
+``unet_backward`` run each contiguous chunk of a batch through every layer
+and make the batch sums once, over the terms of all chunks in sample order,
+so every result has the bytes of a whole-batch run.
 
 No layer checks shapes: ``unet_forward`` and ``unet_backward`` check them
 once per call, before any layer runs. They guarantee a conv a 4-D input with
@@ -41,8 +40,6 @@ dims of ``h`` and a weight over both; a backward its output's shape.
 from __future__ import annotations
 
 import numpy as np
-
-from ..parallel import split_batch
 
 # Output rows per band of an inference GEMM (see ``_band_rows``).
 _BAND_ROWS = 16
@@ -154,39 +151,31 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cache: bool = Tr
     wmat = w.reshape(cout, -1)
     cols = np.empty((bsz, cin * kh * kw, h * wid), dtype=x.dtype) if cache else None
     y = np.empty((bsz, cout, h * wid), dtype=np.result_type(wmat, x))
-
-    def chunk(lo: int, hi: int) -> None:
-        xp = _replicate_pad(x[lo:hi], pad) if pad else x[lo:hi]
-        _banded_gemm(wmat, xp, kh, kw, y[lo:hi], None if cols is None else cols[lo:hi])
-        y[lo:hi] += b[:, None]
-
-    split_batch(bsz, chunk)
+    _banded_gemm(wmat, _replicate_pad(x, pad) if pad else x, kh, kw, y, cols)
+    y += b[:, None]
     return y.reshape(bsz, cout, h, wid), ((cols, w, x.shape, pad) if cache else None)
 
 
 def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
-    """(input gradient, weight gradient, bias gradient); the input gradient is None unless ``input_grad``.
+    """(input gradient, weight-gradient terms, bias-gradient terms); the input gradient is None unless ``input_grad``.
 
-    Each sample's weight-gradient product is kept, and the batch sum runs over
-    all of them at the end, so the sums do not depend on how the batch is split.
+    The weight terms are (B, *w.shape), one product per sample, and their
+    ``sum(axis=0)`` is the batch's weight gradient. The bias terms are the
+    (B, Cout, 1, 1) per-sample sums of ``gy``, or ``gy`` itself when Cout is
+    1: numpy sums a one-channel gradient over batch and plane in one pass,
+    which no per-sample sum repeats. Either way their ``sum(axis=(0, 2, 3))``
+    is the batch's bias gradient.
     """
     cols, w, x_shape, pad = cache
     bsz, _, h, wid = x_shape
     cout, _, kh, _ = w.shape
     gy_mat = gy.reshape(bsz, cout, h * wid)
-    wt = w.reshape(cout, -1).T
-    products = np.empty((bsz, cout, cols.shape[1]), dtype=np.result_type(gy_mat, cols))
-    gx = np.empty(x_shape, dtype=np.result_type(wt, gy_mat)) if input_grad else None
-
-    def chunk(lo: int, hi: int) -> None:
-        np.matmul(gy_mat[lo:hi], cols[lo:hi].transpose(0, 2, 1), out=products[lo:hi])
-        if gx is not None:
-            _col2im(np.matmul(wt, gy_mat[lo:hi]), kh, pad, gx[lo:hi])
-
-    split_batch(bsz, chunk)
-    gw = products.sum(axis=0).reshape(w.shape)
-    gb = gy.sum(axis=(0, 2, 3))
-    return gx, gw, gb
+    gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).reshape(bsz, *w.shape)
+    gx = None
+    if input_grad:
+        gx = np.empty(x_shape, dtype=np.result_type(w, gy_mat))
+        _col2im(np.matmul(w.reshape(cout, -1).T, gy_mat), kh, pad, gx)
+    return gx, gw, (gy.sum(axis=(2, 3), keepdims=True) if cout > 1 else gy)
 
 
 def relu_forward(x: np.ndarray, cache: bool = True):
@@ -218,20 +207,14 @@ def maxpool2_forward(x: np.ndarray, cache: bool = True):
 def maxpool2_backward(cache, gy: np.ndarray):
     """Routes each output gradient to its window's first maximum in raster order; NaN counts as one."""
     x, y = cache
-    gx = np.empty(x.shape, dtype=gy.dtype)
-
-    def chunk(lo: int, hi: int) -> None:
-        gxc, xc, yc, gyc = gx[lo:hi], x[lo:hi], y[lo:hi], gy[lo:hi]
-        gxc.fill(0)
-        free = np.ones(yc.shape, dtype=bool)
-        for r in (0, 1):
-            for c in (0, 1):
-                xp = xc[:, :, r::2, c::2]
-                hit = free & ((xp == yc) | (xp != xp))
-                np.copyto(gxc[:, :, r::2, c::2], gyc, where=hit)
-                free &= ~hit
-
-    split_batch(len(x), chunk)
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for r in (0, 1):
+        for c in (0, 1):
+            xp = x[:, :, r::2, c::2]
+            hit = free & ((xp == y) | (xp != xp))
+            np.copyto(gx[:, :, r::2, c::2], gy, where=hit)
+            free &= ~hit
     return gx
 
 
@@ -274,17 +257,27 @@ def decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.n
 
 
 def decoder_conv_backward(cache, gy: np.ndarray):
-    """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
+    """(skip gradient, ``h`` gradient, skip-half weight terms, up-half terms, bias terms), per sample.
+
+    The skip-half terms are (B, Cout, Cs, 3, 3). The up-half terms are those
+    of the (B, 4*Cout, Cup, 3, 3) phase kernels; ``_fold_up_grad`` of their
+    batch sum is the up half's weight gradient.
+    """
     skip_cache, up_cache = cache
     g_skip, gw_skip, gb = conv2d_backward(skip_cache, gy)
-    bsz, cup, hl, wl = up_cache[2]
+    bsz, _, hl, wl = up_cache[2]
     cout = gy.shape[1]
     # Phase-major, as the rows of w4: gz[:, (2 * r + c) * cout + o] = gy[:, o, r::2, c::2].
     gz = gy.reshape(bsz, cout, hl, 2, wl, 2).transpose(0, 3, 5, 1, 2, 4).reshape(bsz, 4 * cout, hl, wl)
     g_h, gw4, _ = conv2d_backward(up_cache, gz)
+    return g_skip, g_h, gw_skip, gw4, gb
+
+
+def _fold_up_grad(gw4: np.ndarray) -> np.ndarray:
+    """(4*Cout, Cup, 3, 3) phase-kernel gradient -> (Cout, Cup, 3, 3) gradient of the kernel over the upsample."""
+    cout, cup = len(gw4) // 4, gw4.shape[1]
     gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), _FOLD.T)
-    gw = np.concatenate([gw_skip, gw_up.reshape(cout, cup, 3, 3)], axis=1)
-    return g_skip, g_h, gw, gb
+    return gw_up.reshape(cout, cup, 3, 3)
 
 
 def sigmoid_forward(x: np.ndarray, cache: bool = True):

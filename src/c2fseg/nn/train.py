@@ -41,12 +41,16 @@ def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWei
     gradient; the trace reports the epoch mean of the per-sample losses,
     i.e. the training objective over the N samples.
 
-    Each batch runs on every usable CPU (``parallel.usable_cpus``): the layers
-    split its per-sample work into one contiguous chunk per CPU, from a pool
-    held for this call and joined when it returns or raises. The sums over
-    the batch run on the calling thread in one fixed order, so the weights
-    and trace are byte-identical for any CPU count; ``taskset -c 0`` trains
-    serially.
+    Raises ``TrainingDivergedError`` naming the epoch when a batch loss is
+    not finite or an epoch's updates leave a parameter non-finite.
+
+    Each batch runs on every usable CPU (``parallel.usable_cpus``), from a
+    pool held for this call and joined when it returns or raises:
+    ``unet_forward`` cuts the batch once into one contiguous chunk of
+    samples per CPU, each chunk runs the whole net forward and then, in
+    ``unet_backward``, the whole net backward. The sums over the batch run
+    on the calling thread in one fixed order, so the weights and trace are
+    byte-identical for any CPU count; ``taskset -c 0`` trains serially.
     """
     if not isinstance(dataset, np.ndarray) or dataset.ndim != 4 or dataset.shape[1] != 2:
         got = dataset.shape if isinstance(dataset, np.ndarray) else type(dataset).__name__
@@ -88,4 +92,7 @@ def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWei
                     else:
                         params[name] -= scale * g
             trace.append(loss_sum / n)
+            bad = next((name for name, p in params.items() if not np.isfinite(p).all()), None)
+            if bad is not None:  # an update overflowed; the next loss would show it, but there may be none
+                raise TrainingDivergedError(epoch, trace[-1], parameter=bad)
     return ModelWeights(params), trace

@@ -7,6 +7,10 @@ and a 2x nearest upsample of the level below (``layers.decoder_conv_*``,
 which never forms the upsample); a 1x1 conv + sigmoid gives the per-pixel
 probability. Channel widths double per level from B. The net takes one
 image channel in and gives one probability channel out.
+
+A batch is cut once per pass with ``parallel.split_batch``: inside ``fit``
+one contiguous chunk of samples per usable CPU, anywhere else one chunk.
+Each chunk runs every layer, forward or backward, on its own samples.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GeometryError
+from ..parallel import split_batch
 from . import layers
 
 
@@ -69,8 +74,11 @@ def init_weights(spec: UNetSpec, seed: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class ForwardCache:
+    """What ``unet_backward`` needs: the probabilities and, in sample order, each chunk's bounds and layer caches."""
+
     spec: UNetSpec
-    entries: dict
+    output: np.ndarray
+    chunks: list[tuple[int, int, dict]]
 
 
 def check_weights(spec: UNetSpec, weights) -> None:
@@ -113,16 +121,25 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True, *, 
     With ``cache=False`` (inference) no layer keeps a cache, the second value
     is None, the conv GEMMs run in row bands and ReLU and sigmoid write into
     the layer output they are given (see ``layers``). The probabilities have
-    the same bytes either way. ``folded`` is ``fold_up_kernels(spec,
-    weights)``, for weights that do not change between calls; without it each
-    decoder level folds its kernel per call.
+    the same bytes either way, and for any cut of the batch. ``folded`` is
+    ``fold_up_kernels(spec, weights)``, for weights that do not change
+    between calls; without it each decoder level folds its kernel per call.
     """
     _check_input(spec, x)
     check_weights(spec, weights)
+    chunks = split_batch(len(x), lambda lo, hi: (lo, hi, *_forward(spec, weights, x[lo:hi], cache, folded)))
+    y = chunks[0][2] if len(chunks) == 1 else np.concatenate([c[2] for c in chunks])
+    if not cache:
+        return y, None
+    return y, ForwardCache(spec, y, [(lo, hi, entries) for lo, hi, _, entries in chunks])
+
+
+def _forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool, folded):
+    """One chunk through every layer: (probabilities, layer caches by name; each None when cache=False)."""
     entries: dict = {}
 
     def keep(key, result):
-        out, entries[key] = result  # each cache is None when cache=False
+        out, entries[key] = result
         return out
 
     skips = []
@@ -142,31 +159,54 @@ def unet_forward(spec: UNetSpec, weights, x: np.ndarray, cache: bool = True, *, 
         h = keep(f"dec{i}.relu", layers.relu_forward(h, cache=cache))
     h = keep("head.conv", layers.conv2d_forward(h, weights["head.w"], weights["head.b"], cache=cache))
     y = keep("head.sig", layers.sigmoid_forward(h, cache=cache))
-    if not cache:
-        return y, None
-    return y, ForwardCache(spec=spec, entries=entries)
+    return y, entries
 
 
 def unet_backward(cache: ForwardCache, grad_output: np.ndarray):
-    """Backpropagate a gradient on the probabilities to every parameter of the net that filled ``cache``."""
-    e = cache.entries
-    y = e["head.sig"]  # the sigmoid's cache is its output
-    if grad_output.shape != y.shape:
-        raise GeometryError(f"grad_output shape {grad_output.shape} does not match cached output {y.shape}")
-    grads: dict[str, np.ndarray] = {}
-    g = layers.sigmoid_backward(y, grad_output)
-    g, grads["head.w"], grads["head.b"] = layers.conv2d_backward(e["head.conv"], g)
+    """Backpropagate a gradient on the probabilities to every parameter of the net that filled ``cache``.
+
+    Each chunk of the forward runs its own backward, on the bounds the cache
+    holds. Then each gradient is one sum over the per-sample terms of every
+    chunk, in sample order, so its bytes are those of a whole-batch run.
+    """
+    if grad_output.shape != cache.output.shape:
+        raise GeometryError(f"grad_output shape {grad_output.shape} does not match cached output {cache.output.shape}")
     depth = cache.spec.depth
+
+    def run(first: int, last: int) -> list[dict]:
+        return [_backward(depth, e, grad_output[lo:hi]) for lo, hi, e in cache.chunks[first:last]]
+
+    terms = [t for part in split_batch(len(cache.chunks), run) for t in part]
+    grads = {
+        name: np.concatenate([t[name] for t in terms]).sum(axis=(0, 2, 3) if name.endswith(".b") else 0)
+        for name in terms[0]
+    }
+    for i in range(depth):
+        up = layers._fold_up_grad(grads.pop(f"dec{i}.up"))
+        grads[f"dec{i}.w"] = np.concatenate([grads[f"dec{i}.w"], up], axis=1)
+    return grads
+
+
+def _backward(depth: int, e: dict, g: np.ndarray) -> dict[str, np.ndarray]:
+    """One chunk's backward from the gradient on its probabilities: per-sample gradient terms by name.
+
+    ``dec{i}.w`` holds the skip half's terms and ``dec{i}.up`` the up half's phase-kernel terms.
+    """
+    terms: dict[str, np.ndarray] = {}
+    g = layers.sigmoid_backward(e["head.sig"], g)  # the sigmoid's cache is its output
+    g, terms["head.w"], terms["head.b"] = layers.conv2d_backward(e["head.conv"], g)
     skip_grads = [None] * depth
     for i in range(depth):  # reverse of the forward decoder order
         g = layers.relu_backward(e[f"dec{i}.relu"], g)
-        skip_grads[i], g, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = layers.decoder_conv_backward(e[f"dec{i}.conv"], g)
+        skip_grads[i], g, terms[f"dec{i}.w"], terms[f"dec{i}.up"], terms[f"dec{i}.b"] = layers.decoder_conv_backward(
+            e[f"dec{i}.conv"], g
+        )
     g = layers.relu_backward(e["mid.relu"], g)
-    g, grads["mid.w"], grads["mid.b"] = layers.conv2d_backward(e["mid.conv"], g)
+    g, terms["mid.w"], terms["mid.b"] = layers.conv2d_backward(e["mid.conv"], g)
     for i in reversed(range(depth)):
         g = layers.maxpool2_backward(e[f"enc{i}.pool"], g)
         g = g + skip_grads[i]
         g = layers.relu_backward(e[f"enc{i}.relu"], g)
         # Nothing reads the gradient of the image itself, so enc0's is not computed.
-        g, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = layers.conv2d_backward(e[f"enc{i}.conv"], g, input_grad=i > 0)
-    return grads
+        g, terms[f"enc{i}.w"], terms[f"enc{i}.b"] = layers.conv2d_backward(e[f"enc{i}.conv"], g, input_grad=i > 0)
+    return terms

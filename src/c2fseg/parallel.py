@@ -2,8 +2,9 @@
 
 The one module that reads the CPU count, starts threads and cuts and joins
 work; ``taskset -c 0`` makes every split serial. ``nn.train.fit`` holds a
-``batch_threads`` pool for a training run and the layers cut each batch
-with ``split_batch``. Plane loops go through ``split_planes``, the one gate
+``batch_threads`` pool for a training run, and ``unet_forward`` cuts each
+batch once with ``split_batch``; ``unet_backward`` splits the forward's
+chunks the same way. Plane loops go through ``split_planes``, the one gate
 that decides whether per-plane work is worth a thread: ``pipeline._predict``
 for a stack's model calls and ``geometry``'s resample core for every
 resample, resize and unresize. Each block has its own pool, so concurrent
@@ -56,31 +57,29 @@ def batch_threads():
             _POOL.reset(token)
 
 
-def split_batch(n: int, body: Callable[[int, int], None]) -> None:
-    """Run ``body(lo, hi)`` over contiguous chunks that cover samples ``0..n-1``.
+def split_batch(n: int, body: Callable[[int, int], object]) -> list:
+    """Run ``body(lo, hi)`` over contiguous chunks that cover samples ``0..n-1``; return their results in order.
 
     Inside ``batch_threads`` there is one chunk per usable CPU, at most n:
     the caller's thread runs the first and the pool the others. Elsewhere
-    ``body(0, n)`` runs alone. Each chunk must write only its own samples'
-    rows of preallocated outputs, so the result does not depend on the
-    split. The call returns once every chunk has ended; the error raised is
-    that of the first chunk that failed.
+    ``body(0, n)`` runs alone. A chunk returns its results, or writes only
+    its own samples' rows of preallocated outputs, so the result does not
+    depend on the split. The call returns once every chunk has ended; the
+    error raised is that of the first chunk that failed.
     """
     active = _POOL.get()
     parts = min(active[1], n) if active else 1
     if parts <= 1:
-        body(0, n)
-        return
+        return [body(0, n)]
     pool = active[0]
     bounds = [n * j // parts for j in range(parts + 1)]
     futures = [pool.submit(body, bounds[j], bounds[j + 1]) for j in range(1, parts)]
     try:
-        body(0, bounds[1])
+        first = body(0, bounds[1])
     finally:
         for f in futures:  # no chunk may still write once the caller moves on
             f.exception()
-    for f in futures:
-        f.result()
+    return [first] + [f.result() for f in futures]
 
 
 def split_planes(n: int, body: Callable[[int, int], None]) -> None:

@@ -8,6 +8,8 @@ code with the package paths they verify.
 from __future__ import annotations
 
 import sys
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -283,13 +285,32 @@ def decoder_conv_oracle(skip: np.ndarray, h: np.ndarray, w: np.ndarray, b: np.nd
 def decoder_conv_oracle_backward(cache, gy: np.ndarray):
     """(skip gradient, ``h`` gradient, weight gradient, bias gradient) through the same chain."""
     cs, conv_cache = cache
-    gx, gw, gb = layers.conv2d_backward(conv_cache, gy)
+    gx, gw, gb = batch_conv_grads(layers.conv2d_backward(conv_cache, gy))
     return (*upcat_backward(cs, gx), gw, gb)
 
 
-# The batched layer ops as the package ran them before each batch was split
+# A layer backward returns per-sample weight and bias terms; ``unet_backward``
+# sums them over the batch. These helpers make the same sums, for tests that
+# check one layer's batch gradients.
+
+
+def batch_conv_grads(grads):
+    """``conv2d_backward``'s (input gradient, weight terms, bias terms) -> (input, weight, bias gradient)."""
+    gx, gw, gb = grads
+    return gx, gw.sum(axis=0), gb.sum(axis=(0, 2, 3))
+
+
+def batch_decoder_grads(grads):
+    """``decoder_conv_backward``'s five values -> (skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
+    g_skip, g_h, gw_skip, gw4, gb = grads
+    gw = np.concatenate([gw_skip.sum(axis=0), layers._fold_up_grad(gw4.sum(axis=0))], axis=1)
+    return g_skip, g_h, gw, gb.sum(axis=(0, 2, 3))
+
+
+# The batched layer ops as the package ran them before any batch was split
 # into per-CPU chunks: every op over the whole batch at once, with fresh
-# buffers. The split ops must give these bytes. The pad is numpy's edge pad
+# buffers and the batch sums inside the op. The layer ops, and the net over
+# any cut of its batch, must give these bytes. The pad is numpy's edge pad
 # (byte-equal to the package's replicate pad); the decoder's phase kernels
 # come from the package's ``_fold_up``, which the split does not touch.
 
@@ -366,8 +387,8 @@ def unsplit_decoder_conv_forward(skip: np.ndarray, h: np.ndarray, w: np.ndarray,
     return y, (skip_cache, (cols, w4.reshape(4 * cout, cup, 3, 3), h.shape, 1))
 
 
-def unsplit_decoder_conv_backward(cache, gy: np.ndarray):
-    """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
+def unsplit_decoder_conv_sums(cache, gy: np.ndarray):
+    """(skip gradient, ``h`` gradient, skip-half weight gradient, (4*Cout, Cup, 3, 3) phase-kernel gradient, bias gradient)."""
     skip_cache, (cols, w4, h_shape, _) = cache
     w4 = w4.reshape(len(w4), -1)
     g_skip, gw_skip, gb = unsplit_conv2d_backward(skip_cache, gy)
@@ -375,8 +396,15 @@ def unsplit_decoder_conv_backward(cache, gy: np.ndarray):
     cout = gy.shape[1]
     gz = np.stack([gy[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)], axis=1).reshape(bsz, 4 * cout, hl * wl)
     gw4 = np.matmul(gz, cols.transpose(0, 2, 1)).sum(axis=0)
-    gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), layers._FOLD.T)
     g_h = unsplit_col2im(np.matmul(w4.T, gz), h_shape, 3, 1)
+    return g_skip, g_h, gw_skip, gw4.reshape(4 * cout, cup, 3, 3), gb
+
+
+def unsplit_decoder_conv_backward(cache, gy: np.ndarray):
+    """(skip gradient, ``h`` gradient, weight gradient, bias gradient)."""
+    g_skip, g_h, gw_skip, gw4, gb = unsplit_decoder_conv_sums(cache, gy)
+    cout, cup = gy.shape[1], gw4.shape[1]
+    gw_up = np.matmul(gw4.reshape(4, cout, cup, 9).transpose(1, 2, 0, 3).reshape(cout, cup, 36), layers._FOLD.T)
     gw = np.concatenate([gw_skip, gw_up.reshape(cout, cup, 3, 3)], axis=1)
     return g_skip, g_h, gw, gb
 
@@ -393,6 +421,36 @@ def unsplit_maxpool2_backward(cache, gy: np.ndarray) -> np.ndarray:
             np.copyto(gx[:, :, r::2, c::2], gy, where=hit)
             free &= ~hit
     return gx
+
+
+def unsplit_conv2d_terms(cache, gy: np.ndarray, input_grad: bool = True):
+    """``unsplit_conv2d_backward`` in ``conv2d_backward``'s contract: the batch sums as one sample's terms.
+    The input gradient is always computed."""
+    gx, gw, gb = unsplit_conv2d_backward(cache, gy)
+    return gx, gw[None], gb.reshape(1, -1, 1, 1)
+
+
+def unsplit_decoder_conv_terms(cache, gy: np.ndarray):
+    """``unsplit_decoder_conv_sums`` in ``decoder_conv_backward``'s contract: the batch sums as one sample's terms."""
+    g_skip, g_h, gw_skip, gw4, gb = unsplit_decoder_conv_sums(cache, gy)
+    return g_skip, g_h, gw_skip[None], gw4[None], gb.reshape(1, -1, 1, 1)
+
+
+@contextmanager
+def whole_batch_layers():
+    """Within the block ``unet_forward``/``unet_backward`` run the whole-batch ops above in place of the
+    layers' (enc0's input gradient is computed and dropped). Run the net as one chunk (one CPU) inside it."""
+    stand_ins = {
+        "conv2d_forward": lambda x, w, b, **_: unsplit_conv2d_forward(x, w, b),
+        "conv2d_backward": unsplit_conv2d_terms,
+        "decoder_conv_forward": lambda *args, **_: unsplit_decoder_conv_forward(*args),
+        "decoder_conv_backward": unsplit_decoder_conv_terms,
+        "maxpool2_backward": unsplit_maxpool2_backward,
+    }
+    with ExitStack() as stack:
+        for name, fn in stand_ins.items():
+            stack.enter_context(mock.patch.object(layers, name, fn))
+        yield
 
 
 # The training sets as the package built them before they were one array:

@@ -24,7 +24,14 @@ import numpy as np
 import c2fseg as c
 from c2fseg.nn import layers
 from c2fseg.pipeline import prepare_abnormal_set, prepare_coarse_set, prepare_fine_set
-from oracles import flood_fill_labels, labelings_equivalent, numeric_gradient, relative_error
+from oracles import (
+    batch_conv_grads,
+    batch_decoder_grads,
+    flood_fill_labels,
+    labelings_equivalent,
+    numeric_gradient,
+    relative_error,
+)
 
 SP = c.Spacing(3.0, 0.7816, 0.7816)
 
@@ -131,7 +138,7 @@ def _fd_layer_checks(seed: int) -> float:
     out, cache = layers.conv2d_forward(x, w, b)
     gy = rng.standard_normal(out.shape)
     loss = lambda: float((layers.conv2d_forward(x, w, b)[0] * gy).sum())
-    gx, gw, gb = layers.conv2d_backward(cache, gy)
+    gx, gw, gb = batch_conv_grads(layers.conv2d_backward(cache, gy))  # per-sample terms summed
     check(gx, loss, x)
     check(gw, loss, w)
     check(gb, loss, b)
@@ -142,7 +149,7 @@ def _fd_layer_checks(seed: int) -> float:
     out, cache = layers.conv2d_forward(x, w1, b1)
     gy = rng.standard_normal(out.shape)
     loss = lambda: float((layers.conv2d_forward(x, w1, b1)[0] * gy).sum())
-    gx, gw, gb = layers.conv2d_backward(cache, gy)
+    gx, gw, gb = batch_conv_grads(layers.conv2d_backward(cache, gy))  # per-sample terms summed
     check(gx, loss, x)
     check(gw, loss, w1)
     check(gb, loss, b1)
@@ -171,7 +178,7 @@ def _fd_layer_checks(seed: int) -> float:
     out, cache = layers.decoder_conv_forward(xa, xu, wd, bd)
     gy = rng.standard_normal(out.shape)
     loss = lambda: float((layers.decoder_conv_forward(xa, xu, wd, bd)[0] * gy).sum())
-    ga, gu, gw, gb = layers.decoder_conv_backward(cache, gy)
+    ga, gu, gw, gb = batch_decoder_grads(layers.decoder_conv_backward(cache, gy))
     check(ga, loss, xa)
     check(gu, loss, xu)
     check(gw, loss, wd)

@@ -4,7 +4,8 @@ Checked with the standard library's ``ast``: every module other than a
 package ``__init__.py`` uses each name it imports, no module reaches
 into another c2fseg module for a private (``_``-prefixed) name, and only
 ``parallel.py`` imports the thread modules, and ``nn/layers.py`` has one
-conv GEMM path and neither raises nor imports from ``c2fseg.errors``, and
+conv GEMM path, neither raises nor imports from ``c2fseg.errors`` and
+imports nothing from ``c2fseg.parallel``, and
 ``pipeline.py`` reads the clock only in ``run_case``'s stage timer,
 finds the sagittal window's centre in one function, cuts each stage's
 planes in one helper and builds training sets in one loop.
@@ -165,18 +166,30 @@ def test_pipeline_states_each_cut_and_the_training_loop_once():
     assert pipeline_users(PIPELINE_CUT_OWNERS) == PIPELINE_CUT_OWNERS
 
 
+def layers_imports() -> list[str]:
+    """Each module and ``module.name`` that ``nn/layers.py`` imports, relative imports resolved."""
+    tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ("", "c2fseg.nn", "c2fseg")[node.level]
+            module = ".".join(filter(None, (package, node.module)))
+            found += [module, *(f"{module}.{a.name}" for a in node.names)]
+    return found
+
+
 def test_layers_trust_the_net_door():
     """``nn/layers.py`` raises nothing and imports nothing from ``c2fseg.errors``: ``unet_forward`` and
     ``unet_backward`` check every shape once, before any layer runs."""
     tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
     raises = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)]
-    errors = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            errors += [a.name for a in node.names if a.name.startswith("c2fseg.errors")]
-        elif isinstance(node, ast.ImportFrom):
-            package = ("", "c2fseg.nn", "c2fseg")[node.level]
-            module = ".".join(filter(None, (package, node.module)))
-            names = (module, *(f"{module}.{a.name}" for a in node.names))
-            errors += [n for n in names if n.startswith("c2fseg.errors")]
+    errors = [name for name in layers_imports() if name.startswith("c2fseg.errors")]
     assert (raises, errors) == ([], [])
+
+
+def test_layers_split_no_batch():
+    """``nn/layers.py`` imports nothing from ``c2fseg.parallel``: the net cuts each batch once per pass,
+    and each layer op runs on the samples it is given."""
+    assert [name for name in layers_imports() if name.startswith("c2fseg.parallel")] == []

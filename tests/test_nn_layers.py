@@ -1,6 +1,4 @@
 import time
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,7 +132,7 @@ class TestConv2d:
         out, cache = layers.conv2d_forward(x, w, b)
         gy = rng.standard_normal(out.shape)
         loss = lambda: float((layers.conv2d_forward(x, w, b)[0] * gy).sum())
-        gx, gw, gb = layers.conv2d_backward(cache, gy)
+        gx, gw, gb = oracles.batch_conv_grads(layers.conv2d_backward(cache, gy))
         assert relative_error(gx, numeric_gradient(loss, x)) < TOL
         assert relative_error(gw, numeric_gradient(loss, w)) < TOL
         assert relative_error(gb, numeric_gradient(loss, b)) < TOL
@@ -195,14 +193,15 @@ class TestDecoderConv:
         w[[0, 1], [0, 1], 1, 1] = 1.0
         y, cache = layers.decoder_conv_forward(skip, h, w, np.zeros(2))
         assert np.array_equal(y, skip)
-        g_skip, g_h, _, _ = layers.decoder_conv_backward(cache, y)
+        g_skip, g_h, *_ = layers.decoder_conv_backward(cache, y)
         assert np.array_equal(g_skip, skip) and not g_h.any()
 
     def test_gradient(self, rng):
         for low_w in (1, 2):
             skip, h = rng.standard_normal((2, 2, 6, 2 * low_w)), rng.standard_normal((2, 3, 3, low_w))
             w, b = rng.standard_normal((3, 5, 3, 3)), rng.standard_normal(3)
-            fd_check_layer(layers.decoder_conv_forward, layers.decoder_conv_backward, (skip, h, w, b), rng)
+            backward = lambda cache, gy: oracles.batch_decoder_grads(layers.decoder_conv_backward(cache, gy))
+            fd_check_layer(layers.decoder_conv_forward, backward, (skip, h, w, b), rng)
 
     @settings(max_examples=200, deadline=None)
     @given(_decoder_inputs())
@@ -215,7 +214,7 @@ class TestDecoderConv:
         y_mag, mag_cache = oracles.decoder_conv_oracle(*mag[:4])
         assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
         assert np.all(np.abs(y - y_ref) <= rtol * y_mag)
-        grads = layers.decoder_conv_backward(cache, gy)
+        grads = oracles.batch_decoder_grads(layers.decoder_conv_backward(cache, gy))
         refs = oracles.decoder_conv_oracle_backward(ref_cache, gy)
         bounds = oracles.decoder_conv_oracle_backward(mag_cache, mag[4])
         for g, ref, bound in zip(grads, refs, bounds):
@@ -320,37 +319,29 @@ class TestMatchesArgmaxAndMaskOracles:
 
 
 
-@contextmanager
-def split_over(n_cpus: int):
-    """Run the block's layer ops as ``fit`` does on ``n_cpus`` usable CPUs."""
-    with mock.patch.object(parallel, "usable_cpus", return_value=n_cpus), parallel.batch_threads():
-        yield
-
-
 class TestBatchSplitMatchesUnsplitOracles:
-    """Split over 1 to 3 CPUs, each batched layer op keeps the bytes of the whole-batch code."""
+    """Each batched layer op keeps the bytes of the whole-batch code that ran before batches were split;
+    its per-sample terms, summed over the batch, give the whole-batch gradients."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_conv_inputs(), st.integers(1, 3))
-    def test_conv2d(self, inputs, n_cpus):
+    @given(_conv_inputs())
+    def test_conv2d(self, inputs):
         x, w, b, gy = inputs
-        with split_over(n_cpus):
-            y, cache = layers.conv2d_forward(x, w, b)
-            gx, gw, gb = layers.conv2d_backward(cache, gy)
-            no_gx, gw_only, _ = layers.conv2d_backward(cache, gy, input_grad=False)
+        y, cache = layers.conv2d_forward(x, w, b)
+        grads = layers.conv2d_backward(cache, gy)
+        no_gx, gw_only, _ = layers.conv2d_backward(cache, gy, input_grad=False)
         y_ref, ref_cache = oracles.unsplit_conv2d_forward(x, w, b)
         assert same_bytes(y, y_ref) and same_bytes(cache[0], ref_cache[0])
-        for got, want in zip((gx, gw, gb), oracles.unsplit_conv2d_backward(ref_cache, gy)):
+        for got, want in zip(oracles.batch_conv_grads(grads), oracles.unsplit_conv2d_backward(ref_cache, gy)):
             assert same_bytes(got, want)
-        assert no_gx is None and same_bytes(gw_only, gw)
+        assert no_gx is None and same_bytes(gw_only, grads[1])
 
     @settings(max_examples=150, deadline=None)
-    @given(_decoder_inputs(max_batch=5), st.integers(1, 3))
-    def test_decoder_conv(self, inputs, n_cpus):
+    @given(_decoder_inputs(max_batch=5))
+    def test_decoder_conv(self, inputs):
         skip, h, w, b, gy = inputs
-        with split_over(n_cpus):
-            y, cache = layers.decoder_conv_forward(skip, h, w, b)
-            grads = layers.decoder_conv_backward(cache, gy)
+        y, cache = layers.decoder_conv_forward(skip, h, w, b)
+        grads = oracles.batch_decoder_grads(layers.decoder_conv_backward(cache, gy))
         y_ref, ref_cache = oracles.unsplit_decoder_conv_forward(skip, h, w, b)
         assert same_bytes(y, y_ref) and same_bytes(cache[1][0], ref_cache[1][0])
         for got, want in zip(grads, oracles.unsplit_decoder_conv_backward(ref_cache, gy)):
@@ -366,13 +357,44 @@ class TestBatchSplitMatchesUnsplitOracles:
         assert same_bytes(gx, oracles.unsplit_col2im(gcols, x_shape, k, k // 2))
 
     @settings(max_examples=100, deadline=None)
-    @given(_pool_inputs(), st.integers(1, 3))
-    def test_maxpool2_backward(self, inputs, n_cpus):
+    @given(_pool_inputs())
+    def test_maxpool2_backward(self, inputs):
         x, gy = inputs
         _, cache = layers.maxpool2_forward(x)
-        with split_over(n_cpus):
-            gx = layers.maxpool2_backward(cache, gy)
+        gx = layers.maxpool2_backward(cache, gy)
         assert same_bytes(gx, oracles.unsplit_maxpool2_backward(cache, gy))
+
+
+class TestBatchSums:
+    """The per-sample bias terms keep the bytes of numpy's whole-batch sum, which ``unet_backward`` relies on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_conv_inputs(), st.integers(1, 4))
+    def test_bias_terms_sum_to_the_whole_batch_bytes(self, inputs, n_chunks):
+        x, w, b, gy = inputs
+        parts = min(n_chunks, len(x))
+        bounds = [len(x) * j // parts for j in range(parts + 1)]  # as split_batch cuts
+        terms = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            _, cache = layers.conv2d_forward(x[lo:hi], w, b)
+            terms.append(layers.conv2d_backward(cache, gy[lo:hi])[2])
+        assert same_bytes(np.concatenate(terms).sum(axis=(0, 2, 3)), gy.sum(axis=(0, 2, 3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.tuples(*(st.integers(1, n) for n in (8, 16, 70, 70))),
+           st.integers(0, 2**32 - 1))
+    def test_per_sample_channel_sums_fold_to_the_whole_sum(self, dtype, shape, seed):
+        """With two or more channels, numpy sums each sample's plane apart and folds the samples in order.
+        With one channel it sums batch and plane in one pass, so ``conv2d_backward`` keeps a one-channel
+        gradient whole as its bias terms."""
+        gy = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+        per_sample = gy.sum(axis=(2, 3)).sum(axis=0)
+        if shape[1] > 1:
+            assert same_bytes(per_sample, gy.sum(axis=(0, 2, 3)))
+        x = np.zeros((shape[0], 1, *shape[2:]), dtype=dtype)
+        _, cache = layers.conv2d_forward(x, np.zeros((shape[1], 1, 1, 1), dtype), np.zeros(shape[1], dtype))
+        gb = layers.conv2d_backward(cache, gy)[2]
+        assert gb is gy if shape[1] == 1 else same_bytes(gb, gy.sum(axis=(2, 3), keepdims=True))
 
 
 @st.composite
@@ -438,19 +460,26 @@ class TestSplitBatch:
         "n_cpus, n, chunks",
         [(1, 8, [(0, 8)]), (2, 8, [(0, 4), (4, 8)]), (3, 8, [(0, 2), (2, 5), (5, 8)]), (3, 2, [(0, 1), (1, 2)])],
     )
-    def test_one_contiguous_chunk_per_cpu(self, n_cpus, n, chunks):
+    def test_one_contiguous_chunk_per_cpu(self, cpus, n_cpus, n, chunks):
         seen = []
-        with split_over(n_cpus):
+        cpus(n_cpus)
+        with parallel.batch_threads():
             parallel.split_batch(n, lambda lo, hi: seen.append((lo, hi)))
         assert sorted(seen) == chunks
 
-    def test_outside_a_block_the_batch_is_one_chunk(self):
+    def test_results_come_back_in_sample_order(self, cpus):
+        cpus(3)
+        with parallel.batch_threads():
+            assert parallel.split_batch(8, lambda lo, hi: (lo, hi)) == [(0, 2), (2, 5), (5, 8)]
+        assert parallel.split_batch(8, lambda lo, hi: (lo, hi)) == [(0, 8)]
+
+    def test_outside_a_block_the_batch_is_one_chunk(self, cpus):
         seen = []
-        with mock.patch.object(parallel, "usable_cpus", return_value=3):
-            parallel.split_batch(8, lambda lo, hi: seen.append((lo, hi)))
+        cpus(3)
+        parallel.split_batch(8, lambda lo, hi: seen.append((lo, hi)))
         assert seen == [(0, 8)]
 
-    def test_the_first_failed_chunk_raises_after_every_chunk_ended(self):
+    def test_the_first_failed_chunk_raises_after_every_chunk_ended(self, cpus):
         ended = []
 
         def body(lo, hi):
@@ -460,6 +489,7 @@ class TestSplitBatch:
             if lo in (2, 5):
                 raise ValueError(f"chunk at {lo}")
 
-        with split_over(3), pytest.raises(ValueError, match="chunk at 2"):
+        cpus(3)
+        with parallel.batch_threads(), pytest.raises(ValueError, match="chunk at 2"):
             parallel.split_batch(8, body)
         assert sorted(ended) == [0, 2, 5]

@@ -3,7 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-import c2fseg.nn.layers
+import c2fseg.nn.unet
+import c2fseg.parallel
 import oracles
 from c2fseg import (
     FitParams,
@@ -97,6 +98,16 @@ class TestFit:
             fit(UNetSpec(depth=1, base_channels=2), pairs, FitParams(lr=0.1, epochs=4, batch=2, seed=0))
         assert err.value.epoch == 0
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_last_update_is_a_divergence(self, momentum):
+        """The loss of the one batch is finite, and no later forward would see the inf weights."""
+        data = phantom_slice_pairs(4, dims=(16, 16))
+        hyper = FitParams(lr=1e40, epochs=1, batch=4, seed=0, momentum=momentum)
+        with pytest.raises(TrainingDivergedError, match=r"non-finite parameter '\w+\.\w' at epoch 0") as err:
+            fit(UNetSpec(depth=1, base_channels=2), data, hyper)
+        assert err.value.epoch == 0 and np.isfinite(err.value.loss)
+
     def test_momentum_runs_and_differs(self):
         pairs = phantom_slice_pairs(4)
         spec = UNetSpec(depth=1, base_channels=2)
@@ -130,7 +141,7 @@ def fit_bytes(data, hyper, spec=UNetSpec(depth=2, base_channels=4)) -> list[byte
 
 
 class TestFitAcrossCpus:
-    """fit splits each batch into one chunk per usable CPU; weights and loss traces keep their bytes."""
+    """fit cuts each batch into one chunk per usable CPU; weights and loss traces keep their bytes."""
 
     # (samples, batch): 8 in one batch (chunks of 2, 3 and 3 on 3 CPUs); 10 in batches of 8,
     # the last one partial; 5 in batches of 2, smaller than the CPU count, the last of 1.
@@ -140,31 +151,42 @@ class TestFitAcrossCpus:
     def test_bytes_match_the_unsplit_layers_on_1_to_3_cpus(self, monkeypatch, cpus, n, batch, momentum):
         data = phantom_slice_pairs(n, dims=(16, 16))
         hyper = FitParams(lr=0.4, epochs=2, batch=batch, seed=7, momentum=momentum)
-        layers = c2fseg.nn.layers
-        with monkeypatch.context() as m:  # the whole-batch layers, enc0's input gradient computed and dropped
-            m.setattr(layers, "conv2d_forward", lambda x, w, b, **_: oracles.unsplit_conv2d_forward(x, w, b))
-            m.setattr(layers, "conv2d_backward", lambda cache, gy, **_: oracles.unsplit_conv2d_backward(cache, gy))
-            m.setattr(layers, "decoder_conv_forward", lambda *args, **_: oracles.unsplit_decoder_conv_forward(*args))
-            m.setattr(layers, "decoder_conv_backward", oracles.unsplit_decoder_conv_backward)
-            m.setattr(layers, "maxpool2_backward", oracles.unsplit_maxpool2_backward)
+        cpus(1)  # one chunk: each whole-batch op sees the whole batch
+        with oracles.whole_batch_layers():
             want = fit_bytes(data, hyper)
         chunk_threads = set()
-        split = layers.split_batch
+        unet = c2fseg.nn.unet
+        split = unet.split_batch
 
         def watched(n, body):
             def recorded(lo, hi):
                 chunk_threads.add(threading.current_thread().name)
-                body(lo, hi)
+                return body(lo, hi)
 
-            split(n, recorded)
+            return split(n, recorded)
 
-        monkeypatch.setattr(layers, "split_batch", watched)
+        monkeypatch.setattr(unet, "split_batch", watched)
         for n_cpus in (1, 2, 3):
             cpus(n_cpus)
             chunk_threads.clear()
             assert fit_bytes(data, hyper) == want, f"{n_cpus} CPUs"
             workers = {name for name in chunk_threads if name.startswith("c2fseg-batch")}
             assert bool(workers) == (n_cpus > 1) and len(workers) < min(n_cpus, batch)
+
+    def test_a_batch_is_split_once_per_pass(self, monkeypatch, cpus):
+        """One ``split_batch`` call cuts the 8 samples for the forward, one runs the 3 chunks backward."""
+        calls = []
+        split = c2fseg.parallel.split_batch
+
+        def counted(n, body):
+            calls.append(n)
+            return split(n, body)
+
+        monkeypatch.setattr(c2fseg.parallel, "split_batch", counted)
+        monkeypatch.setattr(c2fseg.nn.unet, "split_batch", counted)
+        cpus(3)
+        fit(UNetSpec(depth=2, base_channels=2), phantom_slice_pairs(8, dims=(16, 16)), FitParams(epochs=1, batch=8))
+        assert calls == [8, 3]
 
     def test_no_pool_thread_outlives_fit(self, monkeypatch, cpus):
         data = phantom_slice_pairs(4, dims=(16, 16))

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2fseg.nn.models
+import c2fseg.parallel
 from c2fseg import UNetSpec, unet_backward, unet_forward
 from c2fseg.errors import GeometryError
 from c2fseg.nn import layers
@@ -346,3 +348,44 @@ class TestBackward:
         fail_every_layer(monkeypatch)
         with pytest.raises(GeometryError, match="grad_output"):
             unet_backward(cache, np.zeros((1, 1, 4, 4)))
+
+
+def pass_bytes(y, grads) -> list[bytes]:
+    """The probabilities and every parameter gradient, by name, as dtype and bytes."""
+    return [a.dtype.str.encode() + a.tobytes() for a in (y, *(grads[name] for name in sorted(grads)))]
+
+
+def net_bytes(spec, params, x, gy) -> list[bytes]:
+    y, cache = unet_forward(spec, params, x)
+    return pass_bytes(y, unet_backward(cache, gy))
+
+
+class TestBatchSplit:
+    """``unet_forward`` cuts a batch once, inside ``fit``'s pool into one chunk per CPU, and ``unet_backward``
+    runs each chunk's backward on the same bounds; every cut keeps the whole-batch bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_forward_and_backward_match_the_whole_batch_on_1_to_3_cpus(self, n_cpus, batch, depth, base, dtype, seed):
+        spec = UNetSpec(depth=depth, base_channels=base)
+        rng = np.random.default_rng(seed)
+        params = {k: rng.uniform(-1, 1, shape).astype(dtype) for k, shape in parameter_shapes(spec).items()}
+        x = rng.standard_normal((batch, 1, 8, 16)).astype(dtype)
+        gy = np.where(rng.random(x.shape) < 0.2, -0.0, rng.standard_normal(x.shape)).astype(dtype)
+        with oracles.whole_batch_layers():
+            want = net_bytes(spec, params, x, gy)
+        with mock.patch.object(c2fseg.parallel, "usable_cpus", return_value=n_cpus), c2fseg.parallel.batch_threads():
+            assert net_bytes(spec, params, x, gy) == want
+
+    def test_a_cache_filled_in_the_pool_backpropagates_outside_it(self, rng, cpus):
+        """The backward runs the forward's three chunks on their stored bounds, serially once the pool is gone."""
+        spec = UNetSpec(depth=2, base_channels=3)
+        params = params64(spec, seed=4)
+        x, gy = rng.standard_normal((8, 1, 8, 8)), rng.standard_normal((8, 1, 8, 8))
+        want = net_bytes(spec, params, x, gy)
+        cpus(3)
+        with c2fseg.parallel.batch_threads():
+            y, cache = unet_forward(spec, params, x)
+        assert [(lo, hi) for lo, hi, _ in cache.chunks] == [(0, 2), (2, 5), (5, 8)]
+        assert pass_bytes(y, unet_backward(cache, gy)) == want
