@@ -5,19 +5,22 @@ work; ``taskset -c 0`` makes every split serial. ``nn.train.fit`` holds a
 ``batch_threads`` pool for a training run, and ``unet_forward`` cuts each
 batch once with ``split_batch``; ``unet_backward`` splits the forward's
 chunks the same way. Plane loops go through ``split_planes``, the one gate
-that decides whether per-plane work is worth a thread: ``pipeline._predict``
-for a stack's model calls and ``geometry``'s resample core for every
+that decides whether per-plane work is worth a thread: ``pipeline``'s plane
+loop for every stage's model calls and ``geometry``'s resample core for every
 resample, resize and unresize. Each block has its own pool, so concurrent
-callers never wait for each other's chunks.
+callers never wait for each other's chunks. ``pipelined`` overlaps making
+item k+1 with consuming item k: ``fileio.read_nifti`` converts one chunk of
+its payload while it reads or inflates the next.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable
+from typing import Callable, TypeVar
 
 # (pool, usable CPUs) of the batch_threads block this context runs in. Pool
 # threads start with an empty context, so a chunk run on one never splits again.
@@ -26,6 +29,8 @@ _POOL: ContextVar[tuple | None] = ContextVar("c2fseg_batch_pool", default=None)
 # A plane loop whose first plane ran faster than this stays on the caller's
 # thread: a thread would cost more than the planes it takes over.
 _SERIAL_PLANE_S = 1e-3
+
+T = TypeVar("T")
 
 
 def usable_cpus() -> int:
@@ -99,3 +104,27 @@ def split_planes(n: int, body: Callable[[int, int], None]) -> None:
             split_batch(n - 1, lambda lo, hi: body(lo + 1, hi + 1))
     elif n > 1:
         body(1, n)
+
+
+def pipelined(items: Iterable[T], consume: Callable[[T], None]) -> None:
+    """Call ``consume(item)`` on each of ``items`` in order, item k on a second thread while the caller makes item k+1.
+
+    At most two items are alive at once: the one being consumed and the one
+    being made. With one usable CPU each item is consumed on the caller's
+    thread as soon as it is made. The call returns once every item has been
+    consumed; an error of ``items`` is raised once the item in flight is
+    consumed, and an error of ``consume`` once the next item is made.
+    """
+    if usable_cpus() <= 1:
+        for item in items:
+            consume(item)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Leaving the block waits for the item in flight, also when ``items`` raised.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="c2fseg-pipe") as pool:
+        pending = pool.submit(lambda: None)
+        for item in items:
+            pending.result()
+            pending = pool.submit(consume, item)
+        pending.result()

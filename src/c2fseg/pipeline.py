@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -33,7 +33,7 @@ from .components import (
     label_components,
 )
 from .errors import GeometryError
-from .geometry import crop_patch, resample_volume, resize_slice, uncrop_patch, unresize
+from .geometry import CropRecord, crop_patch, resample_volume, resize_slice, uncrop_patch, unresize
 from .nn.models import SegmentationModel
 from .volume import (
     Mask3D,
@@ -106,9 +106,11 @@ def _fine_cut(g: Volume3D | Mask3D, window, cfg: PipelineConfig):
     return crop_patch(extract_slices(g, "axial")[z0 : z1 + 1], center, cfg.fine_dims)
 
 
-def _abnormal_cut(g: Volume3D | Mask3D, center: tuple[int, int], cfg: PipelineConfig):
-    """``abnormal_dims`` sagittal patches at (depth, row) ``center``, and their record."""
-    return crop_patch(extract_slices(g, "sagittal"), center, cfg.abnormal_dims)
+def _abnormal_cut(
+    g: Volume3D | Mask3D, center: tuple[int, int], cfg: PipelineConfig, planes: slice = slice(None)
+):
+    """``abnormal_dims`` patches at (depth, row) ``center`` of sagittal ``planes`` (default all), and their record."""
+    return crop_patch(extract_slices(g, "sagittal")[planes], center, cfg.abnormal_dims)
 
 
 def _training_set(cases: Iterable[Case], cfg: PipelineConfig, dims: tuple[int, int], windows, cut) -> np.ndarray:
@@ -174,6 +176,8 @@ def prepare_abnormal_set(cases: Iterable[Case], cfg: PipelineConfig) -> np.ndarr
 
 
 def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> np.ndarray:
+    plane = plane.view()
+    plane.flags.writeable = False
     p = np.asarray(model.predict(plane), dtype=np.float32)
     if p.shape != plane.shape:
         raise GeometryError(f"{stage} model returned dims {p.shape} for input dims {plane.shape}")
@@ -182,19 +186,24 @@ def _predict_plane(model: SegmentationModel, plane: np.ndarray, stage: str) -> n
     return p
 
 
-def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndarray:
-    """Run one stage's model on each plane of a stack; the one place model output is checked.
+def _predict_planes(
+    model: SegmentationModel,
+    stage: str,
+    n: int,
+    plane: Callable[[int], np.ndarray],
+    put: Callable[[int, np.ndarray], None],
+) -> None:
+    """Run one stage's model on planes 0..n-1; the one plane loop, and the one place model output is checked.
 
-    Each model gets a read-only float32 (H, W) view of one plane. The planes
-    go through ``parallel.split_planes``: plane 0 runs on the caller's thread,
-    and the rest are split over the usable CPUs only if it was slow. Every
-    plane is predicted on its own, so the output does not depend on the
-    split, and a chunk starts no plane past one that has already failed, so
-    the error raised is the one for the lowest-index bad plane.
+    ``plane(k)`` gives plane k as a float32 (H, W) array, the model gets a
+    read-only view of it, and ``put(k, probs)`` takes its probabilities and
+    must write only plane k's part of its output. The planes go through
+    ``parallel.split_planes``: plane 0 runs on the caller's thread, and the
+    rest are split over the usable CPUs only if it was slow. Every plane is
+    predicted on its own, so the output does not depend on the split, and a
+    chunk starts no plane past one that has already failed, so the error
+    raised is the one for the lowest-index bad plane.
     """
-    planes = np.asarray(stack, dtype=np.float32).view()
-    planes.flags.writeable = False
-    out = np.empty(planes.shape, dtype=np.float32)
     failed: list[int] = []  # planes whose predict raised; list.append is atomic
 
     def chunk(lo: int, hi: int) -> None:
@@ -202,12 +211,19 @@ def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndar
             if failed and min(failed) < k:  # a lower-index plane already failed; its error wins
                 return
             try:
-                out[k] = _predict_plane(model, planes[k], stage)
+                put(k, _predict_plane(model, plane(k), stage))
             except BaseException:
                 failed.append(k)
                 raise
 
-    parallel.split_planes(len(planes), chunk)  # at least 1 plane: containers and windows have positive dims
+    parallel.split_planes(n, chunk)  # at least 1 plane: containers and windows have positive dims
+
+
+def _predict(model: SegmentationModel, stack: np.ndarray, stage: str) -> np.ndarray:
+    """``_predict_planes`` over the planes of a stack, into a float32 stack of probabilities."""
+    planes = np.asarray(stack, dtype=np.float32)
+    out = np.empty(planes.shape, dtype=np.float32)
+    _predict_planes(model, stage, len(planes), planes.__getitem__, out.__setitem__)
     return out
 
 
@@ -234,17 +250,25 @@ def predict_coarse(vol: Volume3D, models: StageModels, cfg: PipelineConfig) -> M
 def _sagittal_correction(
     vol: Volume3D, center: tuple[int, int], model: SegmentationModel, cfg: PipelineConfig
 ) -> np.ndarray:
-    """The abnormal model's uint8 mask over the sagittal window at (depth, row) ``center``.
+    """The abnormal model's uint8 mask over the sagittal window at (depth, row) ``center``, one plane at a time.
 
-    The window is cropped from the sagittal view of the volume, and only its
-    in-volume part is thresholded back: the zero padding is below any
-    threshold in (0, 1), so the rest of the mask stays 0.
+    Sagittal plane k is cropped, predicted, and only its window's in-volume
+    part is thresholded into the mask: the zero padding is below any
+    threshold in (0, 1), so the rest of the mask stays 0. No stack of
+    patches or probabilities is held.
     """
-    patch, rec = _abnormal_cut(vol, center, cfg)
-    probs = _predict(model, patch, "abnormal")
-    (depths, rows), (pdepths, prows) = rec.windows
     out = np.zeros(vol.dims, dtype=np.uint8)
-    out.transpose(2, 0, 1)[:, depths, rows] = probs[:, pdepths, prows] >= cfg.prob_threshold
+    sagittal = out.transpose(2, 0, 1)
+    window = CropRecord(center, cfg.abnormal_dims, sagittal.shape[1:])  # the one each plane's cut takes
+    (depths, rows), (pdepths, prows) = window.windows
+
+    def put(k: int, probs: np.ndarray) -> None:
+        sagittal[k, depths, rows] = probs[pdepths, prows] >= cfg.prob_threshold
+
+    def plane(k: int) -> np.ndarray:
+        return _abnormal_cut(vol, center, cfg, slice(k, k + 1))[0][0]
+
+    _predict_planes(model, "abnormal", len(sagittal), plane, put)
     return out
 
 

@@ -721,6 +721,30 @@ class TestCaseMemory:
         assert res.verdict.verdict == verdict
         assert peak <= 4 * vol.data.nbytes, f"peak {peak / vol.data.nbytes:.2f}x the input"
 
+    def test_correction_holds_the_mask_and_a_few_window_planes(self, monkeypatch, cpus):
+        """Past the verdict, the Abnormal ``build_guidance`` holds its mask and a few sagittal window planes,
+        not a stack of patches or probabilities over every sagittal plane."""
+        cpus(1)  # serial planes: a plane thread would hold its own plane in flight
+        vol, gt = generate_phantom(PhantomSpec(dims=(64, 96, 96), spacing=SP, n_kidneys=1, seed=3))
+        cfg = PipelineConfig(abnormal_dims=(64, 256), th_vn=10)
+        classify = c2fseg.pipeline.classify
+
+        def classify_then_reset_peak(*args):
+            verdict = classify(*args)
+            tracemalloc.reset_peak()  # the verdict's label map is gone by now
+            return verdict
+
+        monkeypatch.setattr(c2fseg.pipeline, "classify", classify_then_reset_peak)
+        tracemalloc.start()
+        try:
+            m, verdict = build_guidance(vol, gt, oracle_models(), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.verdict == "Abnormal" and m.foreground_count() > 0
+        plane = 4 * 64 * 256
+        assert peak < m.data.nbytes + 4 * plane, f"peak is the mask and {(peak - m.data.nbytes) / plane:.1f} planes"
+
     def test_working_volume_freed_before_map_backs(self, monkeypatch):
         vol, _ = generate_phantom(
             PhantomSpec(seed=11, dims=(16, 40, 40), spacing=Spacing(4.5, 1.2, 1.2),
