@@ -10,9 +10,10 @@ NIfTI-1 single-file volumes (optionally gzipped) are read-only inputs.
 
 from __future__ import annotations
 
-import io
+import gzip
 import math
 import os
+import stat
 import struct
 import zlib
 from pathlib import Path
@@ -91,7 +92,6 @@ def read_volume(path) -> AnyVolume:
 _NIFTI_DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
 _HDR_SIZE = 348
 
-
 # Bytes read, inflated or converted at a time.
 _CHUNK = 1 << 18
 
@@ -100,46 +100,33 @@ _CHUNK = 1 << 18
 _DEFLATE_MAX_RATIO = 1032
 
 _GZIP_MAGIC = b"\x1f\x8b"
-_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 2, 4, 8, 16
-_GZIP_EOF = "Compressed file ended before the end-of-stream marker was reached"
-
-
-def _corrupt_gzip(why) -> FormatError:
-    return FormatError(f"corrupt gzip stream: {why}")
 
 
 class _FileBytes:
-    """An open file's bytes, front to back; gunzipped member by member if the file starts with the gzip magic.
+    """A regular file's bytes, front to back; inflated by ``gzip.GzipFile`` if the file starts with the gzip magic.
 
-    A gzip file is taken as ``gzip.decompress`` takes it: members follow one
-    another, zero padding between and after them is skipped, anything else
-    after a member is an error, and each member's CRC and length are checked
-    once it ends. Its errors are ``FormatError("corrupt gzip stream: <why>")``
-    with ``gzip.decompress``'s reason. ``read(n)`` holds a chunk or two of
-    the file, of ``_CHUNK`` bytes, beside the n bytes it returns. ``total``
-    counts the bytes returned so far; ``bound`` is more than the file can
-    hold.
+    A gzip file is accepted as ``gzip.decompress`` accepts it, and rejected with ``FormatError("corrupt gzip
+    stream: <why>")`` and its reason. ``read(n)`` holds a chunk or two beside the n bytes it returns. ``total``
+    counts the bytes returned so far; ``bound`` is more than the file can hold, which only a regular file's size
+    tells, so any other file (a pipe, a device) is rejected.
     """
 
     def __init__(self, f):
-        self._f = f
-        size = os.fstat(f.fileno()).st_size
-        self._gzip = f.peek(2)[:2] == _GZIP_MAGIC
-        self.bound = size * _DEFLATE_MAX_RATIO if self._gzip else size
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError("not a regular file: only a regular file's size bounds what the read allocates")
+        zipped = f.peek(2)[:2] == _GZIP_MAGIC
+        self._f = gzip.GzipFile(fileobj=f) if zipped else f
+        self.bound = st.st_size * _DEFLATE_MAX_RATIO if zipped else st.st_size
         self.total = 0
-        self._member = None  # the raw-deflate inflater of the member being read
-        self._crc = self._size = 0  # of the member's bytes so far
 
     def read(self, n: int) -> bytes:
         """The next ``n`` bytes; fewer only where the file ends."""
-        if self._gzip:
-            parts = []
-            while n and (part := self._inflate(n)):
-                parts.append(part)
-                n -= len(part)
-            out = b"".join(parts)  # one part is returned as it is
-        else:
+        try:
             out = self._f.read(n)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            why = "CRC check failed" if str(exc).startswith("CRC check failed") else exc  # as gzip.decompress words it
+            raise FormatError(f"corrupt gzip stream: {why}") from None
         self.total += len(out)
         return out
 
@@ -147,73 +134,6 @@ class _FileBytes:
         """Read to the end of the file, ``_CHUNK`` bytes at a time, checking every gzip member on the way."""
         while self.read(_CHUNK):
             pass
-
-    def _inflate(self, limit: int) -> bytes:
-        """At most ``limit`` (> 0) inflated bytes; none only once the last member has ended."""
-        while True:
-            if self._member is None and not self._next_member():
-                return b""
-            member = self._member
-            if member.eof:
-                self._end_member()
-                continue
-            data = member.unconsumed_tail or self._f.read(_CHUNK)
-            try:
-                out = member.decompress(data, limit)  # no input left: flush what the inflater still holds
-            except zlib.error as exc:
-                raise _corrupt_gzip(exc) from None
-            if out:
-                self._crc = zlib.crc32(out, self._crc)
-                self._size += len(out)
-                return out
-            if not data and not member.eof:
-                raise _corrupt_gzip(_GZIP_EOF)
-
-    def _exact(self, n: int) -> bytes:
-        data = self._f.read(n)
-        if len(data) < n:
-            raise _corrupt_gzip(_GZIP_EOF)
-        return data
-
-    def _next_member(self) -> bool:
-        """Skip zero padding and read the next member's header; False at the end of the file."""
-        f = self._f
-        while zeros := len(buffered := f.peek(1)) - len(buffered.lstrip(b"\x00")):
-            f.read(zeros)
-        magic = f.read(2)
-        if not magic:
-            return False
-        if magic != _GZIP_MAGIC:
-            raise _corrupt_gzip(f"Not a gzipped file ({magic!r})")
-        method, flags = self._exact(8)[:2]  # then mtime, extra flags and OS, all unused
-        if method != 8:
-            raise _corrupt_gzip("Unknown compression method")
-        if flags & _FEXTRA:
-            self._exact(int.from_bytes(self._exact(2), "little"))
-        for field in (_FNAME, _FCOMMENT):  # zero-terminated, or cut off by the end of the file
-            if flags & field:
-                while (c := f.read(1)) and c != b"\x00":
-                    pass
-        if flags & _FHCRC:
-            self._exact(2)
-        self._member = zlib.decompressobj(-zlib.MAX_WBITS)
-        self._crc = self._size = 0
-        return True
-
-    def _end_member(self) -> None:
-        """Check the ended member's CRC and length, and step back to the byte after them."""
-        tail = self._member.unused_data  # the rest of the last input chunk
-        trailer = tail[:8] + self._f.read(max(0, 8 - len(tail)))
-        if len(trailer) < 8:
-            raise _corrupt_gzip(_GZIP_EOF)
-        crc, size = struct.unpack("<II", trailer)
-        if crc != self._crc:
-            raise _corrupt_gzip("CRC check failed")
-        if size != self._size & 0xFFFFFFFF:
-            raise _corrupt_gzip("Incorrect length of data produced")
-        if len(tail) > 8:
-            self._f.seek(8 - len(tail), io.SEEK_CUR)
-        self._member = None
 
 
 def _parse_header(raw: bytes) -> dict:
@@ -309,11 +229,11 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
     as a Mask3D, everything else as a Volume3D.
 
     The file is read once, front to back, ``_CHUNK`` bytes at a time, and a
-    gzip file is inflated as ``gzip.decompress`` would: the reader holds the
-    payload's array and a few chunks, never the whole file. It reads to the
-    end even past the payload, so every gzip member is checked, and a
-    corrupt gzip stream is reported before any error in the header. The
-    payload's array is allocated only if the file can hold it.
+    gzip file is inflated by ``gzip.GzipFile``: the reader holds the payload's
+    array and a few chunks, never the whole file. It reads to the end even
+    past the payload, so every gzip member is checked, and a corrupt gzip
+    stream is reported before any error in the header. The payload's array is
+    allocated only if the file can hold it, so the file must be a regular one.
     """
     if depth_axis not in ("slowest", "fastest"):
         raise ValueError(f"depth_axis must be 'slowest' or 'fastest', got {depth_axis!r}")

@@ -1,5 +1,6 @@
 import gzip
 import json
+import os
 import re
 import tracemalloc
 
@@ -398,6 +399,24 @@ class TestPredictAndEval:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    def test_piped_input_is_an_error_line(self, tmp_path, desk_config, capsys):
+        from test_fileio import build_nifti
+
+        r, w = os.pipe()  # as a shell passes --input <(zcat case.nii.gz)
+        with open(w, "wb") as sink:
+            sink.write(build_nifti())
+        try:
+            code = main([
+                "predict", "--input", f"/dev/fd/{r}",
+                "--coarse", "x", "--abnormal", "y", "--fine", "z",
+                "--config", str(desk_config), "--out", str(tmp_path / "o.rvol"),
+            ])
+        finally:
+            os.close(r)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: not a regular file: ")
 
     def test_weights_that_do_not_fit_the_net_fail_before_any_stage(self, tmp_path, desk_config, capsys, monkeypatch):
         from c2fseg import ModelWeights, UNetSpec, cli, save_weights

@@ -6,6 +6,7 @@ file it rejects fails with ``corrupt gzip stream: `` and its own message.
 """
 
 import gzip
+import os
 import re
 import struct
 import sys
@@ -103,6 +104,87 @@ class TestGzipAsDecompress:
         path.write_bytes(gzip.compress(RAW[:-10], mtime=0) + b"junk")
         with pytest.raises(FormatError, match="^corrupt gzip stream: Not a gzipped file"):
             read_nifti(path)
+
+
+def mutate(rng, blob: bytes) -> bytes:
+    """``blob`` with one seeded flip, cut, insertion, deletion or tail, always after its two magic bytes."""
+    pos = int(rng.integers(2, len(blob) + 1))
+    some = rng.integers(0, 256, size=int(rng.integers(1, 12)), dtype=np.uint8).tobytes()
+    kind = rng.integers(5)
+    if kind == 0 and pos < len(blob):
+        return blob[:pos] + bytes([blob[pos] ^ int(rng.integers(1, 256))]) + blob[pos + 1 :]
+    if kind == 1:
+        return blob[:pos]
+    if kind == 2:
+        return blob[:pos] + some + blob[pos:]
+    if kind == 3:
+        return blob[:pos] + blob[pos + len(some) :]
+    return blob + (bytes(len(some)) if rng.integers(2) else some)
+
+
+def read_all(path, rng) -> bytes:
+    """Every byte ``_FileBytes`` gives for ``path``, asked for in seeded pieces of 1 to 600 bytes."""
+    with open(path, "rb") as f:
+        stream = c2fseg.fileio._FileBytes(f)
+        parts = []
+        while part := stream.read(int(rng.integers(1, 601))):
+            parts.append(part)
+    assert stream.total == sum(map(len, parts))
+    return b"".join(parts)
+
+
+MUTATED_BASES = {
+    "one_member": ZIPPED,
+    "two_members": GZIP_CASES["two_members_split_mid_payload"],
+    "zero_padding_after": GZIP_CASES["zero_padding_after_a_member"][: len(ZIPPED) + 9],
+    "junk_after": GZIP_CASES["trailing_non_gzip_bytes"],
+}
+
+
+class TestGzipMutations:
+    """Seeded mutations of a few gzip files: each reads as ``gzip.decompress`` takes it, bytes or message."""
+
+    @pytest.mark.parametrize("base", MUTATED_BASES)
+    def test_each_mutation_reads_as_gzip_decompress_treats_it(self, tmp_path, base):
+        rng = np.random.default_rng(3100 + list(MUTATED_BASES).index(base))
+        path = tmp_path / "m.gz"
+        outcomes = set()
+        for _ in range(100):
+            blob = mutate(rng, MUTATED_BASES[base])
+            path.write_bytes(blob)
+            try:
+                want = gzip.decompress(blob)
+            except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+                with pytest.raises(FormatError) as err:
+                    read_all(path, rng)
+                assert str(err.value) == f"corrupt gzip stream: {exc}", blob
+                outcomes.add(type(exc).__name__)
+                continue
+            assert read_all(path, rng) == want, blob
+            outcomes.add("read")
+        assert len(outcomes) >= 3, outcomes  # the mutations reach more than one way to fail
+
+
+class TestNonRegularFiles:
+    """A pipe's or a device's size bounds nothing, so ``read_nifti`` rejects it before it reads a byte."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+    def test_an_endless_device_is_a_format_error(self):
+        with pytest.raises(FormatError, match="^not a regular file: "):
+            read_nifti("/dev/zero")  # read to its end, as after a bad header, it would never return
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    @pytest.mark.parametrize("zipped", [False, True], ids=["plain", "gzip"])
+    def test_a_pipe_is_a_format_error(self, zipped):
+        blob = build_nifti(dims=(4, 3, 5))
+        r, w = os.pipe()
+        with open(w, "wb") as sink:
+            sink.write(gzip.compress(blob, mtime=0) if zipped else blob)
+        try:
+            with pytest.raises(FormatError, match="^not a regular file: "):
+                read_nifti(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 class TestTruncationMessage:
