@@ -234,10 +234,13 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
     past the payload, so every gzip member is checked, and a corrupt gzip
     stream is reported before any error in the header. The payload's array is
     allocated only if the file can hold it, so the file must be a regular one.
+    Any other is rejected before a byte is read; a FIFO is opened without
+    waiting for a writer, so one that has none is rejected too.
     """
     if depth_axis not in ("slowest", "fastest"):
         raise ValueError(f"depth_axis must be 'slowest' or 'fastest', got {depth_axis!r}")
-    with open(path, "rb") as f:
+    # With O_NONBLOCK a FIFO opens at once, for _FileBytes to reject; a regular file ignores the flag.
+    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | getattr(os, "O_NONBLOCK", 0))) as f:
         stream = _FileBytes(f)
         head = stream.read(_HDR_SIZE)
         try:

@@ -6,22 +6,23 @@ the cache. Convolutions are stride 1 with same-size output; the padding for
 constant input stays constant through the whole net. All ops run in the
 dtype of their inputs, which lets tests re-run the exact code in float64.
 
-Forwards do no work that only the backward needs: ReLU caches its output
-(the gradient mask is ``y > 0``) and max-pooling its input and output (the
-backward finds each window's first maximum from them). Max pooling and the
-decoder conv's up half work on the four stride-2 phase views
-``x[:, :, r::2, c::2]``.
+Forwards do no work that only the backward needs: a conv caches its input
+and kernel, ReLU its output (the gradient mask is ``y > 0``) and max-pooling
+its input and output (the backward finds each window's first maximum from
+them). Max pooling and the decoder conv's up half work on the four stride-2
+phase views ``x[:, :, r::2, c::2]``.
 
 Every conv GEMM runs in ``conv2d_forward``/``conv2d_backward``; the decoder
 conv's up half is a ``conv2d_forward`` over ``h`` with 4*Cout phase kernels
-and no bias. Each forward takes a ``cache`` flag. With ``cache=False``
-(inference) it returns None for the cache, and the conv GEMMs run in bands of
-output rows through one reused band-sized column buffer, so the columns stay
-in cache. ``_band_rows`` bands only shapes whose banded products keep the
-bytes of the whole one; other planes run as one band, as the training
-forward does, which keeps each sample's columns for the backward. ReLU and
-sigmoid then write into the array they are given, which must be a fresh
-layer output that nothing else reads.
+and no bias. A forward GEMM runs in bands of output rows through one reused
+band-sized column buffer, so the columns stay in cache; ``_band_rows`` bands
+only shapes whose banded products keep the bytes of the whole one, and
+other planes run as one band. A conv's input is the batch or a ReLU or pool
+output, which the net keeps anyway, so a training pass holds no columns:
+each conv backward rebuilds its own, one whole-plane buffer at a time. Each
+forward takes a ``cache`` flag; with ``cache=False`` (inference) it returns
+None for the cache, and ReLU and sigmoid write into the array they are
+given, which must be a fresh layer output that nothing else reads.
 
 Every op runs on the samples it is given, and a backward sums nothing over
 the batch: ``conv2d_backward`` and ``decoder_conv_backward`` return
@@ -41,20 +42,16 @@ from __future__ import annotations
 
 import numpy as np
 
-# Output rows per band of an inference GEMM (see ``_band_rows``).
+# Output rows per band of a forward GEMM (see ``_band_rows``).
 _BAND_ROWS = 16
 
 
-def _taps(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Read-only (..., C, kh, kw, out_h, out_w) view of the kernel taps over a padded (..., C, Hp, Wp) input."""
+def _taps(xp: np.ndarray, k: int) -> np.ndarray:
+    """Read-only (..., C, k, k, out_h, out_w) view of the kernel taps over a padded (..., C, Hp, Wp) input."""
     *lead, c, hp, wp = xp.shape
     *lead_strides, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(*lead, c, kh, kw, hp - kh + 1, wp - kw + 1),
-        strides=(*lead_strides, sc, sh, sw, sh, sw),
-        writeable=False,
-    )
+    shape = (*lead, c, k, k, hp - k + 1, wp - k + 1)
+    return np.lib.stride_tricks.as_strided(xp, shape, (*lead_strides, sc, sh, sw, sh, sw), writeable=False)
 
 
 def _band_rows(m: int, h: int, w: int) -> int:
@@ -72,27 +69,25 @@ def _band_rows(m: int, h: int, w: int) -> int:
     return _BAND_ROWS if m > 1 and w >= 64 and last * w % 16 == 0 else h
 
 
-def _banded_gemm(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int, out: np.ndarray, cols=None) -> None:
-    """``out`` (B, M, h*w) = ``wmat`` times the columns of a padded (B, C, h+kh-1, w+kw-1) input, band by band.
-
-    Given ``cols`` (B, C*kh*kw, h*w), the whole plane is one band whose
-    columns are kept there. Otherwise one band-sized column buffer is reused
-    over the ``_band_rows`` bands. Per band one ``np.copyto`` fills the
-    columns from the tap view and one ``np.matmul`` writes the band's slice
-    of ``out``, one BLAS product per sample.
+def _columns(x: np.ndarray, k: int, rows: int):
+    """Yield ``(r0, r1, cols)``, ``rows`` output rows at a time: the (B, C*k*k, (r1-r0)*W) columns of a k x k
+    kernel over the replicate-padded (B, C, H, W) ``x``, copied from the tap view into one buffer every band reuses.
     """
-    taps = _taps(xp, kh, kw)
+    taps = _taps(_replicate_pad(x, k // 2) if k > 1 else x, k)
     bsz, c, _, _, h, w = taps.shape
-    if cols is None:
-        rows = _band_rows(len(wmat), h, w)
-        cols = np.empty((bsz, c * kh * kw, rows * w), dtype=xp.dtype)
-    else:
-        rows = h
+    buf = np.empty((bsz, c * k * k, min(rows, h) * w), dtype=x.dtype)
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        band = cols[:, :, : (r1 - r0) * w]
-        np.copyto(band.reshape(bsz, c, kh, kw, r1 - r0, w), taps[..., r0:r1, :])
-        np.matmul(wmat, band, out=out[:, :, r0 * w : r1 * w])
+        cols = buf[:, :, : (r1 - r0) * w]
+        np.copyto(cols.reshape(bsz, c, k, k, r1 - r0, w), taps[..., r0:r1, :])
+        yield r0, r1, cols
+
+
+def _banded_gemm(wmat: np.ndarray, x: np.ndarray, k: int, out: np.ndarray) -> None:
+    """``out`` (B, M, H*W) = ``wmat`` times the ``_columns`` of ``x``, one BLAS product per sample and band."""
+    h, w = x.shape[2:]
+    for r0, r1, cols in _columns(x, k, _band_rows(len(wmat), h, w)):
+        np.matmul(wmat, cols, out=out[:, :, r0 * w : r1 * w])
 
 
 def _replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -145,15 +140,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cache: bool = Tr
 
     k is 1 or 3, as ``_col2im`` folds only a pad of 0 or 1; ``check_weights`` guarantees it.
     """
-    bsz, cin, h, wid = x.shape
-    cout, _, kh, kw = w.shape
-    pad = kh // 2
+    bsz, _, h, wid = x.shape
+    cout, _, k, _ = w.shape
     wmat = w.reshape(cout, -1)
-    cols = np.empty((bsz, cin * kh * kw, h * wid), dtype=x.dtype) if cache else None
     y = np.empty((bsz, cout, h * wid), dtype=np.result_type(wmat, x))
-    _banded_gemm(wmat, _replicate_pad(x, pad) if pad else x, kh, kw, y, cols)
+    _banded_gemm(wmat, x, k, y)
     y += b[:, None]
-    return y.reshape(bsz, cout, h, wid), ((cols, w, x.shape, pad) if cache else None)
+    return y.reshape(bsz, cout, h, wid), ((x, w) if cache else None)
 
 
 def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
@@ -165,16 +158,21 @@ def conv2d_backward(cache, gy: np.ndarray, input_grad: bool = True):
     1: numpy sums a one-channel gradient over batch and plane in one pass,
     which no per-sample sum repeats. Either way their ``sum(axis=(0, 2, 3))``
     is the batch's bias gradient.
+
+    The columns are rebuilt from the cached input, whole-plane, and the input
+    gradient's columns overwrite them where the dtypes allow.
     """
-    cols, w, x_shape, pad = cache
-    bsz, _, h, wid = x_shape
-    cout, _, kh, _ = w.shape
+    x, w = cache
+    bsz, _, h, wid = x.shape
+    cout, _, k, _ = w.shape
+    ((_, _, cols),) = _columns(x, k, h)
     gy_mat = gy.reshape(bsz, cout, h * wid)
     gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).reshape(bsz, *w.shape)
     gx = None
     if input_grad:
-        gx = np.empty(x_shape, dtype=np.result_type(w, gy_mat))
-        _col2im(np.matmul(w.reshape(cout, -1).T, gy_mat), kh, pad, gx)
+        gx = np.empty(x.shape, dtype=np.result_type(w, gy_mat))
+        gcols = np.matmul(w.reshape(cout, -1).T, gy_mat, out=cols if cols.dtype == gx.dtype else None)
+        _col2im(gcols, k, k // 2, gx)
     return gx, gw, (gy.sum(axis=(2, 3), keepdims=True) if cout > 1 else gy)
 
 
@@ -265,7 +263,7 @@ def decoder_conv_backward(cache, gy: np.ndarray):
     """
     skip_cache, up_cache = cache
     g_skip, gw_skip, gb = conv2d_backward(skip_cache, gy)
-    bsz, _, hl, wl = up_cache[2]
+    bsz, _, hl, wl = up_cache[0].shape  # the cache of a conv holds its input, here h
     cout = gy.shape[1]
     # Phase-major, as the rows of w4: gz[:, (2 * r + c) * cout + o] = gy[:, o, r::2, c::2].
     gz = gy.reshape(bsz, cout, hl, 2, wl, 2).transpose(0, 3, 5, 1, 2, 4).reshape(bsz, 4 * cout, hl, wl)

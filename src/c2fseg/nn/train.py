@@ -12,6 +12,9 @@ from .loss import dice_loss, dice_loss_grad
 from .unet import UNetSpec, init_weights, unet_backward, unet_forward
 from .weights import ModelWeights
 
+# Samples per chunk of the label check in ``fit``.
+_CHECK_SAMPLES = 16
+
 
 @dataclass(frozen=True)
 class FitParams:
@@ -60,10 +63,12 @@ def fit(spec: UNetSpec, dataset: np.ndarray, hyper: FitParams) -> tuple[ModelWei
         raise ValueError("dataset is empty")
     data = dataset.astype(np.float32, copy=False)
     x, y = data[:, :1], data[:, 1:]
-    if not np.isfinite(x).all():
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):  # NaN and inf reach one of them; no temporary
         raise ValueError("image slices contain non-finite values")
-    if ((y != 0) & (y != 1)).any():
-        raise ValueError("label slices must be binary")
+    for lo in range(0, n, _CHECK_SAMPLES):  # a few samples at a time, so the masks stay small
+        yc = y[lo : lo + _CHECK_SAMPLES]
+        if ((yc != 0) & (yc != 1)).any():
+            raise ValueError("label slices must be binary")
     rng = np.random.default_rng(hyper.seed)
     params = init_weights(spec, seed=int(rng.integers(0, 2**31 - 1)))
     velocity = {k: np.zeros_like(v) for k, v in params.items()} if hyper.momentum else None

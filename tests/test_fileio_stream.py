@@ -9,14 +9,17 @@ import gzip
 import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import c2fseg
 import c2fseg.fileio
 import c2fseg.parallel
 from c2fseg import FormatError, Mask3D, Spacing, Volume3D, read_nifti, write_volume
@@ -185,6 +188,16 @@ class TestNonRegularFiles:
                 read_nifti(f"/dev/fd/{r}")
         finally:
             os.close(r)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_without_a_writer_is_a_format_error(self, tmp_path):
+        """Read in a child under a timeout, so an ``open`` that waits for a writer fails this test, not the suite."""
+        fifo = tmp_path / "case.nii"
+        os.mkfifo(fifo)
+        probe = "import sys\nfrom c2fseg import FormatError, read_nifti\ntry: read_nifti(sys.argv[1])\nexcept FormatError as e: print(e)"
+        env = dict(os.environ, PYTHONPATH=str(Path(c2fseg.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", probe, str(fifo)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout.startswith("not a regular file: "), proc.stderr
 
 
 class TestTruncationMessage:

@@ -103,11 +103,11 @@ def test_importing_the_package_does_not_load_concurrent_futures(tmp_path):
 
 
 # Private helper of nn/layers.py -> the one top-level function that may reference it.
-CONV_GEMM_HELPERS = {"_taps": "_banded_gemm", "_col2im": "conv2d_backward"}
+CONV_GEMM_HELPERS = {"_taps": "_columns", "_col2im": "conv2d_backward"}
 
 
 def test_layers_has_one_conv_gemm_path():
-    """Only ``_banded_gemm`` builds columns and only ``conv2d_backward`` scatters them back,
+    """Only ``_columns`` builds columns and only ``conv2d_backward`` scatters them back,
     so every conv, the decoder's two halves too, runs through ``conv2d_forward``/``conv2d_backward``."""
     tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
     users = {name: set() for name in CONV_GEMM_HELPERS}

@@ -17,7 +17,9 @@ from c2fseg import (
 )
 from c2fseg.errors import GeometryError, TrainingDivergedError
 from c2fseg.geometry import resize_slice
+from c2fseg.nn.unet import parameter_shapes
 from c2fseg.volume import extract_slices
+from test_fileio import traced_peak
 
 
 def phantom_slice_pairs(n=10, dims=(32, 32), seed=5):
@@ -205,6 +207,43 @@ class TestFitAcrossCpus:
             fit(UNetSpec(depth=1, base_channels=2), data, FitParams(lr=0.1, epochs=1, batch=4, seed=0))
         assert alive_at_loss[0] > 0  # the forward ran on the pool
         assert pool_threads() == []
+
+
+def whole_plane_columns(spec: UNetSpec, dims, batch: int) -> int:
+    """Bytes of the float32 im2col columns of every conv of one batch's forward, each over its whole plane."""
+    total = 0
+    for name, shape in parameter_shapes(spec).items():
+        if not name.endswith(".w"):
+            continue
+        layer, (_, cin, k, _) = name.split(".")[0], shape
+        level = spec.depth if layer == "mid" else 0 if layer == "head" else int(layer[3:])
+        px = (dims[0] >> level) * (dims[1] >> level)
+        skip = spec.base_channels * 2**level if layer.startswith("dec") else cin
+        total += skip * k * k * px + (cin - skip) * k * k * px // 4  # a decoder's up half runs on h's grid
+    return 4 * batch * total
+
+
+class TestFitMemory:
+    def test_a_batch_holds_no_conv_columns(self):
+        """The CLI's default net at 128x128, one batch of 8: the peak stays below the columns
+        that keeping every conv's whole-plane columns for the backward would hold."""
+        spec, dims, batch = UNetSpec(), (128, 128), 8
+        columns = whole_plane_columns(spec, dims, batch)
+        assert 120e6 < columns < 130e6
+        rng = np.random.default_rng(0)
+        data = np.stack([rng.standard_normal((batch, *dims)), rng.random((batch, *dims)) < 0.3], axis=1)
+        data = data.astype(np.float32)
+        peak = traced_peak(lambda d: fit(spec, d, FitParams(epochs=1, batch=batch)), data)
+        assert peak < columns, f"peak {peak / 1e6:.1f} MB against {columns / 1e6:.1f} MB of whole-plane columns"
+
+    def test_input_checks_make_no_whole_set_mask(self):
+        """Finiteness is read from the min and max and the labels are checked a few samples at a time."""
+        n, dims = 256, (64, 64)
+        data = np.zeros((n, 2, *dims), dtype=np.float32)
+        data[:, 1, ::2] = 1
+        mask_bytes = n * dims[0] * dims[1]  # one bool per label pixel
+        peak = traced_peak(lambda d: fit(UNetSpec(depth=1, base_channels=2), d, FitParams(epochs=0)), data)
+        assert peak < mask_bytes / 2, f"peak {peak / mask_bytes:.2f}x one whole-set mask"
 
 
 class TestThresholdModel:
