@@ -16,11 +16,9 @@ import os
 import stat
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
-from . import parallel
 from .errors import FormatError
 from .volume import AnyVolume, Mask3D, Spacing, Volume3D
 
@@ -50,8 +48,23 @@ def _construct(cls, what: str, *args):
         raise FormatError(f"invalid {what}: {exc}") from None
 
 
+def open_regular(path):
+    """``path`` opened for binary reading; a ``FormatError`` if it is not a regular file.
+
+    Only a regular file's size bounds what a read of it allocates, so a pipe or a device is rejected before a
+    byte is read. A FIFO is opened without waiting for a writer, so one that has none is rejected too.
+    """
+    # With O_NONBLOCK a FIFO opens at once, to be rejected below; a regular file ignores the flag.
+    f = open(path, "rb", opener=lambda p, flags: os.open(p, flags | getattr(os, "O_NONBLOCK", 0)))
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        f.close()
+        raise FormatError("not a regular file: only a regular file's size bounds what the read allocates")
+    return f
+
+
 def read_volume(path) -> AnyVolume:
-    raw = Path(path).read_bytes()
+    with open_regular(path) as f:
+        raw = f.read()
     if raw[:4] != RVOL_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}, expected {RVOL_MAGIC!r}")
     if len(raw) < 33:
@@ -107,17 +120,14 @@ class _FileBytes:
 
     A gzip file is accepted as ``gzip.decompress`` accepts it, and rejected with ``FormatError("corrupt gzip
     stream: <why>")`` and its reason. ``read(n)`` holds a chunk or two beside the n bytes it returns. ``total``
-    counts the bytes returned so far; ``bound`` is more than the file can hold, which only a regular file's size
-    tells, so any other file (a pipe, a device) is rejected.
+    counts the bytes returned so far; ``bound`` is more than the file can hold.
     """
 
     def __init__(self, f):
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise FormatError("not a regular file: only a regular file's size bounds what the read allocates")
+        size = os.fstat(f.fileno()).st_size
         zipped = f.peek(2)[:2] == _GZIP_MAGIC
         self._f = gzip.GzipFile(fileobj=f) if zipped else f
-        self.bound = st.st_size * _DEFLATE_MAX_RATIO if zipped else st.st_size
+        self.bound = size * _DEFLATE_MAX_RATIO if zipped else size
         self.total = 0
 
     def read(self, n: int) -> bytes:
@@ -189,32 +199,25 @@ def _read_payload(stream: _FileBytes, skip: int, dtype: np.dtype, n: int, scale)
     With ``scale`` None they come as stored; with ``scale`` = (slope, inter)
     as float32 ``value * slope + inter``, the bytes of ``astype(float32) *
     slope + inter``. The stream is read one chunk at a time, and each chunk
-    is converted into the output while the next one is read. Where the
-    stream ends early the rest of the output is left unset.
+    is converted straight into its slice of the output. Where the stream
+    ends early the rest of the output is left unset.
     """
     while skip > 0 and (got := len(stream.read(min(skip, _CHUNK)))):
         skip -= got
     out = np.empty(n, dtype=np.float32 if scale is not None else dtype)
     step = max(1, _CHUNK // dtype.itemsize)
-
-    def chunks():
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result or scale is rejected once read
         for lo in range(0, n, step):
             size = min(step, n - lo) * dtype.itemsize
             raw = stream.read(size)
             if len(raw) < size:
-                return
-            yield out[lo : lo + step], np.frombuffer(raw, dtype)
-
-    def convert(chunk) -> None:
-        dst, src = chunk
-        if scale is None:
-            dst[...] = src
-            return
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result or scale is rejected once read
-            np.multiply(src, scale[0], out=dst, dtype=np.float32)
-            np.add(dst, scale[1], out=dst)
-
-    parallel.pipelined(chunks(), convert)
+                break
+            src, dst = np.frombuffer(raw, dtype), out[lo : lo + step]
+            if scale is None:
+                dst[...] = src
+            else:
+                np.multiply(src, scale[0], out=dst, dtype=np.float32)
+                np.add(dst, scale[1], out=dst)
     return out
 
 
@@ -228,19 +231,17 @@ def read_nifti(path, depth_axis: str = "slowest") -> AnyVolume:
     Integer payloads that hold only {0, 1} and carry no scaling come back
     as a Mask3D, everything else as a Volume3D.
 
-    The file is read once, front to back, ``_CHUNK`` bytes at a time, and a
-    gzip file is inflated by ``gzip.GzipFile``: the reader holds the payload's
-    array and a few chunks, never the whole file. It reads to the end even
-    past the payload, so every gzip member is checked, and a corrupt gzip
-    stream is reported before any error in the header. The payload's array is
-    allocated only if the file can hold it, so the file must be a regular one.
-    Any other is rejected before a byte is read; a FIFO is opened without
-    waiting for a writer, so one that has none is rejected too.
+    The file is read once, front to back, ``_CHUNK`` bytes at a time on the
+    caller's thread, and a gzip file is inflated by ``gzip.GzipFile``: the
+    reader holds the payload's array and a few chunks, never the whole file.
+    It reads to the end even past the payload, so every gzip member is
+    checked, and a corrupt gzip stream is reported before any error in the
+    header. The payload's array is allocated only if the file can hold it,
+    so the file must be a regular one (``open_regular``).
     """
     if depth_axis not in ("slowest", "fastest"):
         raise ValueError(f"depth_axis must be 'slowest' or 'fastest', got {depth_axis!r}")
-    # With O_NONBLOCK a FIFO opens at once, for _FileBytes to reject; a regular file ignores the flag.
-    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | getattr(os, "O_NONBLOCK", 0))) as f:
+    with open_regular(path) as f:
         stream = _FileBytes(f)
         head = stream.read(_HDR_SIZE)
         try:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FormatError
+from ..fileio import open_regular
 
 MAGIC = b"C2FW"
 VERSION = 1
@@ -79,8 +80,9 @@ def save_weights(w: ModelWeights, destination) -> None:
 
 
 def load_weights(source) -> ModelWeights:
-    """Parse a weight file, rejecting any malformed or truncated content."""
-    raw = Path(source).read_bytes()
+    """Parse a weight file, rejecting any malformed or truncated content and any file that is not a regular one."""
+    with open_regular(source) as f:
+        raw = f.read()
     if len(raw) < 12:
         raise FormatError(f"weight file too short ({len(raw)} bytes)")
     if raw[:4] != MAGIC:

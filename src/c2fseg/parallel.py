@@ -8,19 +8,16 @@ chunks the same way. Plane loops go through ``split_planes``, the one gate
 that decides whether per-plane work is worth a thread: ``pipeline``'s plane
 loop for every stage's model calls and ``geometry``'s resample core for every
 resample, resize and unresize. Each block has its own pool, so concurrent
-callers never wait for each other's chunks. ``pipelined`` overlaps making
-item k+1 with consuming item k: ``fileio.read_nifti`` converts one chunk of
-its payload while it reads or inflates the next.
+callers never wait for each other's chunks.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, TypeVar
+from typing import Callable
 
 # (pool, usable CPUs) of the batch_threads block this context runs in. Pool
 # threads start with an empty context, so a chunk run on one never splits again.
@@ -29,8 +26,6 @@ _POOL: ContextVar[tuple | None] = ContextVar("c2fseg_batch_pool", default=None)
 # A plane loop whose first plane ran faster than this stays on the caller's
 # thread: a thread would cost more than the planes it takes over.
 _SERIAL_PLANE_S = 1e-3
-
-T = TypeVar("T")
 
 
 def usable_cpus() -> int:
@@ -105,26 +100,3 @@ def split_planes(n: int, body: Callable[[int, int], None]) -> None:
     elif n > 1:
         body(1, n)
 
-
-def pipelined(items: Iterable[T], consume: Callable[[T], None]) -> None:
-    """Call ``consume(item)`` on each of ``items`` in order, item k on a second thread while the caller makes item k+1.
-
-    At most two items are alive at once: the one being consumed and the one
-    being made. With one usable CPU each item is consumed on the caller's
-    thread as soon as it is made. The call returns once every item has been
-    consumed; an error of ``items`` is raised once the item in flight is
-    consumed, and an error of ``consume`` once the next item is made.
-    """
-    if usable_cpus() <= 1:
-        for item in items:
-            consume(item)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Leaving the block waits for the item in flight, also when ``items`` raised.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="c2fseg-pipe") as pool:
-        pending = pool.submit(lambda: None)
-        for item in items:
-            pending.result()
-            pending = pool.submit(consume, item)
-        pending.result()

@@ -17,7 +17,7 @@ def reference_spacing():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n)`` makes ``_predict``, ``fit`` and ``read_nifti`` see n usable CPUs."""
+    """``cpus(n)`` makes ``_predict`` and ``fit`` see n usable CPUs."""
 
     def set_cpus(n):
         monkeypatch.setattr(c2fseg.parallel, "usable_cpus", lambda: n)

@@ -1,5 +1,5 @@
-"""Bounded file I/O: what ``read_nifti`` accepts from a gzip stream, the exact bytes ``write_volume`` writes,
-and how much memory each holds.
+"""Bounded file I/O: what ``read_nifti`` accepts from a gzip stream, which files the three readers refuse, the
+exact bytes ``write_volume`` writes, and how much memory each holds.
 
 The gzip cases are judged against ``gzip.decompress``: a file it inflates reads as its plain payload, and a
 file it rejects fails with ``corrupt gzip stream: `` and its own message.
@@ -12,7 +12,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 import zlib
 from pathlib import Path
 
@@ -21,11 +20,10 @@ import pytest
 
 import c2fseg
 import c2fseg.fileio
-import c2fseg.parallel
 from c2fseg import FormatError, Mask3D, Spacing, Volume3D, read_nifti, write_volume
 from data import random_mask_data, random_volume_data
 from test_fileio import build_nifti, traced_peak
-from test_hostile_files import rvol_bytes
+from test_hostile_files import READERS, rvol_bytes
 
 CHUNK = c2fseg.fileio._CHUNK
 
@@ -169,12 +167,21 @@ class TestGzipMutations:
 
 
 class TestNonRegularFiles:
-    """A pipe's or a device's size bounds nothing, so ``read_nifti`` rejects it before it reads a byte."""
+    """A pipe's or a device's size bounds nothing, so each reader rejects it before it reads a byte.
+
+    Every test runs once per reader of ``READERS``: ``kind`` names it, here ``read_nifti`` and in the subclasses
+    below ``read_volume`` and ``load_weights``.
+    """
+
+    kind = "nifti"
+
+    def read(self, path):
+        return READERS[self.kind](path)
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
     def test_an_endless_device_is_a_format_error(self):
         with pytest.raises(FormatError, match="^not a regular file: "):
-            read_nifti("/dev/zero")  # read to its end, as after a bad header, it would never return
+            self.read("/dev/zero")  # read to its end, it would never return
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
     @pytest.mark.parametrize("zipped", [False, True], ids=["plain", "gzip"])
@@ -185,19 +192,28 @@ class TestNonRegularFiles:
             sink.write(gzip.compress(blob, mtime=0) if zipped else blob)
         try:
             with pytest.raises(FormatError, match="^not a regular file: "):
-                read_nifti(f"/dev/fd/{r}")
+                self.read(f"/dev/fd/{r}")
         finally:
             os.close(r)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
     def test_a_fifo_without_a_writer_is_a_format_error(self, tmp_path):
         """Read in a child under a timeout, so an ``open`` that waits for a writer fails this test, not the suite."""
-        fifo = tmp_path / "case.nii"
+        fifo = tmp_path / f"case.{self.kind}"
         os.mkfifo(fifo)
-        probe = "import sys\nfrom c2fseg import FormatError, read_nifti\ntry: read_nifti(sys.argv[1])\nexcept FormatError as e: print(e)"
+        reader = READERS[self.kind].__name__
+        probe = f"import sys\nfrom c2fseg import FormatError, {reader}\ntry: {reader}(sys.argv[1])\nexcept FormatError as e: print(e)"
         env = dict(os.environ, PYTHONPATH=str(Path(c2fseg.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", probe, str(fifo)], capture_output=True, text=True, env=env, timeout=60)
         assert proc.stdout.startswith("not a regular file: "), proc.stderr
+
+
+class TestNonRegularRvolFiles(TestNonRegularFiles):
+    kind = "rvol"
+
+
+class TestNonRegularWeightFiles(TestNonRegularFiles):
+    kind = "weights"
 
 
 class TestTruncationMessage:
@@ -273,12 +289,8 @@ class TestBoundedMemory:
         assert peak < vol.data.nbytes / 8, f"peak {peak / vol.data.nbytes:.2f}x the payload"
 
 
-def pipe_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("c2fseg-pipe")]
-
-
-class TestPipelined:
-    """``parallel.pipelined``: item k is consumed on a second thread while item k+1 is made."""
+class TestSerialRead:
+    """The payload is read and converted on the caller's thread, one chunk at a time."""
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_the_read_is_the_same_on_one_or_two_cpus(self, tmp_path, monkeypatch, cpus, n_cpus):
@@ -290,52 +302,14 @@ class TestPipelined:
         want = stored.astype(np.float32) * np.float32(0.37) + np.float32(5.5)
         monkeypatch.setattr(c2fseg.fileio, "_CHUNK", 64)  # 22 chunks of 32 values
         cpus(n_cpus)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = read_nifti(path)
-        finally:
-            sys.setswitchinterval(interval)
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        got = read_nifti(path)
         assert got.data.tobytes() == want.tobytes()
-        assert pipe_threads() == []
-
-    def test_every_item_is_consumed_in_order(self, cpus):
-        cpus(2)
-        consumed = []
-        c2fseg.parallel.pipelined(iter(range(50)), lambda k: (time.sleep(0.001 * (k % 3)), consumed.append(k)))
-        assert consumed == list(range(50)) and pipe_threads() == []
-
-    def test_an_error_of_the_items_waits_for_the_item_in_flight(self, cpus):
-        cpus(2)
-        consumed = []
-
-        def items():
-            yield 0
-            yield 1
-            raise OSError("the disk went away")
-
-        def consume(k):
-            time.sleep(0.05)
-            consumed.append(k)
-
-        with pytest.raises(OSError, match="disk"):
-            c2fseg.parallel.pipelined(items(), consume)
-        assert consumed == [0, 1] and pipe_threads() == []
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_an_error_of_consume_is_raised(self, cpus, n_cpus):
-        cpus(n_cpus)
-        made = []
-
-        def items():
-            for k in range(5):
-                made.append(k)
-                yield k
-
-        def consume(k):
-            if k == 1:
-                raise ValueError("bad item 1")
-
-        with pytest.raises(ValueError, match="bad item 1"):
-            c2fseg.parallel.pipelined(items(), consume)
-        assert made == ([0, 1] if n_cpus == 1 else [0, 1, 2]) and pipe_threads() == []
+        assert started == []

@@ -3,9 +3,10 @@
 Checked with the standard library's ``ast``: every module other than a
 package ``__init__.py`` uses each name it imports, no module reaches
 into another c2fseg module for a private (``_``-prefixed) name, and only
-``parallel.py`` imports the thread modules, and ``nn/layers.py`` has one
+``parallel.py`` imports the thread modules, ``nn/layers.py`` has one
 conv GEMM path, neither raises nor imports from ``c2fseg.errors`` and
-imports nothing from ``c2fseg.parallel``, and
+imports nothing from ``c2fseg.parallel``, ``fileio.py`` imports nothing
+from ``c2fseg.parallel`` either, and
 ``pipeline.py`` reads the clock only in ``run_case``'s stage timer,
 finds the sagittal window's centre in one function, cuts each stage's
 planes in one helper and builds training sets in one loop.
@@ -166,15 +167,15 @@ def test_pipeline_states_each_cut_and_the_training_loop_once():
     assert pipeline_users(PIPELINE_CUT_OWNERS) == PIPELINE_CUT_OWNERS
 
 
-def layers_imports() -> list[str]:
-    """Each module and ``module.name`` that ``nn/layers.py`` imports, relative imports resolved."""
-    tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
+def module_imports(path: Path) -> list[str]:
+    """Each module and ``module.name`` that the module at ``path`` imports, relative imports resolved."""
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts  # e.g. ("c2fseg", "nn", "layers")
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             found += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            package = ("", "c2fseg.nn", "c2fseg")[node.level]
+            package = ".".join(parts[: len(parts) - node.level]) if node.level else ""
             module = ".".join(filter(None, (package, node.module)))
             found += [module, *(f"{module}.{a.name}" for a in node.names)]
     return found
@@ -185,11 +186,16 @@ def test_layers_trust_the_net_door():
     ``unet_backward`` check every shape once, before any layer runs."""
     tree = ast.parse((PACKAGE / "nn" / "layers.py").read_text())
     raises = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)]
-    errors = [name for name in layers_imports() if name.startswith("c2fseg.errors")]
+    errors = [name for name in module_imports(PACKAGE / "nn" / "layers.py") if name.startswith("c2fseg.errors")]
     assert (raises, errors) == ([], [])
 
 
 def test_layers_split_no_batch():
     """``nn/layers.py`` imports nothing from ``c2fseg.parallel``: the net cuts each batch once per pass,
     and each layer op runs on the samples it is given."""
-    assert [name for name in layers_imports() if name.startswith("c2fseg.parallel")] == []
+    assert [name for name in module_imports(PACKAGE / "nn" / "layers.py") if name.startswith("c2fseg.parallel")] == []
+
+
+def test_fileio_starts_no_thread():
+    """``fileio.py`` imports nothing from ``c2fseg.parallel``: a file is read and converted on the caller's thread."""
+    assert [name for name in module_imports(PACKAGE / "fileio.py") if name.startswith("c2fseg.parallel")] == []
